@@ -99,8 +99,8 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"missing required key {key!r}", loc)
         cap = _rational(spec["capacity"], f"{loc}.capacity")
         length = spec.get("length", 1)
-        if isinstance(length, bool) or not isinstance(length, int) or length < 0:
-            raise ParseError("length must be a nonnegative integer",
+        if isinstance(length, bool) or not isinstance(length, int) or length < 1:
+            raise ParseError("length must be a positive integer",
                              f"{loc}.length")
         edges.append((spec["tail"], spec["head"], cap, length))
 

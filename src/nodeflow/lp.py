@@ -1,9 +1,14 @@
 """Exact rational linear programming via two-phase primal simplex.
 
-Dense tableau over exact rationals, Bland's anti-cycling rule throughout, so
-results are deterministic and free of rounding.  This is meant for the small
-and mid-size programs this package generates, not as a general-purpose LP
-code.
+Tableau over exact rationals, Bland's anti-cycling rule throughout, so
+results are deterministic and free of rounding.  Rows are stored as full
+lists, but a pivot touches only what can change: it scales the pivot row on
+its nonzeros, then updates in place only the rows (and the reduced-cost row)
+with a nonzero in the entering column, and in those only the columns where
+the pivot row is nonzero.  The generated programs are mostly slack and
+artificial columns and 0/+-1 incidence rows, so that is a small share of the
+tableau.  This is meant for the small and mid-size programs this package
+generates, not as a general-purpose LP code.
 
 Infeasible and unbounded are statuses on the returned solution, never
 exceptions.
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import MalformedProgram
-from .rational import ZERO, ONE, format_rational, rat
+from .rational import ZERO, ONE, rat
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -39,10 +44,19 @@ class LinearProgram:
     upper_bounds: dict = field(default_factory=dict)
     objective: dict = field(default_factory=dict)
     constraints: list = field(default_factory=list)
+    index: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)  # name -> position in variables
+
+    def __post_init__(self):
+        for name in self.variables:
+            if name in self.index:
+                raise MalformedProgram(f"duplicate variable {name!r}")
+            self.index[name] = len(self.index)
 
     def add_variable(self, name, upper=None, objective=None):
-        if name in self.upper_bounds or name in set(self.variables):
+        if name in self.index:
             raise MalformedProgram(f"duplicate variable {name!r}")
+        self.index[name] = len(self.variables)
         self.variables.append(name)
         if upper is not None:
             self.upper_bounds[name] = rat(upper)
@@ -54,9 +68,8 @@ class LinearProgram:
         if relation not in (LE, GE, EQ):
             raise MalformedProgram(f"bad relation {relation!r}")
         cleaned = {}
-        known = set(self.variables)
         for name, c in coeffs.items():
-            if name not in known:
+            if name not in self.index:
                 raise MalformedProgram(f"constraint uses undeclared variable {name!r}")
             c = rat(c)
             if c != 0:
@@ -66,9 +79,8 @@ class LinearProgram:
     def set_objective(self, coeffs, sense="max"):
         if sense not in ("max", "min"):
             raise MalformedProgram(f"bad sense {sense!r}")
-        known = set(self.variables)
         for name in coeffs:
-            if name not in known:
+            if name not in self.index:
                 raise MalformedProgram(f"objective uses undeclared variable {name!r}")
         self.sense = sense
         self.objective = {k: rat(v) for k, v in coeffs.items()}
@@ -85,20 +97,33 @@ class LpSolution:
         return self.assignment.get(name, ZERO)
 
 
-def _pivot(rows, basis, r, c):
-    piv = rows[r][c]
-    inv = ONE / piv
-    row = rows[r]
-    rows[r] = [x * inv for x in row]
+def _pivot(rows, basis, r, c, z=None):
+    """Pivot on rows[r][c] in place, eliminating column c from every other
+    row and from the reduced-cost row z when given."""
     prow = rows[r]
-    n = len(prow)
-    for i, other in enumerate(rows):
-        if i == r:
+    piv = prow[c]
+    if piv != 1:
+        inv = ONE / piv
+        for j, x in enumerate(prow):
+            if x:
+                prow[j] = x * inv
+    nz = [(j, x) for j, x in enumerate(prow) if x]
+    neg = [(j, -x) for j, x in nz]
+    for row in rows if z is None else (*rows, z):
+        f = row[c]
+        if not f or row is prow:
             continue
-        f = other[c]
-        if f == 0:
-            continue
-        rows[i] = [other[j] - f * prow[j] for j in range(n)]
+        # Most multipliers are +-1 (incidence rows) and about half the
+        # targets are 0; both cases skip a rational multiply or subtract.
+        if f == 1:
+            upd = nz
+        elif f == -1:
+            upd = neg
+        else:
+            upd = [(j, f * x) for j, x in nz]
+        for j, d in upd:
+            v = row[j]
+            row[j] = v - d if v else -d
     basis[r] = c
 
 
@@ -106,19 +131,15 @@ def _bland_optimize(rows, basis, cost, ncols, allowed):
     """Maximize cost over the current tableau.  rows carry [A | b]; the
     objective row is maintained implicitly through reduced costs.
 
-    Returns (status, pivots)."""
+    Returns (status, pivots, objective)."""
     # z-row: reduced costs d_j = c_j - c_B . column_j, tracked explicitly.
-    z = [ZERO] * (ncols + 1)
-    for j in range(ncols):
-        z[j] = cost[j]
+    z = list(cost) + [ZERO]
     for i, b in enumerate(basis):
         cb = cost[b]
-        if cb == 0:
-            continue
-        row = rows[i]
-        for j in range(ncols + 1):
-            if row[j] != 0:
-                z[j] -= cb * row[j]
+        if cb:
+            for j, x in enumerate(rows[i]):
+                if x:
+                    z[j] -= cb * x
     pivots = 0
     while True:
         enter = -1
@@ -139,17 +160,13 @@ def _bland_optimize(rows, basis, cost, ncols, allowed):
                     leave = i
         if leave < 0:
             return UNBOUNDED, pivots, None
-        _pivot(rows, basis, leave, enter)
-        # update z-row
-        f = z[enter]
-        prow = rows[leave]
-        z = [z[j] - f * prow[j] for j in range(ncols + 1)]
+        _pivot(rows, basis, leave, enter, z)
         pivots += 1
 
 
 def solve(lp: LinearProgram) -> LpSolution:
     names = list(lp.variables)
-    index = {n: i for i, n in enumerate(names)}
+    index = lp.index
     n = len(names)
 
     # Assemble rows: declared constraints plus upper bounds as <= rows.

@@ -1,10 +1,11 @@
 """Exact rational arithmetic used everywhere a flow value or capacity lives.
 
 All solver code in this package works over exact rationals, never floats.
-gmpy2's mpq is used when available (roughly an order of magnitude faster
-inside the simplex pivot loop); fractions.Fraction otherwise.  Both types
-interoperate, so callers may pass either -- values are normalized at the
-package boundary via rat().
+gmpy2's mpq is used when available, fractions.Fraction otherwise.  mpq is
+expected to be faster inside the simplex pivot loop, but that speedup has not
+been measured for this package: every timing recorded in this repository ran
+on Fraction.  Both types interoperate, so callers may pass either -- values
+are normalized at the package boundary via rat().
 """
 
 from __future__ import annotations

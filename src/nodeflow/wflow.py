@@ -238,16 +238,24 @@ def min_swt_edge_cut(net: FlowNetwork, s, w, t, max_exact_edges=20) -> CutResult
     """Minimum-capacity edge set whose removal leaves no s-w-t path.
 
     Exact branch-and-bound up to max_exact_edges edges; beyond that, a greedy
-    upper bound (all edges incident to w on the cheaper side) labeled as
-    inexact.
+    upper bound (all edges incident to w on the cheaper valid side) labeled
+    as inexact.
     """
     adj = net.adjacency()
     directed = net.directed
     if len(net.edges) > max_exact_edges:
         into_w = tuple(e.id for e in net.edges if e.head == w or (not directed and e.tail == w))
         out_w = tuple(e.id for e in net.edges if e.tail == w or (not directed and e.head == w))
-        cand = min((into_w, out_w), key=lambda ids: sum((net.edges[i].capacity for i in ids), ZERO))
-        return CutResult(tuple(sorted(cand)), sum((net.edges[i].capacity for i in cand), ZERO), False)
+        # A walk that starts at w need not enter it, and one that ends at w
+        # need not leave it; a closed walk (s == t) does both.
+        sides = [ids for ids, valid in ((into_w, w != s or s == t), (out_w, w != t or s == t))
+                 if valid]
+        def value(ids):
+            return sum((net.edges[i].capacity for i in ids), ZERO)
+
+        cand = min(sides, key=value)
+        assert verify_cut(net, s, w, t, cand), "fallback cut leaves an s-w-t walk"
+        return CutResult(tuple(sorted(cand)), value(cand), False)
 
     best = {"edges": tuple(e.id for e in net.edges), "value": net.total_capacity()}
 
@@ -299,7 +307,27 @@ def _first_swt_walk(net, adj, removed, s, w, t):
 
 def verify_cut(net: FlowNetwork, s, w, t, edge_ids) -> bool:
     adj = net.adjacency()
-    return _first_swt_walk(net, adj, frozenset(edge_ids), s, w, t) is None
+    removed = frozenset(edge_ids)
+    # Plain reachability settles the common case in linear time; only when
+    # s reaches w and w reaches t does edge-distinctness need the search.
+    if w not in _reachable(adj, removed, s) or t not in _reachable(adj, removed, w):
+        return True
+    return _first_swt_walk(net, adj, removed, s, w, t) is None
+
+
+def _reachable(adj, removed, start):
+    seen = {start}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for edge, d in adj[node]:
+            if edge.id in removed:
+                continue
+            nxt = edge.head if d == FWD else edge.tail
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 # -- augmenting-path heuristic -------------------------------------------------

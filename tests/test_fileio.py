@@ -68,6 +68,17 @@ def test_nan_and_infinity_literals_rejected():
         parse_instance(doc)
 
 
+@pytest.mark.parametrize("length", [0, -1, True, "2"])
+def test_bad_length_location(length):
+    doc = {"orientation": "directed", "nodes": ["a", "b", "c"],
+           "edges": [{"tail": "a", "head": "b", "capacity": 1},
+                     {"tail": "b", "head": "c", "capacity": 1,
+                      "length": length}],
+           "commodities": []}
+    with pytest.raises(ParseError, match=r"edges\[1\]\.length"):
+        parse_instance(json.dumps(doc))
+
+
 def test_fraction_strings_accepted():
     doc = {"orientation": "directed", "nodes": ["a", "b"],
            "edges": [{"tail": "a", "head": "b", "capacity": "3/2"}],

@@ -61,8 +61,7 @@ def test_equality_and_upper_bound():
     assert sol.assignment["x"] <= rat(5, 2)
 
 
-def test_degenerate_does_not_cycle():
-    # Beale's classic cycling example; Bland's rule must terminate.
+def _beale_program():
     lp = LinearProgram()
     lp.add_variable("x1", objective=rat(3, 4))
     lp.add_variable("x2", objective=-150)
@@ -73,7 +72,12 @@ def test_degenerate_does_not_cycle():
     lp.add_constraint({"x1": rat(1, 2), "x2": -90, "x3": rat(-1, 50),
                        "x4": 3}, LE, 0)
     lp.add_constraint({"x3": 1}, LE, 1)
-    sol = solve_lp(lp)
+    return lp
+
+
+def test_degenerate_does_not_cycle():
+    # Beale's classic cycling example; Bland's rule must terminate.
+    sol = solve_lp(_beale_program())
     assert sol.status == OPTIMAL
     assert sol.objective == rat(1, 20)
 
@@ -152,6 +156,22 @@ def test_random_lps_match_vertex_enumeration():
                         sol.objective.denominator) == expect, trial
 
 
+def test_names_checked_against_declared_variables():
+    from nodeflow import MalformedProgram
+    lp = LinearProgram(variables=["x"])
+    lp.add_variable("y", upper=2, objective=1)
+    assert lp.index == {"x": 0, "y": 1}
+    for bad in (lambda: lp.add_variable("x"),
+                lambda: lp.add_variable("y"),
+                lambda: lp.add_constraint({"z": 1}, LE, 1),
+                lambda: lp.set_objective({"z": 1}),
+                lambda: LinearProgram(variables=["x", "x"])):
+        with pytest.raises(MalformedProgram):
+            bad()
+    lp.add_constraint({"x": 1, "y": 1}, LE, 3)
+    assert solve_lp(lp).objective == 2
+
+
 def test_export_lp_text_mentions_variables():
     lp = LinearProgram()
     lp.add_variable("flow_a", objective=1)
@@ -159,3 +179,118 @@ def test_export_lp_text_mentions_variables():
     text = export_lp_text(lp)
     assert "flow_a" in text
     assert "Maximize" in text or "maximize" in text.lower()
+
+
+# -- the Bland path, pinned ----------------------------------------------------
+#
+# Exact arithmetic makes the pivot sequence a pure function of the program, so
+# any change to the tableau kernel must reproduce these pivot counts and
+# assignments value for value.  They were recorded from the dense kernel.
+
+def _path_signature(lp, sol):
+    """status, pivots, objective and every variable's value, in declaration
+    order, as one comparable string."""
+    values = " ".join(str(sol.assignment[name]) for name in lp.variables) \
+        if sol.status == OPTIMAL else "-"
+    assert sol.status != OPTIMAL or len(sol.assignment) == len(lp.variables)
+    return f"{sol.status} {sol.pivots} {sol.objective} | {values}"
+
+
+def _pinned_random_programs():
+    """Seeded programs with LE, GE and EQ rows, negative right-hand sides,
+    upper bounds, rational coefficients and both senses.  Each is built
+    around a hidden feasible point, so most of them reach phase 2."""
+    rng = random.Random(1907)
+    programs = []
+    for _ in range(30):
+        nvars = rng.randint(2, 6)
+        lp = LinearProgram()
+        point = []
+        for j in range(nvars):
+            upper = rng.choice([None, None, rng.randint(1, 6),
+                                rat(rng.randint(1, 9), 2)])
+            lp.add_variable(f"x{j}", upper=upper)
+            point.append(min(rat(rng.randint(0, 12), 4), upper or 3))
+        for _ in range(rng.randint(2, 6)):
+            coeffs = {j: rat(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+                      for j in range(nvars) if rng.random() < 0.7}
+            at = sum((c * point[j] for j, c in coeffs.items()), rat(0))
+            relation = rng.choice([LE, LE, GE, EQ])
+            slack = rng.choice([0, 1, rat(5, 2)]) if rng.random() < 0.9 else -1
+            rhs = {LE: at + slack, GE: at - slack, EQ: at}[relation]
+            lp.add_constraint({f"x{j}": c for j, c in coeffs.items()},
+                              relation, rhs)
+        lp.set_objective({f"x{j}": rng.randint(-3, 4) for j in range(nvars)},
+                         rng.choice(["max", "max", "min"]))
+        programs.append(lp)
+    return programs
+
+
+PINNED_BEALE = 'optimal 6 1/20 | 1/25 0 1 0'
+
+PINNED_RANDOM = [
+    'optimal 6 331/36 | 0 1/12 85/36',
+    'optimal 5 21/2 | 0 0 0 7/2',
+    'optimal 3 5/2 | 1/2 1',
+    'optimal 7 -31/4 | 9/4 5/4 1/2',
+    'optimal 4 -209/48 | 0 1/2 15/16 85/48 3/4',
+    'unbounded 5 None | -',
+    'optimal 10 79/6 | 2 1 0 0 37/6 1',
+    'optimal 1 1 | 0 1/4 0 0',
+    'optimal 3 7/2 | 3/4 5/4',
+    'optimal 7 -183/76 | 0 104/19 381/76 0 3 0',
+    'optimal 8 -1903/144 | 0 85/576 61/36 16/9 301/144',
+    'optimal 5 7 | 5/4 13/4 1 1',
+    'optimal 4 1/16 | 0 0 59/48 121/96',
+    'optimal 4 2591/275 | 524/275 5251/3300 4007/1650 48/275 0',
+    'optimal 4 5 | 0 5/2 0 0 0',
+    'optimal 4 -14 | 1 1 6',
+    'optimal 3 -47/12 | 11/6 1/12',
+    'optimal 3 8 | 2 0',
+    'unbounded 2 None | -',
+    'optimal 5 14 | 0 2 2 0',
+    'optimal 8 -41/12 | 0 3 5/4 11/4 1/4 19/12',
+    'optimal 1 3/2 | 3/2 0',
+    'optimal 7 12 | 9/4 9/4 1 3/4',
+    'unbounded 1 None | -',
+    'optimal 2 -25/4 | 25/8 7/8 0 0',
+    'infeasible 1 None | -',
+    'optimal 6 -1 | 0 28/15 0 43/30 0 3',
+    'optimal 2 131/4 | 0 0 131/16 0 0 0',
+    'optimal 6 183/2 | 5 93/4 4 2 25/2',
+    'optimal 3 119/12 | 5/12 1/2 8/3 0 0',
+]
+
+# max_set_flow's program for augmenting-undirected through w: 19 variables,
+# 18 declared rows.
+PINNED_TRANSFORM = 'optimal 10 6 | 0 2 0 2 2 0 1 0 0 0 0 0 2 0 0 1 3 3 6'
+
+
+def test_bland_path_pinned_on_beale():
+    lp = _beale_program()
+    assert _path_signature(lp, solve_lp(lp)) == PINNED_BEALE
+
+
+def test_bland_path_pinned_on_random_programs():
+    programs = _pinned_random_programs()
+    got = [_path_signature(lp, solve_lp(lp)) for lp in programs]
+    assert got == PINNED_RANDOM
+
+
+def test_bland_path_pinned_on_transform_program(monkeypatch):
+    from nodeflow import get_builtin
+    from nodeflow import lp as lpmod
+    from nodeflow.wflow import build_transform, solve_transform
+
+    built = []
+
+    def capture(lp):
+        built.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(lpmod, "solve", capture)
+    tr = build_transform(get_builtin("augmenting-undirected").network, ("w",))
+    _, sol = solve_transform(tr)
+    (lp,) = built
+    assert (len(lp.variables), len(lp.constraints)) == (19, 18)
+    assert _path_signature(lp, sol) == PINNED_TRANSFORM

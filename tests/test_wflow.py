@@ -98,6 +98,54 @@ def test_cut_upper_bounds_flow_and_verifies():
     assert max_w_flow_exact(net, "w").objective == 3  # strict gap
 
 
+def _parallel_paths(k):
+    """Directed s -> a_i -> t, k parallel paths, capacity 2 out of s and 1
+    into t."""
+    mids = [f"a{i}" for i in range(k)]
+    edges = [e for a in mids for e in (("s", a, 2), (a, "t", 1))]
+    return FlowNetwork.build("directed", ["s", *mids, "t"], edges, [("s", "t", None)])
+
+
+def test_cut_fallback_with_w_at_an_endpoint():
+    # 22 edges take the inexact fallback.  With w == s no edge enters w, so
+    # the into-w side is empty and no cut; only the out-of-w side is valid.
+    net = _parallel_paths(11)
+    for w, value in (("s", 22), ("t", 11), ("a0", 1)):
+        cut = min_swt_edge_cut(net, "s", w, "t")
+        assert not cut.exact
+        assert cut.value == value, w
+        assert verify_cut(net, "s", w, "t", cut.edges), w
+    assert not verify_cut(net, "s", "s", "t", ())
+
+
+def test_cut_fallback_on_undirected_grid():
+    # 4 x 4 grid, 24 edges.  The fallback removes w's four edges.  Checking
+    # that by walk search alone explores every edge-distinct trail from s and
+    # runs for more than 30 s on a 2.1 GHz Xeon; verify_cut must settle it by
+    # reachability instead.
+    n = 4
+    nodes = [f"v{i}{j}" for i in range(n) for j in range(n)]
+    edges = [(f"v{i}{j}", f"v{i}{j + 1}", 1) for i in range(n) for j in range(n - 1)]
+    edges += [(f"v{i}{j}", f"v{i + 1}{j}", 1) for i in range(n - 1) for j in range(n)]
+    net = FlowNetwork.build("undirected", nodes, edges, [("v00", "v33", None)])
+    cut = min_swt_edge_cut(net, "v00", "v11", "v33")
+    assert not cut.exact and cut.value == 4
+    assert verify_cut(net, "v00", "v11", "v33", cut.edges)
+
+
+def test_verify_cut_agrees_with_walk_search():
+    # The reachability shortcut in verify_cut must never change its answer.
+    from nodeflow.wflow import _first_swt_walk
+    rng = random.Random(67)
+    for trial in range(150):
+        net = (random_directed if trial % 2 else random_undirected)(rng)
+        s, t = net.commodities[0].source, net.commodities[0].sink
+        w = rng.choice(net.nodes)
+        removed = [e.id for e in net.edges if rng.random() < 0.3]
+        walk = _first_swt_walk(net, net.adjacency(), frozenset(removed), s, w, t)
+        assert verify_cut(net, s, w, t, removed) == (walk is None), trial
+
+
 def test_cut_bounds_on_random_instances():
     rng = random.Random(59)
     checked = 0
