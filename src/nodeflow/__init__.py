@@ -1,10 +1,11 @@
 """Exact-arithmetic toolkit for node-constrained traffic engineering.
 
-Path-based and arc-based multicommodity flow LPs over exact rationals,
-node-constrained (through-w and through-group) maximum flow for directed and
-undirected networks, segment-routing tunnel programs with ECMP splitting,
-flow centrality, and the NP-hardness gadget constructions, all backed by an
-exact two-phase simplex.
+Path-based and arc-based multicommodity flow LPs over exact rationals, an
+exact Dinic max flow and min cut, node-constrained (through-w and
+through-group) maximum flow for directed and undirected networks,
+segment-routing tunnel programs with ECMP splitting, flow centrality, and
+the NP-hardness gadget constructions, all backed by an exact two-phase
+simplex.
 """
 
 from .errors import (CapExceeded, InfiniteDemand, LimitExceeded,
@@ -21,6 +22,7 @@ from .lp import (Constraint, LinearProgram, LpSolution, EQ, GE, LE,
 from .te import (DmfResult, FlowSolution, DualityReport,
                  check_demand_load_duality, decide_dmf, default_families,
                  max_flow_arc_lp, solve_te_lu, solve_te_mf)
+from .maxflow import MaxFlowResult, max_flow
 from .wflow import (AugmentingResult, CutResult, TransformedNetwork,
                     augmenting_w_flow, build_transform, fix_paths,
                     max_set_flow, max_set_flow_paths, max_w_flow_exact,

@@ -14,28 +14,25 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from . import lp as lpmod
 from .errors import LimitExceeded
-from .network import (DEFAULT_PATH_CAP, Commodity, Edge, FlowNetwork, through)
-from .rational import ZERO, rat
-from .te import max_flow_arc_lp, solve_te_mf
-from .wflow import max_set_flow, max_set_flow_paths, max_w_flow_exact
+from .maxflow import max_flow
+from .network import DEFAULT_PATH_CAP, Commodity, FlowNetwork
+from .rational import ZERO
+from .te import max_flow_arc_lp
+from .wflow import max_set_flow, max_set_flow_paths
 
 DEFAULT_EXACT_NODE_LIMIT = 10
 
 
-def _single_pair(net: FlowNetwork, s, t) -> FlowNetwork:
-    return net.with_commodities([Commodity(s, t, None)])
-
-
 def pair_w_flow(net: FlowNetwork, w, s, t, cap=DEFAULT_PATH_CAP):
     """Node-constrained max flow for the single unbounded pair (s, t)."""
-    single = _single_pair(net, s, t)
+    single = net.with_commodities([Commodity(s, t, None)])
     return max_set_flow(single, (w,), cap=cap).objective
 
 
 def pair_max_flow(net: FlowNetwork, s, t):
-    return max_flow_arc_lp(_single_pair(net, s, t)).objective
+    """Unconstrained s-t max flow, by the exact Dinic kernel."""
+    return max_flow(net, s, t).value
 
 
 def _guard(net: FlowNetwork, limit):
@@ -60,21 +57,32 @@ def flow_centrality(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP,
     flow values over all ordered pairs not involving w, the denominator the
     corresponding unconstrained maxima."""
     _guard(net, node_limit)
-    num = ZERO
-    den = ZERO
-    pairs = []
-    others = [v for v in net.nodes if v != w]
-    for s, t in itertools.permutations(others, 2):
-        free = pair_max_flow(net, s, t)
-        if free == 0:
-            pairs.append((s, t, ZERO, ZERO))
-            continue
-        forced = pair_w_flow(net, w, s, t, cap=cap)
-        num += forced
-        den += free
-        pairs.append((s, t, forced, free))
+    pairs = [(s, t, forced, free)
+             for (s, t), (forced, free) in _pair_values(net, w, cap).items()]
+    num = sum((forced for _, _, forced, _ in pairs), ZERO)
+    den = sum((free for _, _, _, free in pairs), ZERO)
     ratio = None if den == 0 else num / den
     return CentralityReport(w, num, den, ratio, pairs)
+
+
+def _pair_values(net: FlowNetwork, w, cap):
+    """(s, t) -> (constrained, unconstrained) flow over the ordered pairs
+    avoiding w, in permutation order; a pair with no free flow gets
+    (0, 0) without a constrained solve.  On an undirected network an s-t
+    walk through w reversed is a t-s walk through w, so each unordered pair
+    is solved once and its value reported for both orders."""
+    values = {}
+    # Equal values share one object; callers may keep many reports.
+    shared = {}
+    others = [v for v in net.nodes if v != w]
+    for s, t in itertools.permutations(others, 2):
+        if not net.directed and (t, s) in values:
+            values[(s, t)] = values[(t, s)]
+            continue
+        free = pair_max_flow(net, s, t)
+        forced = pair_w_flow(net, w, s, t, cap=cap) if free else ZERO
+        values[(s, t)] = (shared.setdefault(forced, forced), shared.setdefault(free, free))
+    return values
 
 
 def commodity_centrality(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP,
@@ -283,13 +291,7 @@ def hat_constructions(net: FlowNetwork, s, t) -> HatConstructions:
 def node_flow_sum(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP):
     """Sum of node-constrained pair flows over all ordered pairs avoiding w
     (the centrality numerator, unnormalized)."""
-    total = ZERO
-    others = [v for v in net.nodes if v != w]
-    for s, t in itertools.permutations(others, 2):
-        if pair_max_flow(net, s, t) == 0:
-            continue
-        total += pair_w_flow(net, w, s, t, cap=cap)
-    return total
+    return sum((forced for forced, _ in _pair_values(net, w, cap).values()), ZERO)
 
 
 @dataclass

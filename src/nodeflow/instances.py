@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .network import FlowNetwork
-from .rational import rat
 
 
 @dataclass

@@ -14,8 +14,7 @@ family that hit the cap is marked truncated and the exact solvers refuse it.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import MalformedNetwork, UnknownNode
@@ -229,10 +228,6 @@ class PathFamily:
 
     def __len__(self):
         return len(self.paths)
-
-
-class _Hit(Exception):
-    pass
 
 
 def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool) -> Iterator[EdgeWalk]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import MalformedNetwork, UnknownNode
-from .network import Commodity, Edge, FlowNetwork
+from .network import FlowNetwork
 
 
 @dataclass

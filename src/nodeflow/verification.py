@@ -17,7 +17,7 @@ from .reductions import (disjoint_shortest_paths_gadget, max_coverage_gadget,
                          node_split_gadget, two_disjoint_paths_gadget,
                          unit_path_gadget)
 from .centrality import n_group_max_flow
-from .srte import acyclic_feasible, shortest_path_data, _shortest_path_walks
+from .srte import acyclic_feasible, _shortest_path_walks
 from .wflow import max_w_flow_exact
 
 

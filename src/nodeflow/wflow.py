@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import lp as lpmod
 from .errors import MalformedNetwork, NonIntegralCapacity, WIsEndpoint
+from .maxflow import max_flow
 from .network import (DEFAULT_PATH_CAP, FWD, EdgeWalk, FlowNetwork,
                       concat_walks, enumerate_paths, enumerate_st_paths,
                       reverse_walk, simple_through, through, through_any,
@@ -60,29 +61,17 @@ def max_set_flow_paths(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
 class TransformedNetwork:
     """Directed auxiliary graph for undirected node-constrained flow.
 
-    Every undirected edge becomes a pair of opposite arcs sharing the original
-    capacity.  Each commodity i gets a collector node z_i wired to both of its
-    endpoints, and all collectors feed a common apex z.  Flow for commodity i
-    originates at the designated nodes, exits through s_i and t_i in equal
-    shares, and the optimum of the program equals twice the node-constrained
+    Every undirected edge becomes a pair of opposite arcs sharing the
+    original capacity.  The program in solve_transform copies these arcs
+    into one layer per (commodity, designated node) pair and adds the
+    commodity's two exits; its optimum equals twice the node-constrained
     flow value.
     """
 
     original: FlowNetwork
     sources: tuple
     graph_nodes: tuple
-    arcs: list            # (arc_name, tail, head, orig_edge_id or None)
-    collector: dict       # commodity index -> z_i node name
-    apex: str
-    surrogate: object     # the stand-in for "infinite" capacity
-
-
-def _fresh(name, taken):
-    candidate = name
-    while candidate in taken:
-        candidate = "_" + candidate
-    taken.add(candidate)
-    return candidate
+    arcs: list            # (arc_name, tail, head, orig_edge_id)
 
 
 def build_transform(net: FlowNetwork, W) -> TransformedNetwork:
@@ -94,49 +83,44 @@ def build_transform(net: FlowNetwork, W) -> TransformedNetwork:
     for w in W:
         if w not in net.nodes:
             raise MalformedNetwork(f"designated node {w!r} not in network")
-    taken = set(net.nodes)
-    collector = {i: _fresh(f"z{i}", taken) for i in range(len(net.commodities))}
-    apex = _fresh("z", taken)
-    surrogate = net.total_capacity() + 1
     arcs = []
     for e in net.edges:
         arcs.append((f"e{e.id}+", e.tail, e.head, e.id))
         arcs.append((f"e{e.id}-", e.head, e.tail, e.id))
-    for i, com in enumerate(net.commodities):
-        zi = collector[i]
-        arcs.append((f"s{i}z", com.source, zi, None))
-        arcs.append((f"t{i}z", com.sink, zi, None))
-        arcs.append((f"z{i}z", zi, apex, None))
-    nodes = tuple(net.nodes) + tuple(collector[i] for i in range(len(net.commodities))) + (apex,)
-    return TransformedNetwork(net, W, nodes, arcs, collector, apex, surrogate)
+    return TransformedNetwork(net, W, tuple(net.nodes), arcs)
 
 
 def solve_transform(tr: TransformedNetwork, honor_demands=True):
     """Arc program on the transformed graph.  Returns (V, LpSolution); the
     node-constrained flow value is V/2.
 
-    One flow layer per (commodity, designated node) pair: layer (i, w) drops
-    conservation only at w, so the two half-flows feeding commodity i's
-    collector both split at that same w.  A single layer with conservation
-    dropped at every designated node at once would let the program pair a
-    source-side half split at one node with a sink-side half split at
-    another, counting walks that do not exist.
+    One flow layer per (commodity i, designated node w) pair.  Layer (i, w)
+    has the edge arcs and two exits, one at s_i and one at t_i.  Flow
+    originates at w, is conserved at every other node, and leaves through
+    the exits in equal shares: a walk s_i -> w -> t_i of value f becomes f
+    from w back to s_i and f from w on to t_i, so the exits sum to 2f.  A
+    single layer with conservation dropped at every designated node at once
+    would let the program pair a source-side share split at one node with a
+    sink-side share split at another, counting walks that do not exist.
+    Each layer needs at least one exit at a conserved node, and s_i != t_i
+    gives it one, so the exits need no capacity of their own even when w is
+    an endpoint.
 
-    Demand ceilings, when finite and honored, cap each commodity's collector
-    inflow from its source side (experimental mode; exactness is established
-    empirically against the brute-force path LP).
+    Finite demand ceilings, when honored, cap the sum of commodity i's
+    s_i exits over its layers.
     """
     net = tr.original
     lp = lpmod.LinearProgram()
-    ncom = len(net.commodities)
 
     def var(i, w, arc):
         return f"g_{i}_{w}_{arc}"
 
-    layers = [(i, w) for i in range(ncom) for w in tr.sources]
+    layers = [(i, w) for i in range(len(net.commodities)) for w in tr.sources]
     for i, w in layers:
         for name, _, _, _ in tr.arcs:
             lp.add_variable(var(i, w, name))
+        lp.add_variable(var(i, w, "s"))
+        lp.add_variable(var(i, w, "t"))
 
     # joint capacity on the two arcs of each original edge, over all layers
     for e in net.edges:
@@ -145,10 +129,6 @@ def solve_transform(tr: TransformedNetwork, honor_demands=True):
             coeffs[var(i, w, f"e{e.id}+")] = 1
             coeffs[var(i, w, f"e{e.id}-")] = 1
         lp.add_constraint(coeffs, lpmod.LE, e.capacity)
-    for name, _, _, eid in tr.arcs:
-        if eid is None:
-            for i, w in layers:
-                lp.add_constraint({var(i, w, name): 1}, lpmod.LE, tr.surrogate)
 
     by_head = {}
     by_tail = {}
@@ -157,32 +137,28 @@ def solve_transform(tr: TransformedNetwork, honor_demands=True):
         by_tail.setdefault(tail, []).append(name)
 
     for i, w in layers:
-        # conservation everywhere except this layer's designated node and
-        # the apex
+        com = net.commodities[i]
+        exits = {com.source: var(i, w, "s"), com.sink: var(i, w, "t")}
+        # conservation everywhere except this layer's designated node
         for v in tr.graph_nodes:
-            if v == w or v == tr.apex:
+            if v == w:
                 continue
             coeffs = {}
             for name in by_head.get(v, ()):
                 coeffs[var(i, w, name)] = coeffs.get(var(i, w, name), ZERO) + 1
             for name in by_tail.get(v, ()):
                 coeffs[var(i, w, name)] = coeffs.get(var(i, w, name), ZERO) - 1
+            if v in exits:
+                coeffs[exits[v]] = -1
             if coeffs:
                 lp.add_constraint(coeffs, lpmod.EQ, 0)
-        # commodity i's collector accepts only commodity i, in equal halves
-        for j in range(ncom):
-            if j != i:
-                lp.add_constraint({var(i, w, f"s{j}z"): 1}, lpmod.EQ, 0)
-                lp.add_constraint({var(i, w, f"t{j}z"): 1}, lpmod.EQ, 0)
-        lp.add_constraint({var(i, w, f"s{i}z"): 1, var(i, w, f"t{i}z"): -1},
-                          lpmod.EQ, 0)
+        lp.add_constraint({var(i, w, "s"): 1, var(i, w, "t"): -1}, lpmod.EQ, 0)
     for i, com in enumerate(net.commodities):
         if honor_demands and com.max_demand is not None:
-            lp.add_constraint({var(i, w, f"s{i}z"): 1 for w in tr.sources},
+            lp.add_constraint({var(i, w, "s"): 1 for w in tr.sources},
                               lpmod.LE, com.max_demand)
 
-    # value measured where it is unambiguous: at the apex
-    lp.set_objective({var(i, w, f"z{i}z"): 1 for i, w in layers}, "max")
+    lp.set_objective({var(i, w, end): 1 for i, w in layers for end in "st"}, "max")
     sol = lpmod.solve(lp)
     if sol.status != lpmod.OPTIMAL:
         raise MalformedNetwork(f"transform program unexpectedly {sol.status}")
@@ -237,26 +213,26 @@ class CutResult:
 def min_swt_edge_cut(net: FlowNetwork, s, w, t, max_exact_edges=20) -> CutResult:
     """Minimum-capacity edge set whose removal leaves no s-w-t path.
 
-    Exact branch-and-bound up to max_exact_edges edges; beyond that, a greedy
-    upper bound (all edges incident to w on the cheaper valid side) labeled
-    as inexact.
+    Exact branch-and-bound up to max_exact_edges edges.  Beyond that, an
+    upper bound labeled as inexact: the cheapest of the minimum s-t, s-w and
+    w-t cuts.  An s-w cut is one only when w != s (a walk that starts at w
+    need not reach it again), a w-t cut only when w != t.
     """
-    adj = net.adjacency()
-    directed = net.directed
     if len(net.edges) > max_exact_edges:
-        into_w = tuple(e.id for e in net.edges if e.head == w or (not directed and e.tail == w))
-        out_w = tuple(e.id for e in net.edges if e.tail == w or (not directed and e.head == w))
-        # A walk that starts at w need not enter it, and one that ends at w
-        # need not leave it; a closed walk (s == t) does both.
-        sides = [ids for ids, valid in ((into_w, w != s or s == t), (out_w, w != t or s == t))
+        pairs = [(a, b) for a, b, valid in ((s, t, s != t), (s, w, w != s), (w, t, w != t))
                  if valid]
-        def value(ids):
-            return sum((net.edges[i].capacity for i in ids), ZERO)
+        if pairs:
+            cand = min((max_flow(net, a, b) for a, b in pairs), key=lambda r: r.value)
+            ids, value = cand.cut, cand.value
+        else:
+            # s == w == t: a closed walk through s must leave it.
+            ids = tuple(e.id for e in net.edges
+                        if e.tail == s or (not net.directed and e.head == s))
+            value = sum((net.edges[i].capacity for i in ids), ZERO)
+        assert verify_cut(net, s, w, t, ids), "fallback cut leaves an s-w-t walk"
+        return CutResult(tuple(sorted(ids)), value, False)
 
-        cand = min(sides, key=value)
-        assert verify_cut(net, s, w, t, cand), "fallback cut leaves an s-w-t walk"
-        return CutResult(tuple(sorted(cand)), value(cand), False)
-
+    adj = net.adjacency()
     best = {"edges": tuple(e.id for e in net.edges), "value": net.total_capacity()}
 
     def first_path(removed):

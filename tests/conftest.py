@@ -28,7 +28,7 @@ def random_directed(rng, n_nodes=None, n_edges=None, n_commodities=1,
 
 
 def random_undirected(rng, n_nodes=None, n_edges=None, n_commodities=1,
-                      cap_hi=4):
+                      cap_hi=4, finite_demands=False):
     n_nodes = n_nodes or rng.randint(3, 6)
     n_edges = n_edges if n_edges is not None else rng.randint(3, 8)
     nodes = [f"n{i}" for i in range(n_nodes)]
@@ -38,7 +38,8 @@ def random_undirected(rng, n_nodes=None, n_edges=None, n_commodities=1,
              for a, b in pairs[:min(n_edges, len(pairs))]]
     endpoint_pairs = [(a, b) for a in nodes for b in nodes if a != b]
     rng.shuffle(endpoint_pairs)
-    commodities = [(s, t, None) for s, t in endpoint_pairs[:n_commodities]]
+    commodities = [(s, t, rng.randint(1, cap_hi) if finite_demands else None)
+                   for s, t in endpoint_pairs[:n_commodities]]
     return FlowNetwork.build("undirected", nodes, edges, commodities)
 
 

@@ -1,14 +1,15 @@
 import itertools
 import random
 
-from nodeflow import (check_pair_sum_identity, commodity_centrality,
-                      enumerate_st_paths, flow_centrality, get_builtin,
-                      group_flow, hat_constructions, marginal_gain,
-                      max_w_flow_exact, n_group_max_flow, pair_max_flow,
+from nodeflow import (Commodity, check_pair_sum_identity,
+                      commodity_centrality, enumerate_st_paths,
+                      flow_centrality, get_builtin, group_flow,
+                      hat_constructions, marginal_gain, max_flow_arc_lp,
+                      max_set_flow, n_group_max_flow, pair_max_flow,
                       pair_w_flow, probe_margins, rat, solve_te_mf,
-                      submodularity_probe, through, through_any)
+                      submodularity_probe, through_any)
 
-from conftest import pick_inner_node, random_directed
+from conftest import pick_inner_node, random_directed, random_undirected
 
 
 def test_flow_centrality_matches_definition():
@@ -24,6 +25,28 @@ def test_flow_centrality_matches_definition():
         den += free
     assert (report.numerator, report.denominator) == (num, den)
     assert report.ratio == num / den
+
+
+def test_flow_centrality_undirected_matches_per_pair_lps():
+    # On undirected networks each unordered pair is solved once; every
+    # ordered pair must still equal its own arc LP and transform LP.
+    rng = random.Random(103)
+    nets = [(get_builtin("augmenting-undirected").network, "w")]
+    for _ in range(4):
+        net = random_undirected(rng, n_nodes=5, n_edges=rng.randint(4, 7))
+        nets.append((net, rng.choice(net.nodes)))
+    for net, w in nets:
+        report = flow_centrality(net, w)
+        others = [v for v in net.nodes if v != w]
+        assert [(s, t) for s, t, _, _ in report.pairs] == \
+            list(itertools.permutations(others, 2))
+        for s, t, forced, free in report.pairs:
+            single = net.with_commodities([Commodity(s, t, None)])
+            assert free == max_flow_arc_lp(single).objective, (s, t)
+            expected = max_set_flow(single, (w,)).objective if free else 0
+            assert forced == expected, (s, t)
+        assert report.numerator == sum((p[2] for p in report.pairs), rat(0))
+        assert report.denominator == sum((p[3] for p in report.pairs), rat(0))
 
 
 def test_commodity_centrality_fig8():

@@ -261,9 +261,37 @@ PINNED_RANDOM = [
     'optimal 3 119/12 | 5/12 1/2 8/3 0 0',
 ]
 
-# max_set_flow's program for augmenting-undirected through w: 19 variables,
-# 18 declared rows.
+# The undirected transform program for augmenting-undirected through w, in
+# its earlier form with a collector, an apex and surrogate-capacity rows:
+# 19 variables, 18 declared rows.
 PINNED_TRANSFORM = 'optimal 10 6 | 0 2 0 2 2 0 1 0 0 0 0 0 2 0 0 1 3 3 6'
+
+
+def _collector_transform_program(net, w):
+    """The single-commodity transform program with collector z0 wired to
+    both endpoints, apex z, and a surrogate capacity (total capacity + 1) on
+    the three collector and apex arcs, rows in their original order."""
+    (com,) = net.commodities
+    arcs = []   # (name, tail, head)
+    for e in net.edges:
+        arcs += [(f"e{e.id}+", e.tail, e.head), (f"e{e.id}-", e.head, e.tail)]
+    arcs += [("s0z", com.source, "z0"), ("t0z", com.sink, "z0"), ("z0z", "z0", "z")]
+    lp = LinearProgram()
+    for name, _, _ in arcs:
+        lp.add_variable(name)
+    for e in net.edges:
+        lp.add_constraint({f"e{e.id}+": 1, f"e{e.id}-": 1}, LE, e.capacity)
+    surrogate = net.total_capacity() + 1
+    for name in ("s0z", "t0z", "z0z"):
+        lp.add_constraint({name: 1}, LE, surrogate)
+    for v in (*net.nodes, "z0"):
+        if v != w:
+            coeffs = {name: 1 for name, _, head in arcs if head == v}
+            coeffs.update({name: -1 for name, tail, _ in arcs if tail == v})
+            lp.add_constraint(coeffs, EQ, 0)
+    lp.add_constraint({"s0z": 1, "t0z": -1}, EQ, 0)
+    lp.set_objective({"z0z": 1}, "max")
+    return lp
 
 
 def test_bland_path_pinned_on_beale():
@@ -277,7 +305,18 @@ def test_bland_path_pinned_on_random_programs():
     assert got == PINNED_RANDOM
 
 
-def test_bland_path_pinned_on_transform_program(monkeypatch):
+def test_bland_path_pinned_on_transform_program():
+    from nodeflow import get_builtin
+
+    lp = _collector_transform_program(
+        get_builtin("augmenting-undirected").network, "w")
+    assert (len(lp.variables), len(lp.constraints)) == (19, 18)
+    assert _path_signature(lp, solve_lp(lp)) == PINNED_TRANSFORM
+
+
+def test_transform_program_has_only_rows_that_can_bind(monkeypatch):
+    # The same question as the pinned program above, in the layer form: the
+    # 16 edge arcs and the two exits, with no collector, apex or surrogate.
     from nodeflow import get_builtin
     from nodeflow import lp as lpmod
     from nodeflow.wflow import build_transform, solve_transform
@@ -290,7 +329,9 @@ def test_bland_path_pinned_on_transform_program(monkeypatch):
 
     monkeypatch.setattr(lpmod, "solve", capture)
     tr = build_transform(get_builtin("augmenting-undirected").network, ("w",))
-    _, sol = solve_transform(tr)
+    value, _ = solve_transform(tr)
     (lp,) = built
-    assert (len(lp.variables), len(lp.constraints)) == (19, 18)
-    assert _path_signature(lp, sol) == PINNED_TRANSFORM
+    # 8 edge capacity rows, conservation at the 5 nodes other than w, and
+    # the equal-exits row.
+    assert (len(lp.variables), len(lp.constraints)) == (18, 14)
+    assert value == 6

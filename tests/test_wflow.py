@@ -4,7 +4,7 @@ import pytest
 
 from nodeflow import (FlowNetwork, MalformedNetwork, augmenting_w_flow,
                       build_transform, enumerate_paths, fix_paths,
-                      get_builtin, max_set_flow, max_set_flow_paths,
+                      get_builtin, group_flow, max_set_flow, max_set_flow_paths,
                       max_w_flow_exact, max_w_flow_simple,
                       max_w_flow_undirected, max_w_flow_undirected_norepeat,
                       min_swt_edge_cut, rat, solve_te_mf, solve_transform,
@@ -84,6 +84,34 @@ def test_transform_layers_keep_halves_at_the_same_node():
     assert max_set_flow(net, ("a", "b")).objective == brute == 2
 
 
+def test_transform_counts_flow_at_a_designated_endpoint():
+    # Every s-t walk passes s.  A surrogate "infinite" capacity of total
+    # capacity + 1 on the exit arcs once capped the program's 2 x 4 at 5
+    # and reported 5/2.
+    net = FlowNetwork.build("undirected", ["s", "t"], [("s", "t", 4)],
+                            [("s", "t", None)])
+    assert group_flow(net, ("s",)).value == 4
+    assert max_set_flow(net, ("s",)).objective == 4
+    assert max_set_flow(net, ("s", "t")).objective == 4
+
+
+def test_set_flow_with_endpoints_in_W_matches_brute_lp():
+    rng = random.Random(71)
+    for trial in range(120):
+        net = random_undirected(rng, n_nodes=rng.randint(3, 5),
+                                n_edges=rng.randint(3, 6),
+                                n_commodities=rng.randint(1, 2),
+                                finite_demands=trial % 2 == 1)
+        endpoints = sorted({c.source for c in net.commodities}
+                           | {c.sink for c in net.commodities})
+        W = {rng.choice(endpoints)}
+        if rng.random() < 0.5:
+            W.add(rng.choice(net.nodes))
+        W = tuple(sorted(W))
+        assert max_set_flow(net, W).objective == \
+            max_set_flow_paths(net, W).objective, (trial, W)
+
+
 def test_transform_rejects_directed():
     net = get_builtin("remarks").network
     with pytest.raises(MalformedNetwork):
@@ -106,22 +134,36 @@ def _parallel_paths(k):
     return FlowNetwork.build("directed", ["s", *mids, "t"], edges, [("s", "t", None)])
 
 
+def _incident_cut_value(net, s, w, t):
+    """The cheaper valid side of w's own edges: into w needs w != s, out of
+    w needs w != t."""
+    sides = []
+    if w != s:
+        sides.append([e for e in net.edges if e.head == w or (not net.directed and e.tail == w)])
+    if w != t:
+        sides.append([e for e in net.edges if e.tail == w or (not net.directed and e.head == w)])
+    return min(sum((e.capacity for e in side), rat(0)) for side in sides)
+
+
 def test_cut_fallback_with_w_at_an_endpoint():
-    # 22 edges take the inexact fallback.  With w == s no edge enters w, so
-    # the into-w side is empty and no cut; only the out-of-w side is valid.
+    # 22 edges take the inexact fallback: the cheapest of the minimum s-t,
+    # s-w and w-t cuts.  With w == s only the s-t and w-t cuts qualify, both
+    # the 11 edges into t.
     net = _parallel_paths(11)
-    for w, value in (("s", 22), ("t", 11), ("a0", 1)):
+    for w, value in (("s", 11), ("t", 11), ("a0", 1)):
         cut = min_swt_edge_cut(net, "s", w, "t")
         assert not cut.exact
         assert cut.value == value, w
+        assert cut.value <= _incident_cut_value(net, "s", w, "t"), w
         assert verify_cut(net, "s", w, "t", cut.edges), w
     assert not verify_cut(net, "s", "s", "t", ())
 
 
 def test_cut_fallback_on_undirected_grid():
-    # 4 x 4 grid, 24 edges.  The fallback removes w's four edges.  Checking
-    # that by walk search alone explores every edge-distinct trail from s and
-    # runs for more than 30 s on a 2.1 GHz Xeon; verify_cut must settle it by
+    # 4 x 4 grid, 24 edges.  The fallback's cheapest cut is the corner
+    # v00's two edges; w's own four edges are no cheaper.  Checking a cut by
+    # walk search alone explores every edge-distinct trail from s and runs
+    # for more than 30 s on a 2.1 GHz Xeon; verify_cut must settle it by
     # reachability instead.
     n = 4
     nodes = [f"v{i}{j}" for i in range(n) for j in range(n)]
@@ -129,7 +171,8 @@ def test_cut_fallback_on_undirected_grid():
     edges += [(f"v{i}{j}", f"v{i + 1}{j}", 1) for i in range(n - 1) for j in range(n)]
     net = FlowNetwork.build("undirected", nodes, edges, [("v00", "v33", None)])
     cut = min_swt_edge_cut(net, "v00", "v11", "v33")
-    assert not cut.exact and cut.value == 4
+    assert not cut.exact and cut.value == 2
+    assert cut.value <= _incident_cut_value(net, "v00", "v11", "v33") == 4
     assert verify_cut(net, "v00", "v11", "v33", cut.edges)
 
 
