@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import LimitExceeded
 from .maxflow import max_flow
-from .network import DEFAULT_PATH_CAP, Commodity, FlowNetwork
+from .network import DEFAULT_PATH_CAP, Commodity, FlowNetwork, fresh_name
 from .rational import ZERO
 from .te import max_flow_arc_lp
 from .wflow import max_set_flow, max_set_flow_paths
@@ -259,15 +259,8 @@ def hat_constructions(net: FlowNetwork, s, t) -> HatConstructions:
     """Attach a super-source s_hat -> s (capacity: total capacity out of s)
     and/or a super-sink t -> t_hat (total capacity into t)."""
     taken = set(net.nodes)
-
-    def fresh(name):
-        while name in taken:
-            name = "_" + name
-        taken.add(name)
-        return name
-
-    s_hat = fresh(f"{s}^")
-    t_hat = fresh(f"{t}^")
+    s_hat = fresh_name(f"{s}^", taken)
+    t_hat = fresh_name(f"{t}^", taken)
     out_cap = sum((e.capacity for e in net.edges
                    if e.tail == s or (not net.directed and e.head == s)), ZERO)
     in_cap = sum((e.capacity for e in net.edges

@@ -125,6 +125,27 @@ def _nodelist(text):
     return tuple(x for x in text.split(",") if x)
 
 
+def _endpoints(args, inst):
+    """--s/--t, else the instance's designated s/t, else the first
+    commodity's endpoints."""
+    coms = inst.network.commodities
+    s = args.s or inst.designated.get("s") or (coms[0].source if coms else None)
+    t = args.t or inst.designated.get("t") or (coms[0].sink if coms else None)
+    if s is None or t is None:
+        raise MissingDesignation(
+            "this command needs a source and a sink (--s/--t, designated in "
+            "the instance file, or a commodity)")
+    return s, t
+
+
+def _middlepoints(args, inst):
+    mids = (_nodelist(args.middlepoints) if args.middlepoints
+            else inst.middlepoints)
+    if not mids:
+        raise MissingDesignation("this command needs a middlepoint list")
+    return tuple(mids)
+
+
 # -- subcommand bodies -----------------------------------------------------------
 
 def _emit_flow_solution(rec, sol, net):
@@ -163,8 +184,8 @@ def cmd_w_flow(args, inst, rec):
         sol = wflow.max_w_flow_exact(net, w, cap=args.max_paths)
         _emit_flow_solution(rec, sol, net)
     elif args.no_repeat:
-        rec.add("objective", wflow.max_w_flow_undirected_norepeat(
-            net, w, cap=args.max_paths))
+        sol = wflow.max_w_flow_undirected_norepeat(net, w, cap=args.max_paths)
+        _emit_flow_solution(rec, sol, net)
     else:
         rec.add("objective", wflow.max_w_flow_undirected(net, w))
 
@@ -194,8 +215,7 @@ def cmd_set_flow(args, inst, rec):
 
 def cmd_cut(args, inst, rec):
     net = inst.network
-    s = args.s or inst.designated.get("s") or net.commodities[0].source
-    t = args.t or inst.designated.get("t") or net.commodities[0].sink
+    s, t = _endpoints(args, inst)
     w = _need(args, inst, "w", args.w)
     result = wflow.min_swt_edge_cut(net, s, w, t)
     rec.add("cut_value", result.value)
@@ -207,11 +227,7 @@ def cmd_cut(args, inst, rec):
 
 
 def _sr_config(args, inst):
-    mids = (_nodelist(args.middlepoints) if args.middlepoints
-            else inst.middlepoints)
-    if not mids:
-        raise MissingDesignation("this command needs a middlepoint list")
-    return srte.SrConfig(tuple(mids), args.max_segments)
+    return srte.SrConfig(_middlepoints(args, inst), args.max_segments)
 
 
 def _emit_sr(rec, sol, net):
@@ -244,14 +260,9 @@ def cmd_sr_mf(args, inst, rec):
 
 
 def cmd_acyclic_check(args, inst, rec):
-    net = inst.network
-    s = args.s or inst.designated.get("s") or net.commodities[0].source
-    t = args.t or inst.designated.get("t") or net.commodities[0].sink
-    mids = (_nodelist(args.middlepoints) if args.middlepoints
-            else inst.middlepoints)
-    if not mids:
-        raise MissingDesignation("this command needs a middlepoint list")
-    result = srte.acyclic_feasible(net, s, t, mids, mode=args.mode)
+    s, t = _endpoints(args, inst)
+    result = srte.acyclic_feasible(inst.network, s, t,
+                                   _middlepoints(args, inst), mode=args.mode)
     rec.add("feasible", result.feasible)
     rec.add("combos_tried", result.combos_tried)
     if result.witness is not None:
@@ -309,11 +320,9 @@ def cmd_probe(args, inst, rec):
 
 
 def cmd_eq25(args, inst, rec):
-    net = inst.network
     w = _need(args, inst, "w", args.w)
-    s = args.s or inst.designated.get("s") or net.commodities[0].source
-    t = args.t or inst.designated.get("t") or net.commodities[0].sink
-    report = ctr.check_pair_sum_identity(net, w, s, t,
+    s, t = _endpoints(args, inst)
+    report = ctr.check_pair_sum_identity(inst.network, w, s, t,
                                          node_limit=args.max_nodes_exact)
     rec.add("lhs", report.lhs)
     for name, value in sorted(report.terms.items()):
@@ -336,10 +345,8 @@ def cmd_gadget(args, inst, rec):
         gadget = reductions.node_split_gadget(inst.network)
     elif args.kind == "unit-path":
         w = _need(args, inst, "w", args.w)
-        net = inst.network
-        s = args.s or inst.designated.get("s") or net.commodities[0].source
-        t = args.t or inst.designated.get("t") or net.commodities[0].sink
-        gadget = reductions.unit_path_gadget(net, s, t, w)
+        s, t = _endpoints(args, inst)
+        gadget = reductions.unit_path_gadget(inst.network, s, t, w)
     elif args.kind == "max-coverage":
         if not args.sets:
             raise ParseError("max-coverage needs --sets a|b,c|d style "

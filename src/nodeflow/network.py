@@ -138,6 +138,16 @@ class FlowNetwork:
         return FlowNetwork(self.orientation, self.nodes, self.edges, tuple(commodities))
 
 
+def fresh_name(base, taken):
+    """base, prefixed with underscores until it is not in taken; the name is
+    added to taken."""
+    name = base
+    while name in taken:
+        name = "_" + name
+    taken.add(name)
+    return name
+
+
 @dataclass(frozen=True)
 class EdgeWalk:
     """A walk recorded as node sequence plus (edge id, direction) steps."""
@@ -230,15 +240,18 @@ class PathFamily:
         return len(self.paths)
 
 
-def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool) -> Iterator[EdgeWalk]:
+def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
+                adj=None) -> Iterator[EdgeWalk]:
     """Depth-first generator over edge-distinct walks source -> sink.
 
     Yields every valid walk; a walk is yielded when it reaches the sink and
     the search keeps extending it afterwards (paths may pass through the sink
     and come back), except in simple mode where extension past a visited node
-    is impossible anyway.
+    is impossible anyway.  adj, in the form of net.adjacency(), restricts the
+    search to the edges it lists.
     """
-    adj = net.adjacency()
+    if adj is None:
+        adj = net.adjacency()
     node_seq = [source]
     steps = []
     used = {}  # edge id -> set of directions used so far

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import MalformedNetwork, UnknownNode
-from .network import FlowNetwork
+from .network import FlowNetwork, fresh_name
 
 
 @dataclass
@@ -20,14 +20,6 @@ class GadgetInstance:
     designated: dict = field(default_factory=dict)
     provenance: str = ""
     mapping: dict = field(default_factory=dict)
-
-
-def _fresh(base, taken):
-    name = base
-    while name in taken:
-        name = "_" + name
-    taken.add(name)
-    return name
 
 
 def two_disjoint_paths_gadget(net: FlowNetwork, u1, u2, v1, v2) -> GadgetInstance:
@@ -43,7 +35,7 @@ def two_disjoint_paths_gadget(net: FlowNetwork, u1, u2, v1, v2) -> GadgetInstanc
     if len({u1, u2, v1, v2}) != 4:
         raise MalformedNetwork("terminals must be distinct")
     taken = set(net.nodes)
-    w = _fresh("w", taken)
+    w = fresh_name("w", taken)
     edges = [(e.tail, e.head, e.capacity) for e in net.edges]
     edges += [(u2, w, 1), (w, v1, 1)]
     g = FlowNetwork.build("directed", list(net.nodes) + [w], edges,
@@ -137,7 +129,7 @@ def disjoint_shortest_paths_gadget(net: FlowNetwork, pairs) -> GadgetInstance:
                 raise MalformedNetwork("terminals must be distinct")
             seen.add(x)
     taken = set(net.nodes)
-    relays = [_fresh(f"M{i}", taken) for i in range(len(pairs) - 1)]
+    relays = [fresh_name(f"M{i}", taken) for i in range(len(pairs) - 1)]
     nodes = list(net.nodes) + relays
     edges = [(e.tail, e.head, 1, e.length) for e in net.edges]
     # relay edges heavier than any original path, so a shortest route between

@@ -4,8 +4,8 @@ A tunnel for a commodity is an order-respecting subsequence of the configured
 middlepoint list (at most M of them); traffic entering a tunnel is forwarded
 segment by segment along equal-cost shortest paths with ECMP splitting.  The
 fraction of a segment's traffic crossing a given edge is computed exactly by
-shortest-path counting, and tunnel flows are optimized by linear programs
-sharing the machinery of the classic formulations.
+shortest-path counting, and tunnel flows are optimized by the classic
+formulations' own program, te.solve_columns, with one column per tunnel.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import lp as lpmod
-from .errors import CapExceeded, InfiniteDemand, MalformedNetwork, UnknownNode
+from .errors import CapExceeded, MalformedNetwork, UnknownNode
 from .network import EdgeWalk, FlowNetwork, concat_walks
 from .rational import ZERO, rat
+from .te import solve_columns
 
 
 def shortest_path_data(net: FlowNetwork, source, reverse=False):
@@ -189,74 +190,35 @@ class SrSolution:
     def edge_loads(self, net, tables):
         loads = {e.id: ZERO for e in net.edges}
         for (i, mids), f in self.tunnel_flows.items():
-            com = net.commodities[i]
-            for seg in Tunnel(i, mids).segments(com):
-                for eid, frac in tables[seg].fractions.items():
-                    loads[eid] += f * frac
+            column = _tunnel_column(Tunnel(i, mids), net.commodities[i], tables)
+            for eid, load in column.items():
+                loads[eid] += f * load
         return loads
+
+
+def _tunnel_column(tunnel, com, tables):
+    """edge id -> load per unit of the tunnel's flow, summed over its
+    segments."""
+    column = {}
+    for seg in tunnel.segments(com):
+        for eid, frac in tables[seg].fractions.items():
+            column[eid] = column[eid] + frac if eid in column else frac
+    return column
 
 
 def _sr_lp(net, cfg, minimize_load):
     tunnels_per_com = build_tunnels(net, cfg)
     tables = segment_tables(net, tunnels_per_com)
-    lp = lpmod.LinearProgram()
-    theta = None
-    if minimize_load:
-        theta = lp.add_variable("theta")
-        lp.set_objective({theta: 1}, "min")
-
-    def var(i, k):
-        return f"f_{i}_{k}"
-
-    obj = {}
-    per_edge = {e.id: {} for e in net.edges}
-    for i, tunnels in enumerate(tunnels_per_com):
-        com = net.commodities[i]
-        for k, t in enumerate(tunnels):
-            name = lp.add_variable(var(i, k))
-            obj[name] = 1
-            for seg in t.segments(com):
-                for eid, frac in tables[seg].fractions.items():
-                    cell = per_edge[eid]
-                    cell[name] = cell.get(name, ZERO) + frac
-    if not minimize_load:
-        lp.set_objective(obj, "max")
-    for e in net.edges:
-        coeffs = dict(per_edge[e.id])
-        if minimize_load:
-            coeffs[theta] = -e.capacity
-            lp.add_constraint(coeffs, lpmod.LE, 0)
-        elif coeffs:
-            lp.add_constraint(coeffs, lpmod.LE, e.capacity)
-    infeasible_now = False
-    for i, com in enumerate(net.commodities):
-        coeffs = {var(i, k): 1 for k in range(len(tunnels_per_com[i]))}
-        if minimize_load:
-            need = com.effective_min()
-            if need is None:
-                raise InfiniteDemand(f"commodity {i} has no finite required demand")
-            if not coeffs:
-                if need > 0:
-                    infeasible_now = True
-                continue
-            lp.add_constraint(coeffs, lpmod.GE, need)
-        elif coeffs and com.max_demand is not None:
-            lp.add_constraint(coeffs, lpmod.LE, com.max_demand)
-    if infeasible_now:
-        return SrSolution(lpmod.INFEASIBLE, tunnels_per_commodity=tunnels_per_com), tables
-    sol = lpmod.solve(lp)
-    if sol.status != lpmod.OPTIMAL:
-        return SrSolution(sol.status, pivots=sol.pivots,
-                          tunnels_per_commodity=tunnels_per_com), tables
+    columns = [[_tunnel_column(t, com, tables) for t in tunnels]
+               for com, tunnels in zip(net.commodities, tunnels_per_com)]
+    status, values, objective, pivots = solve_columns(net, columns, minimize_load)
     flows = {}
-    for i, tunnels in enumerate(tunnels_per_com):
-        for k, t in enumerate(tunnels):
-            f = sol.value(var(i, k))
-            if f != 0:
-                flows[(i, t.middlepoints)] = f
-    result = SrSolution(lpmod.OPTIMAL, sol.objective,
-                        sol.objective if minimize_load else None,
-                        flows, tunnels_per_com, sol.pivots)
+    if status == lpmod.OPTIMAL:
+        flows = {(i, t.middlepoints): f
+                 for i, (tunnels, vals) in enumerate(zip(tunnels_per_com, values))
+                 for t, f in zip(tunnels, vals) if f != 0}
+    result = SrSolution(status, objective, objective if minimize_load else None,
+                        flows, tunnels_per_com, pivots)
     return result, tables
 
 

@@ -7,8 +7,10 @@ Two formulations over an explicit path family per commodity:
 * min-load: minimize the worst link utilization theta while routing every
   commodity's required demand in full.
 
-Both are exact.  A truncated path family is refused -- the optimum over an
-incomplete family is not the optimum of the instance.
+Both are exact, and both are solve_columns with one column per walk; the
+segment-routing tunnel programs in srte are the same program with one
+column per tunnel.  A truncated path family is refused -- the optimum over
+an incomplete family is not the optimum of the instance.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from . import lp as lpmod
 from .errors import InfiniteDemand, TruncatedFamily
 from .network import UNCONSTRAINED, FlowNetwork, enumerate_paths
-from .rational import ZERO, rat
+from .rational import ZERO
 
 
 @dataclass
@@ -45,9 +47,11 @@ class FlowSolution:
         return loads
 
 
-def default_families(net: FlowNetwork, cap=None, constraint=UNCONSTRAINED):
+def default_families(net: FlowNetwork, cap=None, constraint=UNCONSTRAINED,
+                     single_use=False):
     kw = {} if cap is None else {"cap": cap}
-    return [enumerate_paths(net, i, constraint, **kw) for i in range(len(net.commodities))]
+    return [enumerate_paths(net, i, constraint, single_use=single_use, **kw)
+            for i in range(len(net.commodities))]
 
 
 def _check_families(net, families):
@@ -61,64 +65,76 @@ def _check_families(net, families):
             raise ValueError(f"family {i} endpoints do not match commodity")
 
 
-def _var(i, k):
-    return f"f_{i}_{k}"
+def solve_columns(net: FlowNetwork, columns, minimize_load):
+    """The program shared by the path and tunnel formulations.
 
+    columns[i] lists commodity i's routes, each as {edge id: load per unit
+    of flow}.  Max-flow mode maximizes the total flow subject to each edge's
+    load <= c(e) and the finite demand ceilings.  Min-load mode minimizes
+    theta subject to load <= c(e) * theta on every edge, with every
+    commodity's routes carrying its required demand in full.
 
-def _capacity_rows(lp, net, families, theta=None):
-    """One row per edge: total traversals weighted by flow <= c(e)
-    (or <= c(e) * theta)."""
-    per_edge = {e.id: {} for e in net.edges}
-    for i, fam in enumerate(families):
-        for k, walk in enumerate(fam.paths):
-            for eid, mult in walk.edge_multiplicity().items():
-                per_edge[eid][_var(i, k)] = rat(mult)
+    Returns (status, values, objective, pivots); values[i][k] is the flow on
+    columns[i][k], or values is None when the program is not optimal.
+    """
+    if minimize_load:
+        needs = [com.effective_min() for com in net.commodities]
+        for i, need in enumerate(needs):
+            if need is None:
+                raise InfiniteDemand(f"commodity {i} has no finite required demand")
+        if any(need > 0 and not cols for need, cols in zip(needs, columns)):
+            return lpmod.INFEASIBLE, None, None, 0
+    lp = lpmod.LinearProgram()
+    if minimize_load:
+        theta = lp.add_variable("theta")
+        lp.set_objective({theta: 1}, "min")
+    names = [[lp.add_variable(f"f_{i}_{k}") for k in range(len(cols))]
+             for i, cols in enumerate(columns)]
+    if not minimize_load:
+        lp.set_objective({name: 1 for row in names for name in row}, "max")
+    cells = [{} for _ in net.edges]  # edge id -> {variable: load}
+    for row, cols in zip(names, columns):
+        for name, col in zip(row, cols):
+            for eid, load in col.items():
+                cells[eid][name] = load
     for e in net.edges:
-        coeffs = per_edge[e.id]
-        if theta is None:
-            if coeffs:
-                lp.add_constraint(coeffs, lpmod.LE, e.capacity)
-        else:
-            coeffs = dict(coeffs)
+        coeffs = cells[e.id]
+        if minimize_load:
             coeffs[theta] = -e.capacity
             lp.add_constraint(coeffs, lpmod.LE, 0)
+        elif coeffs:
+            lp.add_constraint(coeffs, lpmod.LE, e.capacity)
+    for row, com in zip(names, net.commodities):
+        if not row:
+            continue
+        if minimize_load:
+            lp.add_constraint(dict.fromkeys(row, 1), lpmod.GE, com.effective_min())
+        elif com.max_demand is not None:
+            lp.add_constraint(dict.fromkeys(row, 1), lpmod.LE, com.max_demand)
+    sol = lpmod.solve(lp)
+    if sol.status != lpmod.OPTIMAL:
+        return sol.status, None, None, sol.pivots
+    values = [[sol.value(name) for name in row] for row in names]
+    return sol.status, values, sol.objective, sol.pivots
 
 
-def _extract(net, families, sol, objective, theta=None):
-    flows = {}
-    for i, fam in enumerate(families):
-        entries = []
-        for k, walk in enumerate(fam.paths):
-            f = sol.value(_var(i, k))
-            if f != 0:
-                entries.append((walk, f))
-        flows[i] = entries
-    return FlowSolution(lpmod.OPTIMAL, objective, flows, theta, sol.pivots)
+def _solve_families(net, families, cap, minimize_load):
+    if families is None:
+        families = default_families(net, cap)
+    _check_families(net, families)
+    columns = [[walk.edge_multiplicity() for walk in fam.paths] for fam in families]
+    status, values, objective, pivots = solve_columns(net, columns, minimize_load)
+    if status != lpmod.OPTIMAL:
+        return FlowSolution(status, pivots=pivots)
+    flows = {i: [(walk, f) for walk, f in zip(fam.paths, vals) if f != 0]
+             for i, (fam, vals) in enumerate(zip(families, values))}
+    return FlowSolution(status, objective, flows,
+                        objective if minimize_load else None, pivots)
 
 
 def solve_te_mf(net: FlowNetwork, families=None, cap=None) -> FlowSolution:
     """Maximum total multicommodity flow over the given path families."""
-    if families is None:
-        families = default_families(net, cap)
-    _check_families(net, families)
-    lp = lpmod.LinearProgram()
-    obj = {}
-    for i, fam in enumerate(families):
-        for k in range(len(fam.paths)):
-            name = lp.add_variable(_var(i, k))
-            obj[name] = 1
-    lp.set_objective(obj, "max")
-    _capacity_rows(lp, net, families)
-    for i, com in enumerate(net.commodities):
-        if com.max_demand is None:
-            continue
-        coeffs = {_var(i, k): 1 for k in range(len(families[i].paths))}
-        if coeffs:
-            lp.add_constraint(coeffs, lpmod.LE, com.max_demand)
-    sol = lpmod.solve(lp)
-    if sol.status != lpmod.OPTIMAL:
-        return FlowSolution(sol.status, pivots=sol.pivots)
-    return _extract(net, families, sol, sol.objective)
+    return _solve_families(net, families, cap, minimize_load=False)
 
 
 def solve_te_lu(net: FlowNetwork, families=None, cap=None) -> FlowSolution:
@@ -127,30 +143,7 @@ def solve_te_lu(net: FlowNetwork, families=None, cap=None) -> FlowSolution:
     Every commodity must have a finite required amount (min_demand, which
     defaults to max_demand).
     """
-    if families is None:
-        families = default_families(net, cap)
-    _check_families(net, families)
-    lp = lpmod.LinearProgram()
-    theta = lp.add_variable("theta")
-    lp.set_objective({theta: 1}, "min")
-    for i, fam in enumerate(families):
-        for k in range(len(fam.paths)):
-            lp.add_variable(_var(i, k))
-    _capacity_rows(lp, net, families, theta)
-    for i, com in enumerate(net.commodities):
-        need = com.effective_min()
-        if need is None:
-            raise InfiniteDemand(f"commodity {i} has no finite required demand")
-        coeffs = {_var(i, k): 1 for k in range(len(families[i].paths))}
-        if not coeffs:
-            if need > 0:
-                return FlowSolution(lpmod.INFEASIBLE)
-            continue
-        lp.add_constraint(coeffs, lpmod.GE, need)
-    sol = lpmod.solve(lp)
-    if sol.status != lpmod.OPTIMAL:
-        return FlowSolution(sol.status, pivots=sol.pivots)
-    return _extract(net, families, sol, sol.objective, theta=sol.objective)
+    return _solve_families(net, families, cap, minimize_load=True)
 
 
 @dataclass
@@ -231,9 +224,7 @@ def max_flow_arc_lp(net: FlowNetwork, honor_demands=True) -> FlowSolution:
             if head == com.source:
                 outflow[var(i, eid, d)] = outflow.get(var(i, eid, d), ZERO) - 1
         for name, c in outflow.items():
-            if c > 0:
-                obj[name] = obj.get(name, ZERO) + c
-            elif c < 0:
+            if c:
                 obj[name] = obj.get(name, ZERO) + c
         # conservation at every node except the commodity endpoints
         for v in net.nodes:

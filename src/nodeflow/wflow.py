@@ -16,11 +16,11 @@ from . import lp as lpmod
 from .errors import MalformedNetwork, NonIntegralCapacity, WIsEndpoint
 from .maxflow import max_flow
 from .network import (DEFAULT_PATH_CAP, FWD, EdgeWalk, FlowNetwork,
-                      concat_walks, enumerate_paths, enumerate_st_paths,
+                      _iter_walks, concat_walks, enumerate_st_paths,
                       reverse_walk, simple_through, through, through_any,
                       validate_walk)
 from .rational import ZERO, rat
-from .te import FlowSolution, solve_te_mf
+from .te import FlowSolution, default_families, solve_te_mf
 
 
 # -- exact values via path LPs (directed or brute-force undirected) ----------
@@ -30,16 +30,12 @@ def max_w_flow_exact(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP) -> FlowSolution:
     commodity.  When w coincides with a commodity endpoint the through-w
     family is simply that commodity's unconstrained family, so no special
     handling is needed."""
-    fams = [enumerate_paths(net, i, through(w), cap=cap)
-            for i in range(len(net.commodities))]
-    return solve_te_mf(net, fams)
+    return solve_te_mf(net, default_families(net, cap, through(w)))
 
 
 def max_w_flow_simple(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP) -> FlowSolution:
     """Same, restricted to simple paths through w."""
-    fams = [enumerate_paths(net, i, simple_through(w), cap=cap)
-            for i in range(len(net.commodities))]
-    return solve_te_mf(net, fams)
+    return solve_te_mf(net, default_families(net, cap, simple_through(w)))
 
 
 def max_set_flow_paths(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
@@ -49,10 +45,8 @@ def max_set_flow_paths(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
     With single_use=True an undirected edge may appear at most once per path
     (the no-repeat variant); by default opposite-direction reuse is allowed.
     """
-    fams = [enumerate_paths(net, i, through_any(W), cap=cap,
-                            single_use=single_use)
-            for i in range(len(net.commodities))]
-    return solve_te_mf(net, fams)
+    return solve_te_mf(net, default_families(net, cap, through_any(W),
+                                             single_use))
 
 
 # -- undirected: polynomial transform -----------------------------------------
@@ -180,16 +174,16 @@ def max_set_flow(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
     return FlowSolution(lpmod.OPTIMAL, value / 2, {}, pivots=sol.pivots)
 
 
-def max_w_flow_undirected_norepeat(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP):
+def max_w_flow_undirected_norepeat(net: FlowNetwork, w,
+                                   cap=DEFAULT_PATH_CAP) -> FlowSolution:
     """No-repeat variant: each undirected edge at most once per path.  Brute
     force over the enumerated family; no polynomial algorithm is known for
     this variant."""
     if net.directed:
         raise MalformedNetwork("the no-repeat variant applies to undirected "
                                "networks")
-    fams = [enumerate_paths(net, i, through(w), cap=cap, single_use=True)
-            for i in range(len(net.commodities))]
-    return solve_te_mf(net, fams).objective
+    return solve_te_mf(net, default_families(net, cap, through(w),
+                                             single_use=True))
 
 
 def max_w_flow_undirected(net: FlowNetwork, w):
@@ -235,14 +229,10 @@ def min_swt_edge_cut(net: FlowNetwork, s, w, t, max_exact_edges=20) -> CutResult
     adj = net.adjacency()
     best = {"edges": tuple(e.id for e in net.edges), "value": net.total_capacity()}
 
-    def first_path(removed):
-        fam = _first_swt_walk(net, adj, removed, s, w, t)
-        return fam
-
     def search(removed, value):
         if value >= best["value"]:
             return
-        walk = first_path(removed)
+        walk = _swt_walk(net, adj, removed, s, w, t)
         if walk is None:
             best["edges"] = tuple(sorted(removed))
             best["value"] = value
@@ -254,31 +244,12 @@ def min_swt_edge_cut(net: FlowNetwork, s, w, t, max_exact_edges=20) -> CutResult
     return CutResult(best["edges"], best["value"], True)
 
 
-def _first_swt_walk(net, adj, removed, s, w, t):
-    """First edge-distinct s-w-t walk avoiding removed edges, or None."""
-
-    def go(node, node_seq, steps, used, hit_w):
-        if node == t and hit_w and steps:
-            return EdgeWalk(tuple(node_seq), tuple(steps))
-        for edge, d in adj[node]:
-            if edge.id in removed:
-                continue
-            dirs = used.get(edge.id, set())
-            if d in dirs or (net.directed and dirs):
-                continue
-            nxt = edge.head if d == FWD else edge.tail
-            used.setdefault(edge.id, set()).add(d)
-            node_seq.append(nxt)
-            steps.append((edge.id, d))
-            res = go(nxt, node_seq, steps, used, hit_w or nxt == w)
-            if res is not None:
-                return res
-            steps.pop()
-            node_seq.pop()
-            used[edge.id].discard(d)
-        return None
-
-    return go(s, [s], [], {}, s == w)
+def _swt_walk(net, adj, removed, s, w, t):
+    """First edge-distinct s-w-t walk avoiding the removed edges, or None."""
+    kept = {v: [(e, d) for e, d in arcs if e.id not in removed]
+            for v, arcs in adj.items()}
+    return next((walk for walk in _iter_walks(net, s, t, False, False, kept)
+                 if w in walk.nodes), None)
 
 
 def verify_cut(net: FlowNetwork, s, w, t, edge_ids) -> bool:
@@ -288,7 +259,7 @@ def verify_cut(net: FlowNetwork, s, w, t, edge_ids) -> bool:
     # s reaches w and w reaches t does edge-distinctness need the search.
     if w not in _reachable(adj, removed, s) or t not in _reachable(adj, removed, w):
         return True
-    return _first_swt_walk(net, adj, removed, s, w, t) is None
+    return _swt_walk(net, adj, removed, s, w, t) is None
 
 
 def _reachable(adj, removed, start):
@@ -395,7 +366,7 @@ def _decompose(net, flow, s, w, t):
     adj = net.adjacency()
     for _ in range(len(net.edges) * 4 + 4):
         support = frozenset(e.id for e in net.edges if flow[e.id] <= 0)
-        walk = _first_swt_walk(net, adj, support, s, w, t)
+        walk = _swt_walk(net, adj, support, s, w, t)
         if walk is None:
             break
         delta = min(flow[eid] for eid, _ in walk.steps)

@@ -253,7 +253,7 @@ def test_criterion_09_segment_routing():
 
 def test_criterion_10_augmenting_undirected():
     net = get_builtin("augmenting-undirected").network
-    ok = max_w_flow_undirected_norepeat(net, "w") == 3
+    ok = max_w_flow_undirected_norepeat(net, "w").objective == 3
     # Greedy saturation, shortest no-repeat path first: the first pick is
     # s,v,w,t, which blocks both other routes through w.
     fam = enumerate_paths(net, 0, through("w"), single_use=True)

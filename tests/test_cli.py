@@ -139,3 +139,19 @@ def test_ngroup(capsys):
     code, out, _ = run(capsys, "ngroup", "--builtin", "fig8", "-n", "1")
     assert code == 0
     assert "objective: 2\n" in out
+
+
+def test_cut_without_commodities_or_s_exit_4(tmp_path, capsys):
+    path = tmp_path / "no-commodities.json"
+    path.write_text(json.dumps({
+        "orientation": "directed", "nodes": ["a", "b", "c"],
+        "edges": [{"tail": "a", "head": "b", "capacity": 1},
+                  {"tail": "b", "head": "c", "capacity": 1}],
+        "commodities": []}))
+    code, _, err = run(capsys, "cut", "--instance", str(path), "--w", "b")
+    assert code == 4
+    assert "source" in err
+    code, out, _ = run(capsys, "cut", "--instance", str(path), "--w", "b",
+                       "--s", "a", "--t", "c")
+    assert code == 0
+    assert "cut_value: 1\n" in out

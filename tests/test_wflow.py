@@ -10,7 +10,8 @@ from nodeflow import (FlowNetwork, MalformedNetwork, augmenting_w_flow,
                       min_swt_edge_cut, rat, solve_te_mf, solve_transform,
                       through, validate_walk, verify_cut)
 
-from conftest import pick_inner_node, random_directed, random_undirected
+from conftest import (oracle_walks, pick_inner_node, random_directed,
+                      random_undirected)
 
 
 def test_remarks_values():
@@ -51,7 +52,7 @@ def test_undirected_transform_matches_brute_lp():
 def test_undirected_chain_half():
     net = get_builtin("wst-undirected").network
     assert max_w_flow_undirected(net, "w") == rat(1, 2)
-    assert max_w_flow_undirected_norepeat(net, "w") == 0
+    assert max_w_flow_undirected_norepeat(net, "w").objective == 0
 
 
 def test_set_flow_transform_matches_brute_lp():
@@ -177,16 +178,19 @@ def test_cut_fallback_on_undirected_grid():
 
 
 def test_verify_cut_agrees_with_walk_search():
-    # The reachability shortcut in verify_cut must never change its answer.
-    from nodeflow.wflow import _first_swt_walk
+    # The reachability shortcut in verify_cut must never change its answer;
+    # the independent oracle searches the network without the cut edges.
     rng = random.Random(67)
     for trial in range(150):
         net = (random_directed if trial % 2 else random_undirected)(rng)
         s, t = net.commodities[0].source, net.commodities[0].sink
         w = rng.choice(net.nodes)
         removed = [e.id for e in net.edges if rng.random() < 0.3]
-        walk = _first_swt_walk(net, net.adjacency(), frozenset(removed), s, w, t)
-        assert verify_cut(net, s, w, t, removed) == (walk is None), trial
+        rest = FlowNetwork.build(net.orientation, net.nodes,
+                                 [(e.tail, e.head, e.capacity) for e in net.edges
+                                  if e.id not in removed])
+        walks = oracle_walks(rest, s, t, through=w)
+        assert verify_cut(net, s, w, t, removed) == (not walks), trial
 
 
 def test_cut_bounds_on_random_instances():
@@ -257,4 +261,4 @@ def test_fix_paths_produces_one_valid_walk():
 
 def test_norepeat_brute_on_augmenting_instance():
     net = get_builtin("augmenting-undirected").network
-    assert max_w_flow_undirected_norepeat(net, "w") == 3
+    assert max_w_flow_undirected_norepeat(net, "w").objective == 3
