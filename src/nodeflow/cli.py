@@ -3,8 +3,9 @@
 Every solver subcommand loads an instance (from a file or the builtin
 catalog), runs one solver, and prints a result record.  Exit codes: 0 the
 instance was solved (an infeasible program is a result, not an error),
-2 parse errors, 3 a size guard or enumeration cap was exceeded, 4 a required
-designated node/set is missing.
+1 any other solver error (such as an unbounded demand where a finite one is
+required), 2 parse errors, 3 a size guard or enumeration cap was exceeded,
+4 a required designated node/set is missing.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .network import DEFAULT_PATH_CAP
 from .rational import as_decimal, format_rational
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_PARSE = 2
 EXIT_LIMIT = 3
 EXIT_DESIGNATION = 4
@@ -178,6 +180,7 @@ def cmd_te_lu(args, inst, rec):
 def cmd_w_flow(args, inst, rec):
     net = inst.network
     w = _need(args, inst, "w", args.w)
+    ctr._guard(net, args.max_nodes_exact)
     if net.directed:
         if args.no_repeat:
             raise ParseError("--no-repeat applies to undirected instances")
@@ -192,6 +195,7 @@ def cmd_w_flow(args, inst, rec):
 
 def cmd_w_flow_simple(args, inst, rec):
     w = _need(args, inst, "w", args.w)
+    ctr._guard(inst.network, args.max_nodes_exact)
     sol = wflow.max_w_flow_simple(inst.network, w, cap=args.max_paths)
     _emit_flow_solution(rec, sol, inst.network)
 
@@ -208,6 +212,7 @@ def cmd_w_flow_augment(args, inst, rec):
 
 def cmd_set_flow(args, inst, rec):
     W = _need(args, inst, "W", _nodelist(args.set) if args.set else None)
+    ctr._guard(inst.network, args.max_nodes_exact)
     sol = wflow.max_set_flow(inst.network, W, cap=args.max_paths)
     rec.add("designated_set", ",".join(sorted(W)))
     _emit_flow_solution(rec, sol, inst.network)
@@ -500,7 +505,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except NodeflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

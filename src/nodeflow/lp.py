@@ -169,38 +169,26 @@ def solve(lp: LinearProgram) -> LpSolution:
     index = lp.index
     n = len(names)
 
-    # Assemble rows: declared constraints plus upper bounds as <= rows.
-    raw = []
-    for con in lp.constraints:
-        vec = [ZERO] * n
-        for name, c in con.coeffs.items():
-            vec[index[name]] += c
-        raw.append((vec, con.relation, con.rhs))
-    for name, ub in lp.upper_bounds.items():
-        vec = [ZERO] * n
-        vec[index[name]] = ONE
-        raw.append((vec, LE, ub))
-
-    # Standard form with b >= 0.
-    norm = []
-    for vec, rel, rhs in raw:
-        if rhs < 0:
-            vec = [-x for x in vec]
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        norm.append((vec, rel, rhs))
-
-    m = len(norm)
-    nslack = sum(1 for _, rel, _ in norm if rel in (LE, GE))
-    nart = sum(1 for _, rel, _ in norm if rel in (GE, EQ))
+    # Declared constraints plus upper bounds as <= rows, each row built once
+    # in standard form: negated when its right-hand side is negative, so b >= 0.
+    specs = [(con.coeffs, con.relation, con.rhs) for con in lp.constraints]
+    specs += [({name: ONE}, LE, ub) for name, ub in lp.upper_bounds.items()]
+    flip = {LE: GE, GE: LE, EQ: EQ}
+    rels = [flip[rel] if rhs < 0 else rel for _, rel, rhs in specs]
+    nslack = sum(1 for rel in rels if rel in (LE, GE))
+    nart = sum(1 for rel in rels if rel in (GE, EQ))
     ncols = n + nslack + nart
     rows = []
     basis = []
     scol = n
     acol = n + nslack
     art_cols = []
-    for vec, rel, rhs in norm:
-        row = list(vec) + [ZERO] * (nslack + nart) + [rhs]
+    for (coeffs, _, rhs), rel in zip(specs, rels):
+        row = [ZERO] * (ncols + 1)
+        neg = rhs < 0
+        for name, c in coeffs.items():
+            row[index[name]] = -c if neg else c
+        row[ncols] = -rhs if neg else rhs
         if rel == LE:
             row[scol] = ONE
             basis.append(scol)

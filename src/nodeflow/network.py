@@ -37,9 +37,6 @@ class Edge:
     capacity: object  # exact rational
     length: int = 1
 
-    def endpoints(self):
-        return (self.tail, self.head)
-
 
 @dataclass(frozen=True)
 class Commodity:
@@ -175,9 +172,6 @@ class EdgeWalk:
         for eid, _ in self.steps:
             counts[eid] = counts.get(eid, 0) + 1
         return counts
-
-    def visits(self, node) -> bool:
-        return node in self.nodes
 
 
 @dataclass(frozen=True)

@@ -57,10 +57,6 @@ def rat(value, den=None):
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def is_rational(value) -> bool:
-    return isinstance(value, _rational_types) or isinstance(value, int)
-
-
 def format_rational(value) -> str:
     """Canonical text form: "p" for integers, "p/q" otherwise."""
     q = rat(value)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import lp as lpmod
 from .errors import CapExceeded, MalformedNetwork, UnknownNode
-from .network import EdgeWalk, FlowNetwork, concat_walks
+from .network import EdgeWalk, FlowNetwork, concat_walks, validate_walk
 from .rational import ZERO, rat
 from .te import solve_columns
 
@@ -315,14 +315,7 @@ def acyclic_feasible(net: FlowNetwork, source, sink, middlepoints,
         if mode == "simple_path":
             ok = walk.is_simple()
         else:
-            mult = walk.edge_multiplicity()
-            if net.directed:
-                ok = all(m == 1 for m in mult.values())
-            else:
-                dirs = {}
-                for eid, d in walk.steps:
-                    dirs.setdefault(eid, []).append(d)
-                ok = all(len(ds) <= 2 and len(set(ds)) == len(ds) for ds in dirs.values())
+            ok = validate_walk(net, walk).valid
         if ok:
             return FeasibilityResult(True, walk, tried)
     return FeasibilityResult(False, None, tried)

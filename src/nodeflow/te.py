@@ -11,6 +11,11 @@ Both are exact, and both are solve_columns with one column per walk; the
 segment-routing tunnel programs in srte are the same program with one
 column per tunnel.  A truncated path family is refused -- the optimum over
 an incomplete family is not the optimum of the instance.
+
+The other program is solve_arcs, one copy of every arc per flow layer and
+no enumeration: one layer per commodity gives the unconstrained maximum
+(max_flow_arc_lp), and one layer per (commodity, designated node) gives the
+undirected node-constrained transform in wflow.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from . import lp as lpmod
 from .errors import InfiniteDemand, TruncatedFamily
 from .network import UNCONSTRAINED, FlowNetwork, enumerate_paths
-from .rational import ZERO
+from .rational import ONE, ZERO
 
 
 @dataclass
@@ -188,60 +193,68 @@ def check_demand_load_duality(net: FlowNetwork, cap=None) -> DualityReport:
     return DualityReport(dmf.satisfiable, lu.objective, consistent)
 
 
-def max_flow_arc_lp(net: FlowNetwork, honor_demands=True) -> FlowSolution:
+def solve_arcs(net: FlowNetwork, layers):
+    """The arc program shared by the undirected transform and the arc LP.
+
+    layers lists (commodity, origin, exits).  Each layer has its own copy of
+    every arc, two opposite arcs per undirected edge, and an edge's arcs
+    share its capacity across all layers.  A layer's flow enters at origin,
+    is conserved at every other node, and leaves through one exit variable
+    per exit node; a layer's exits are equal.  A commodity's finite demand
+    caps the sum of its layers' first exits, and the objective maximizes the
+    sum of all exits.
+
+    Returns the LpSolution.
+    """
+    arcs = []         # (edge id, tail, head)
+    for e in net.edges:
+        arcs.append((e.id, e.tail, e.head))
+        if not net.directed:
+            arcs.append((e.id, e.head, e.tail))
+    by_edge = [[] for _ in net.edges]
+    incidence = {v: [] for v in net.nodes}   # node -> [(arc, +-1)]
+    for j, (eid, tail, head) in enumerate(arcs):
+        by_edge[eid].append(j)
+        incidence[head].append((j, ONE))
+        incidence[tail].append((j, -ONE))
+
+    lp = lpmod.LinearProgram()
+    flows, outs = [], []
+    for k, (_, _, exits) in enumerate(layers):
+        flows.append([lp.add_variable(f"x{k}_{j}") for j in range(len(arcs))])
+        outs.append([lp.add_variable(f"x{k}_exit{j}") for j in range(len(exits))])
+    for e in net.edges:
+        lp.add_constraint({row[j]: ONE for row in flows for j in by_edge[e.id]},
+                          lpmod.LE, e.capacity)
+    for (_, origin, exits), row, out in zip(layers, flows, outs):
+        exit_at = dict(zip(exits, out))
+        for v in net.nodes:
+            if v == origin:
+                continue
+            coeffs = {row[j]: c for j, c in incidence[v]}
+            if v in exit_at:
+                coeffs[exit_at[v]] = -ONE
+            if coeffs:
+                lp.add_constraint(coeffs, lpmod.EQ, 0)
+        for name in out[1:]:
+            lp.add_constraint({out[0]: ONE, name: -ONE}, lpmod.EQ, 0)
+    for i, com in enumerate(net.commodities):
+        if com.max_demand is not None:
+            firsts = [out[0] for (c, _, _), out in zip(layers, outs) if c == i]
+            lp.add_constraint(dict.fromkeys(firsts, ONE), lpmod.LE, com.max_demand)
+    lp.set_objective({name: ONE for out in outs for name in out}, "max")
+    return lpmod.solve(lp)
+
+
+def max_flow_arc_lp(net: FlowNetwork) -> FlowSolution:
     """Arc-based maximum multicommodity flow (no node constraints).
 
     Polynomial-size program used for unconstrained flow values where a path
-    family would be overkill: one variable per commodity per arc (two arcs
-    per undirected edge, with a joint capacity row).
+    family would be overkill: solve_arcs with one layer per commodity, from
+    its source to one exit at its sink.
     """
-    lp = lpmod.LinearProgram()
-    ncom = len(net.commodities)
-
-    def var(i, eid, d):
-        return f"x_{i}_{eid}_{'f' if d > 0 else 'r'}"
-
-    arcs = []  # (eid, d, tail, head)
-    for e in net.edges:
-        arcs.append((e.id, 1, e.tail, e.head))
-        if not net.directed:
-            arcs.append((e.id, -1, e.head, e.tail))
-    for i in range(ncom):
-        for eid, d, _, _ in arcs:
-            lp.add_variable(var(i, eid, d))
-    # joint capacity per edge
-    for e in net.edges:
-        coeffs = {var(i, e.id, 1): 1 for i in range(ncom)}
-        if not net.directed:
-            coeffs.update({var(i, e.id, -1): 1 for i in range(ncom)})
-        lp.add_constraint(coeffs, lpmod.LE, e.capacity)
-    obj = {}
-    for i, com in enumerate(net.commodities):
-        outflow = {}
-        for eid, d, tail, head in arcs:
-            if tail == com.source:
-                outflow[var(i, eid, d)] = outflow.get(var(i, eid, d), ZERO) + 1
-            if head == com.source:
-                outflow[var(i, eid, d)] = outflow.get(var(i, eid, d), ZERO) - 1
-        for name, c in outflow.items():
-            if c:
-                obj[name] = obj.get(name, ZERO) + c
-        # conservation at every node except the commodity endpoints
-        for v in net.nodes:
-            if v in (com.source, com.sink):
-                continue
-            coeffs = {}
-            for eid, d, tail, head in arcs:
-                if head == v:
-                    coeffs[var(i, eid, d)] = coeffs.get(var(i, eid, d), ZERO) + 1
-                if tail == v:
-                    coeffs[var(i, eid, d)] = coeffs.get(var(i, eid, d), ZERO) - 1
-            if coeffs:
-                lp.add_constraint(coeffs, lpmod.EQ, 0)
-        if honor_demands and com.max_demand is not None:
-            lp.add_constraint(dict(outflow), lpmod.LE, com.max_demand)
-    lp.set_objective(obj, "max")
-    sol = lpmod.solve(lp)
+    sol = solve_arcs(net, [(i, com.source, (com.sink,))
+                           for i, com in enumerate(net.commodities)])
     if sol.status != lpmod.OPTIMAL:
         return FlowSolution(sol.status, pivots=sol.pivots)
     return FlowSolution(lpmod.OPTIMAL, sol.objective, {}, pivots=sol.pivots)

@@ -20,7 +20,7 @@ from .network import (DEFAULT_PATH_CAP, FWD, EdgeWalk, FlowNetwork,
                       reverse_walk, simple_through, through, through_any,
                       validate_walk)
 from .rational import ZERO, rat
-from .te import FlowSolution, default_families, solve_te_mf
+from .te import FlowSolution, default_families, solve_arcs, solve_te_mf
 
 
 # -- exact values via path LPs (directed or brute-force undirected) ----------
@@ -53,19 +53,16 @@ def max_set_flow_paths(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
 
 @dataclass
 class TransformedNetwork:
-    """Directed auxiliary graph for undirected node-constrained flow.
+    """Undirected node-constrained flow as an arc program.
 
     Every undirected edge becomes a pair of opposite arcs sharing the
-    original capacity.  The program in solve_transform copies these arcs
-    into one layer per (commodity, designated node) pair and adds the
-    commodity's two exits; its optimum equals twice the node-constrained
-    flow value.
+    original capacity.  solve_transform copies these arcs into one layer
+    per (commodity, designated node) pair and adds the commodity's two
+    exits; its optimum equals twice the node-constrained flow value.
     """
 
     original: FlowNetwork
     sources: tuple
-    graph_nodes: tuple
-    arcs: list            # (arc_name, tail, head, orig_edge_id)
 
 
 def build_transform(net: FlowNetwork, W) -> TransformedNetwork:
@@ -77,14 +74,10 @@ def build_transform(net: FlowNetwork, W) -> TransformedNetwork:
     for w in W:
         if w not in net.nodes:
             raise MalformedNetwork(f"designated node {w!r} not in network")
-    arcs = []
-    for e in net.edges:
-        arcs.append((f"e{e.id}+", e.tail, e.head, e.id))
-        arcs.append((f"e{e.id}-", e.head, e.tail, e.id))
-    return TransformedNetwork(net, W, tuple(net.nodes), arcs)
+    return TransformedNetwork(net, W)
 
 
-def solve_transform(tr: TransformedNetwork, honor_demands=True):
+def solve_transform(tr: TransformedNetwork):
     """Arc program on the transformed graph.  Returns (V, LpSolution); the
     node-constrained flow value is V/2.
 
@@ -100,67 +93,19 @@ def solve_transform(tr: TransformedNetwork, honor_demands=True):
     gives it one, so the exits need no capacity of their own even when w is
     an endpoint.
 
-    Finite demand ceilings, when honored, cap the sum of commodity i's
-    s_i exits over its layers.
+    Finite demand ceilings cap the sum of commodity i's s_i exits over its
+    layers.
     """
     net = tr.original
-    lp = lpmod.LinearProgram()
-
-    def var(i, w, arc):
-        return f"g_{i}_{w}_{arc}"
-
-    layers = [(i, w) for i in range(len(net.commodities)) for w in tr.sources]
-    for i, w in layers:
-        for name, _, _, _ in tr.arcs:
-            lp.add_variable(var(i, w, name))
-        lp.add_variable(var(i, w, "s"))
-        lp.add_variable(var(i, w, "t"))
-
-    # joint capacity on the two arcs of each original edge, over all layers
-    for e in net.edges:
-        coeffs = {}
-        for i, w in layers:
-            coeffs[var(i, w, f"e{e.id}+")] = 1
-            coeffs[var(i, w, f"e{e.id}-")] = 1
-        lp.add_constraint(coeffs, lpmod.LE, e.capacity)
-
-    by_head = {}
-    by_tail = {}
-    for name, tail, head, _ in tr.arcs:
-        by_head.setdefault(head, []).append(name)
-        by_tail.setdefault(tail, []).append(name)
-
-    for i, w in layers:
-        com = net.commodities[i]
-        exits = {com.source: var(i, w, "s"), com.sink: var(i, w, "t")}
-        # conservation everywhere except this layer's designated node
-        for v in tr.graph_nodes:
-            if v == w:
-                continue
-            coeffs = {}
-            for name in by_head.get(v, ()):
-                coeffs[var(i, w, name)] = coeffs.get(var(i, w, name), ZERO) + 1
-            for name in by_tail.get(v, ()):
-                coeffs[var(i, w, name)] = coeffs.get(var(i, w, name), ZERO) - 1
-            if v in exits:
-                coeffs[exits[v]] = -1
-            if coeffs:
-                lp.add_constraint(coeffs, lpmod.EQ, 0)
-        lp.add_constraint({var(i, w, "s"): 1, var(i, w, "t"): -1}, lpmod.EQ, 0)
-    for i, com in enumerate(net.commodities):
-        if honor_demands and com.max_demand is not None:
-            lp.add_constraint({var(i, w, "s"): 1 for w in tr.sources},
-                              lpmod.LE, com.max_demand)
-
-    lp.set_objective({var(i, w, end): 1 for i, w in layers for end in "st"}, "max")
-    sol = lpmod.solve(lp)
+    sol = solve_arcs(net, [(i, w, (com.source, com.sink))
+                           for i, com in enumerate(net.commodities)
+                           for w in tr.sources])
     if sol.status != lpmod.OPTIMAL:
         raise MalformedNetwork(f"transform program unexpectedly {sol.status}")
     return sol.objective, sol
 
 
-def max_set_flow(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
-                 honor_demands=True) -> FlowSolution:
+def max_set_flow(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP) -> FlowSolution:
     """Node-set-constrained max flow (group flow).
 
     Directed networks go through explicit path families.  Undirected networks
@@ -169,8 +114,7 @@ def max_set_flow(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
     """
     if net.directed:
         return max_set_flow_paths(net, W, cap=cap)
-    tr = build_transform(net, W)
-    value, sol = solve_transform(tr, honor_demands=honor_demands)
+    value, sol = solve_transform(build_transform(net, W))
     return FlowSolution(lpmod.OPTIMAL, value / 2, {}, pivots=sol.pivots)
 
 

@@ -155,3 +155,30 @@ def test_cut_without_commodities_or_s_exit_4(tmp_path, capsys):
                        "--s", "a", "--t", "c")
     assert code == 0
     assert "cut_value: 1\n" in out
+
+
+def test_solver_error_exit_1(capsys):
+    # remarks has a commodity with no finite demand, which te-lu refuses.
+    code, _, err = run(capsys, "te-lu", "--builtin", "remarks")
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_node_guard_on_directed_path_solvers_exit_3(tmp_path, capsys):
+    nodes = [f"v{i}" for i in range(12)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "orientation": "directed", "nodes": nodes,
+        "edges": [{"tail": a, "head": b, "capacity": 1}
+                  for a, b in zip(nodes, nodes[1:])],
+        "commodities": [{"src": "v0", "dst": "v11"}]}))
+    for argv in (("w-flow", "--w", "v5"), ("w-flow-simple", "--w", "v5"),
+                 ("set-flow", "--set", "v5")):
+        code, _, err = run(capsys, *argv, "--instance", str(path),
+                           "--max-nodes-exact", "5")
+        assert code == 3, argv
+        assert "limit" in err
+        code, out, _ = run(capsys, *argv, "--instance", str(path),
+                           "--max-nodes-exact", "12")
+        assert code == 0, argv
+        assert "objective: 1\n" in out

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from nodeflow import as_decimal, format_rational, rat
-from nodeflow.rational import is_rational
 
 
 def test_int_and_pair():
@@ -33,12 +32,6 @@ def test_exactness():
     third = rat(1, 3)
     assert third + third + third == 1
     assert rat(1, 10) * 10 == 1
-
-
-def test_is_rational():
-    assert is_rational(rat(1, 2))
-    assert is_rational(5) or not is_rational(5)  # ints may or may not count
-    assert not is_rational(0.5)
 
 
 def test_format_rational():
