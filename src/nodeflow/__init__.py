@@ -18,7 +18,7 @@ from .network import (Commodity, Edge, EdgeWalk, FlowNetwork, PathConstraint,
                       enumerate_paths, enumerate_st_paths, reverse_walk,
                       simple_through, through, through_any, validate_walk)
 from .lp import (Constraint, LinearProgram, LpSolution, EQ, GE, LE,
-                 INFEASIBLE, OPTIMAL, UNBOUNDED, export_lp_text, solve)
+                 INFEASIBLE, OPTIMAL, UNBOUNDED, solve)
 from .te import (DmfResult, FlowSolution, DualityReport,
                  check_demand_load_duality, decide_dmf, default_families,
                  max_flow_arc_lp, solve_te_lu, solve_te_mf)

@@ -35,10 +35,13 @@ def pair_max_flow(net: FlowNetwork, s, t):
     return max_flow(net, s, t).value
 
 
-def _guard(net: FlowNetwork, limit):
-    if net.directed and len(net.nodes) > limit:
+def _guard(net: FlowNetwork, limit, enumerates=False):
+    """Refuse more than limit nodes to an exact method that is exponential:
+    any on a directed network, and one that enumerates walks on either."""
+    if (net.directed or enumerates) and len(net.nodes) > limit:
+        how = "by walk enumeration" if enumerates else "on directed networks"
         raise LimitExceeded(
-            f"exact node-constrained flow on directed networks is exponential; "
+            f"exact node-constrained flow {how} is exponential; "
             f"{len(net.nodes)} nodes exceeds the guard of {limit}")
 
 

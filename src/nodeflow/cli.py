@@ -180,7 +180,7 @@ def cmd_te_lu(args, inst, rec):
 def cmd_w_flow(args, inst, rec):
     net = inst.network
     w = _need(args, inst, "w", args.w)
-    ctr._guard(net, args.max_nodes_exact)
+    ctr._guard(net, args.max_nodes_exact, enumerates=args.no_repeat)
     if net.directed:
         if args.no_repeat:
             raise ParseError("--no-repeat applies to undirected instances")
@@ -195,7 +195,7 @@ def cmd_w_flow(args, inst, rec):
 
 def cmd_w_flow_simple(args, inst, rec):
     w = _need(args, inst, "w", args.w)
-    ctr._guard(inst.network, args.max_nodes_exact)
+    ctr._guard(inst.network, args.max_nodes_exact, enumerates=True)
     sol = wflow.max_w_flow_simple(inst.network, w, cap=args.max_paths)
     _emit_flow_solution(rec, sol, inst.network)
 
@@ -399,7 +399,7 @@ def _add_instance_args(sub):
     sub.add_argument("--max-paths", type=int, default=DEFAULT_PATH_CAP,
                      help="cap on enumerated paths per family")
     sub.add_argument("--max-nodes-exact", type=int, default=10,
-                     help="node-count guard for exponential directed solvers")
+                     help="node-count guard for exponential solvers")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,14 +1,23 @@
 """Exact rational linear programming via two-phase primal simplex.
 
 Tableau over exact rationals, Bland's anti-cycling rule throughout, so
-results are deterministic and free of rounding.  Rows are stored as full
-lists, but a pivot touches only what can change: it scales the pivot row on
-its nonzeros, then updates in place only the rows (and the reduced-cost row)
-with a nonzero in the entering column, and in those only the columns where
-the pivot row is nonzero.  The generated programs are mostly slack and
-artificial columns and 0/+-1 incidence rows, so that is a small share of the
-tableau.  This is meant for the small and mid-size programs this package
-generates, not as a general-purpose LP code.
+results are deterministic and free of rounding.  Each row is put in standard
+form with a nonnegative right-hand side.  A <= row starts with its slack
+basic.  A >= row, and an equality row with a nonzero right-hand side, start
+with an artificial basic.  An equality row with right-hand side 0 gets no
+artificial: once the tableau is built, each such row, in row order, is
+pivoted on its lowest-index nonzero column.  That pivot moves no right-hand
+side, so the basis stays feasible; a row left with no nonzero entry is
+redundant and dropped.  Phase 1 runs only when there are artificials, and
+the arc programs (conservation and capacity rows only) have none.
+
+Rows are stored as full lists, but a pivot touches only what can change: it
+scales the pivot row on its nonzeros, then updates in place only the rows
+(and the reduced-cost row) with a nonzero in the entering column, and in
+those only the columns where the pivot row is nonzero.  The generated
+programs are mostly slack columns and 0/+-1 incidence rows, so that is a
+small share of the tableau.  This is meant for the small and mid-size
+programs this package generates, not as a general-purpose LP code.
 
 Infeasible and unbounded are statuses on the returned solution, never
 exceptions.
@@ -164,6 +173,30 @@ def _bland_optimize(rows, basis, cost, ncols, allowed):
         pivots += 1
 
 
+def _pivot_zero_rows(rows, basis, positions):
+    """Give each EQ row with right-hand side 0 a basic column without an
+    artificial: pivot the rows at positions, in order, each on its
+    lowest-index nonzero column.  Such a pivot adds multiples of a row whose
+    right-hand side is 0, so no right-hand side moves and the basis stays
+    feasible.  A row left with no nonzero entry is redundant and dropped.
+
+    Returns the number of pivots."""
+    pivots = 0
+    dropped = 0
+    for r in positions:
+        r -= dropped
+        # The right-hand side stays 0, so any nonzero is a coefficient.
+        c = next((j for j, x in enumerate(rows[r]) if x), -1)
+        if c < 0:
+            del rows[r]
+            del basis[r]
+            dropped += 1
+        else:
+            _pivot(rows, basis, r, c)
+            pivots += 1
+    return pivots
+
+
 def solve(lp: LinearProgram) -> LpSolution:
     names = list(lp.variables)
     index = lp.index
@@ -176,13 +209,15 @@ def solve(lp: LinearProgram) -> LpSolution:
     flip = {LE: GE, GE: LE, EQ: EQ}
     rels = [flip[rel] if rhs < 0 else rel for _, rel, rhs in specs]
     nslack = sum(1 for rel in rels if rel in (LE, GE))
-    nart = sum(1 for rel in rels if rel in (GE, EQ))
-    ncols = n + nslack + nart
+    nart = sum(1 for (_, _, rhs), rel in zip(specs, rels)
+               if rel == GE or (rel == EQ and rhs != 0))
+    first_art = n + nslack
+    ncols = first_art + nart
     rows = []
     basis = []
     scol = n
-    acol = n + nslack
-    art_cols = []
+    acol = first_art
+    zero_eq = []      # positions of the EQ rows with right-hand side 0
     for (coeffs, _, rhs), rel in zip(specs, rels):
         row = [ZERO] * (ncols + 1)
         neg = rhs < 0
@@ -193,43 +228,34 @@ def solve(lp: LinearProgram) -> LpSolution:
             row[scol] = ONE
             basis.append(scol)
             scol += 1
-        elif rel == GE:
-            row[scol] = -ONE
-            scol += 1
-            row[acol] = ONE
-            basis.append(acol)
-            art_cols.append(acol)
-            acol += 1
+        elif rel == EQ and rhs == 0:
+            zero_eq.append(len(rows))
+            basis.append(-1)
         else:
+            if rel == GE:
+                row[scol] = -ONE
+                scol += 1
             row[acol] = ONE
             basis.append(acol)
-            art_cols.append(acol)
             acol += 1
         rows.append(row)
 
+    total_pivots = _pivot_zero_rows(rows, basis, zero_eq)
     allowed = [True] * ncols
-    total_pivots = 0
 
-    if art_cols:
+    if nart:
         # Phase 1: drive artificials to zero.
-        p1cost = [ZERO] * ncols
-        for c in art_cols:
-            p1cost[c] = -ONE
+        p1cost = [ZERO] * first_art + [-ONE] * nart
         status, piv, val = _bland_optimize(rows, basis, p1cost, ncols, allowed)
         total_pivots += piv
         if status != OPTIMAL or val != 0:
             return LpSolution(INFEASIBLE, pivots=total_pivots)
         # Pivot remaining artificials out of the basis where possible;
         # a row with no eligible pivot is redundant and dropped.
-        art_set = set(art_cols)
         i = 0
         while i < len(rows):
-            if basis[i] in art_set:
-                target = -1
-                for j in range(ncols):
-                    if j not in art_set and rows[i][j] != 0:
-                        target = j
-                        break
+            if basis[i] >= first_art:
+                target = next((j for j in range(first_art) if rows[i][j]), -1)
                 if target >= 0:
                     _pivot(rows, basis, i, target)
                     total_pivots += 1
@@ -239,8 +265,7 @@ def solve(lp: LinearProgram) -> LpSolution:
                     del basis[i]
             else:
                 i += 1
-        for c in art_set:
-            allowed[c] = False
+        allowed[first_art:] = [False] * nart
 
     sign = ONE if lp.sense == "max" else -ONE
     cost = [ZERO] * ncols
@@ -258,44 +283,3 @@ def solve(lp: LinearProgram) -> LpSolution:
     for name in names:
         assignment.setdefault(name, ZERO)
     return LpSolution(OPTIMAL, sign * val, assignment, total_pivots)
-
-
-def export_lp_text(lp: LinearProgram) -> str:
-    """Render as CPLEX LP text for cross-checking against an external solver.
-
-    Rationals are written exactly when integral and as high-precision
-    decimals otherwise (the export is a debugging aid; exact results come
-    from solve()).
-    """
-
-    def num(v):
-        v = rat(v)
-        if v.denominator == 1:
-            return str(v.numerator)
-        return repr(v.numerator / v.denominator)
-
-    def terms(coeffs):
-        parts = []
-        for name in lp.variables:
-            if name not in coeffs:
-                continue
-            c = coeffs[name]
-            sign = "+" if c >= 0 else "-"
-            parts.append(f"{sign} {num(abs(c))} {name}")
-        text = " ".join(parts) if parts else "0 zero__"
-        return text.lstrip("+ ")
-
-    out = ["Maximize" if lp.sense == "max" else "Minimize"]
-    out.append(f" obj: {terms(lp.objective)}")
-    out.append("Subject To")
-    for k, con in enumerate(lp.constraints):
-        out.append(f" c{k}: {terms(con.coeffs)} {con.relation} {num(con.rhs)}")
-    out.append("Bounds")
-    for name in lp.variables:
-        ub = lp.upper_bounds.get(name)
-        if ub is None:
-            out.append(f" 0 <= {name}")
-        else:
-            out.append(f" 0 <= {name} <= {num(ub)}")
-    out.append("End")
-    return "\n".join(out) + "\n"

@@ -200,9 +200,10 @@ def solve_arcs(net: FlowNetwork, layers):
     every arc, two opposite arcs per undirected edge, and an edge's arcs
     share its capacity across all layers.  A layer's flow enters at origin,
     is conserved at every other node, and leaves through one exit variable
-    per exit node; a layer's exits are equal.  A commodity's finite demand
-    caps the sum of its layers' first exits, and the objective maximizes the
-    sum of all exits.
+    that each of its exit nodes draws on once, so every exit node passes the
+    same amount.  The objective weighs each exit variable by its layer's
+    number of exits (the sum of the flow leaving at every exit), and a
+    commodity's finite demand caps the sum of its layers' exit variables.
 
     Returns the LpSolution.
     """
@@ -220,29 +221,27 @@ def solve_arcs(net: FlowNetwork, layers):
 
     lp = lpmod.LinearProgram()
     flows, outs = [], []
-    for k, (_, _, exits) in enumerate(layers):
+    for k in range(len(layers)):
         flows.append([lp.add_variable(f"x{k}_{j}") for j in range(len(arcs))])
-        outs.append([lp.add_variable(f"x{k}_exit{j}") for j in range(len(exits))])
+        outs.append(lp.add_variable(f"x{k}_exit"))
     for e in net.edges:
         lp.add_constraint({row[j]: ONE for row in flows for j in by_edge[e.id]},
                           lpmod.LE, e.capacity)
     for (_, origin, exits), row, out in zip(layers, flows, outs):
-        exit_at = dict(zip(exits, out))
         for v in net.nodes:
             if v == origin:
                 continue
             coeffs = {row[j]: c for j, c in incidence[v]}
-            if v in exit_at:
-                coeffs[exit_at[v]] = -ONE
+            if v in exits:
+                coeffs[out] = -ONE
             if coeffs:
                 lp.add_constraint(coeffs, lpmod.EQ, 0)
-        for name in out[1:]:
-            lp.add_constraint({out[0]: ONE, name: -ONE}, lpmod.EQ, 0)
     for i, com in enumerate(net.commodities):
         if com.max_demand is not None:
-            firsts = [out[0] for (c, _, _), out in zip(layers, outs) if c == i]
-            lp.add_constraint(dict.fromkeys(firsts, ONE), lpmod.LE, com.max_demand)
-    lp.set_objective({name: ONE for out in outs for name in out}, "max")
+            mine = [out for (c, _, _), out in zip(layers, outs) if c == i]
+            lp.add_constraint(dict.fromkeys(mine, ONE), lpmod.LE, com.max_demand)
+    lp.set_objective({out: len(exits) for (_, _, exits), out in zip(layers, outs)},
+                     "max")
     return lpmod.solve(lp)
 
 

@@ -57,8 +57,9 @@ class TransformedNetwork:
 
     Every undirected edge becomes a pair of opposite arcs sharing the
     original capacity.  solve_transform copies these arcs into one layer
-    per (commodity, designated node) pair and adds the commodity's two
-    exits; its optimum equals twice the node-constrained flow value.
+    per (commodity, designated node) pair with one exit variable, drawn on
+    at the commodity's two endpoints and weighted 2 in the objective; its
+    optimum equals twice the node-constrained flow value.
     """
 
     original: FlowNetwork
@@ -82,19 +83,20 @@ def solve_transform(tr: TransformedNetwork):
     node-constrained flow value is V/2.
 
     One flow layer per (commodity i, designated node w) pair.  Layer (i, w)
-    has the edge arcs and two exits, one at s_i and one at t_i.  Flow
-    originates at w, is conserved at every other node, and leaves through
-    the exits in equal shares: a walk s_i -> w -> t_i of value f becomes f
-    from w back to s_i and f from w on to t_i, so the exits sum to 2f.  A
-    single layer with conservation dropped at every designated node at once
-    would let the program pair a source-side share split at one node with a
-    sink-side share split at another, counting walks that do not exist.
+    has the edge arcs and one exit variable y, drawn on at s_i and at t_i
+    and weighted 2 in the objective.  Flow originates at w, is conserved at
+    every other node, and leaves y at each of s_i and t_i: a walk
+    s_i -> w -> t_i of value f becomes f from w back to s_i and f from w on
+    to t_i, so y = f counts 2f.  A single layer with conservation dropped at
+    every designated node at once would let the program pair a source-side
+    share split at one node with a sink-side share split at another,
+    counting walks that do not exist.
     Each layer needs at least one exit at a conserved node, and s_i != t_i
-    gives it one, so the exits need no capacity of their own even when w is
+    gives it one, so the exit needs no capacity of its own even when w is
     an endpoint.
 
-    Finite demand ceilings cap the sum of commodity i's s_i exits over its
-    layers.
+    Finite demand ceilings cap the sum of commodity i's exit variables over
+    its layers.
     """
     net = tr.original
     sol = solve_arcs(net, [(i, w, (com.source, com.sink))

@@ -4,7 +4,6 @@ Each test prints exactly one PASS/FAIL line (run with -s to see them inline;
 pytest also shows captured output for failures).
 """
 
-import itertools
 import random
 import time
 

@@ -182,3 +182,29 @@ def test_node_guard_on_directed_path_solvers_exit_3(tmp_path, capsys):
                            "--max-nodes-exact", "12")
         assert code == 0, argv
         assert "objective: 1\n" in out
+
+
+def test_node_guard_on_undirected_walk_enumerators_exit_3(tmp_path, capsys):
+    nodes = [f"v{i}" for i in range(12)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "orientation": "undirected", "nodes": nodes,
+        "edges": [{"tail": a, "head": b, "capacity": 1}
+                  for a, b in zip(nodes, nodes[1:])],
+        "commodities": [{"src": "v0", "dst": "v11"}]}))
+    for argv in (("w-flow-simple", "--w", "v5"),
+                 ("w-flow", "--w", "v5", "--no-repeat")):
+        code, _, err = run(capsys, *argv, "--instance", str(path),
+                           "--max-nodes-exact", "5")
+        assert code == 3, argv
+        assert "limit" in err
+        code, out, _ = run(capsys, *argv, "--instance", str(path),
+                           "--max-nodes-exact", "12")
+        assert code == 0, argv
+        assert "objective: 1\n" in out
+    # The polynomial undirected solvers stay unguarded.
+    for argv in (("w-flow", "--w", "v5"), ("set-flow", "--set", "v5"),
+                 ("centrality", "--w", "v5")):
+        code, _, _ = run(capsys, *argv, "--instance", str(path),
+                         "--max-nodes-exact", "5")
+        assert code == 0, argv

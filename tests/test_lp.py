@@ -7,7 +7,6 @@ import pytest
 from nodeflow import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED,
                       LinearProgram, rat)
 from nodeflow import solve as solve_lp
-from nodeflow.lp import export_lp_text
 
 
 def test_small_max():
@@ -172,20 +171,13 @@ def test_names_checked_against_declared_variables():
     assert solve_lp(lp).objective == 2
 
 
-def test_export_lp_text_mentions_variables():
-    lp = LinearProgram()
-    lp.add_variable("flow_a", objective=1)
-    lp.add_constraint({"flow_a": 2}, LE, 3)
-    text = export_lp_text(lp)
-    assert "flow_a" in text
-    assert "Maximize" in text or "maximize" in text.lower()
-
-
 # -- the Bland path, pinned ----------------------------------------------------
 #
 # Exact arithmetic makes the pivot sequence a pure function of the program, so
 # any change to the tableau kernel must reproduce these pivot counts and
-# assignments value for value.  They were recorded from the dense kernel.
+# assignments value for value.  They were recorded from the dense kernel,
+# PINNED_TRANSFORM's pivot count from the start that gives equality rows
+# with right-hand side 0 no artificial.
 
 def _path_signature(lp, sol):
     """status, pivots, objective and every variable's value, in declaration
@@ -263,8 +255,9 @@ PINNED_RANDOM = [
 
 # The undirected transform program for augmenting-undirected through w, in
 # its earlier form with a collector, an apex and surrogate-capacity rows:
-# 19 variables, 18 declared rows.
-PINNED_TRANSFORM = 'optimal 10 6 | 0 2 0 2 2 0 1 0 0 0 0 0 2 0 0 1 3 3 6'
+# 19 variables, 18 declared rows, of which the 7 conservation and
+# equal-collector rows have right-hand side 0 and start without artificials.
+PINNED_TRANSFORM = 'optimal 12 6 | 0 2 0 2 2 0 1 0 0 0 0 0 2 0 0 1 3 3 6'
 
 
 def _collector_transform_program(net, w):
@@ -316,7 +309,7 @@ def test_bland_path_pinned_on_transform_program():
 
 def test_transform_program_has_only_rows_that_can_bind(monkeypatch):
     # The same question as the pinned program above, in the layer form: the
-    # 16 edge arcs and the two exits, with no collector, apex or surrogate.
+    # 16 edge arcs and one exit, with no collector, apex or surrogate.
     from nodeflow import get_builtin
     from nodeflow import lp as lpmod
     from nodeflow.wflow import build_transform, solve_transform
@@ -331,7 +324,140 @@ def test_transform_program_has_only_rows_that_can_bind(monkeypatch):
     tr = build_transform(get_builtin("augmenting-undirected").network, ("w",))
     value, _ = solve_transform(tr)
     (lp,) = built
-    # 8 edge capacity rows, conservation at the 5 nodes other than w, and
-    # the equal-exits row.
-    assert (len(lp.variables), len(lp.constraints)) == (18, 14)
+    # 16 arc variables and one exit; 8 edge capacity rows and conservation
+    # at the 5 nodes other than w.
+    assert (len(lp.variables), len(lp.constraints)) == (17, 13)
     assert value == 6
+
+
+# -- equality rows with right-hand side 0 ---------------------------------------
+#
+# These rows start with no artificial: each is pivoted in on its
+# lowest-index nonzero column, and one left all zero is dropped.
+
+def _two_route_flow(duplicate):
+    """Max flow from s over s->a->t, s->b->t and a->b, with conservation at
+    a and b as EQ rows with right-hand side 0; duplicate repeats a's row."""
+    lp = LinearProgram()
+    for name in ("sa", "sb", "ab", "at", "bt"):
+        lp.add_variable(name)
+    for name, cap in (("sa", 3), ("sb", 1), ("ab", 2), ("at", 1), ("bt", 4)):
+        lp.add_constraint({name: 1}, LE, cap)
+    at_a = {"sa": 1, "ab": -1, "at": -1}
+    lp.add_constraint(at_a, EQ, 0)
+    if duplicate:
+        lp.add_constraint(at_a, EQ, 0)
+    lp.add_constraint({"sb": 1, "ab": 1, "bt": -1}, EQ, 0)
+    lp.set_objective({"sa": 1, "sb": 1}, "max")
+    return lp
+
+
+def test_duplicated_zero_rhs_row_is_dropped():
+    plain = solve_lp(_two_route_flow(duplicate=False))
+    doubled = solve_lp(_two_route_flow(duplicate=True))
+    assert plain.status == doubled.status == OPTIMAL
+    assert plain.objective == doubled.objective == 4
+    # The copy is all zero once a's row is pivoted in, so it is dropped
+    # without a pivot of its own and the path is the same.
+    assert doubled.pivots == plain.pivots
+    assert doubled.assignment == plain.assignment
+
+
+def test_infeasible_with_the_only_nonzero_rhs_on_an_eq_row():
+    # x = y and x + y <= 0 force x = y = 0, which breaks x + 2y = 3.
+    lp = LinearProgram()
+    lp.add_variable("x", objective=1)
+    lp.add_variable("y", objective=1)
+    lp.add_constraint({"x": 1, "y": -1}, EQ, 0)
+    lp.add_constraint({"x": 1, "y": 1}, LE, 0)
+    lp.add_constraint({"x": 1, "y": 2}, EQ, 3)
+    assert solve_lp(lp).status == INFEASIBLE
+
+
+def _zero_rhs_dense_programs(seed, count):
+    """Programs whose rows are mostly EQ rows with right-hand side 0 (some
+    of them sums of earlier ones, so redundant), plus a few LE, GE and
+    nonzero EQ rows, upper bounds and both senses."""
+    rng = random.Random(seed)
+    programs = []
+    for _ in range(count):
+        nvars = rng.randint(2, 7)
+        lp = LinearProgram()
+        for j in range(nvars):
+            lp.add_variable(f"x{j}", upper=rng.choice([None, None, rng.randint(1, 5)]))
+        zero_rows = []
+        for _ in range(rng.randint(1, nvars)):
+            if len(zero_rows) > 1 and rng.random() < 0.25:
+                a, b = rng.sample(zero_rows, 2)
+                coeffs = {k: a.get(k, 0) + b.get(k, 0) for k in {*a, *b}}
+            else:
+                coeffs = {f"x{j}": rat(rng.choice([-2, -1, -1, 1, 1, 2]),
+                                       rng.choice([1, 1, 2]))
+                          for j in range(nvars) if rng.random() < 0.6}
+            zero_rows.append(coeffs)
+            lp.add_constraint(coeffs, EQ, 0)
+        for _ in range(rng.randint(0, 3)):
+            coeffs = {f"x{j}": rng.randint(-3, 3) for j in range(nvars)
+                      if rng.random() < 0.6}
+            relation = rng.choice([LE, LE, GE, EQ])
+            lp.add_constraint(coeffs, relation, rng.randint(-4, 8))
+        lp.set_objective({f"x{j}": rng.randint(-3, 3) for j in range(nvars)},
+                         rng.choice(["max", "max", "min"]))
+        programs.append(lp)
+    return programs
+
+
+def _highs(lp):
+    """(status, objective) from scipy's HiGHS, as floats."""
+    from scipy.optimize import linprog
+
+    col = lp.index
+    sign = -1.0 if lp.sense == "max" else 1.0
+    cost = [0.0] * len(lp.variables)
+    for name, c in lp.objective.items():
+        cost[col[name]] = sign * float(c)
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for con in lp.constraints:
+        vec = [0.0] * len(lp.variables)
+        for name, c in con.coeffs.items():
+            vec[col[name]] = float(c)
+        if con.relation == EQ:
+            a_eq.append(vec)
+            b_eq.append(float(con.rhs))
+        elif con.relation == LE:
+            a_ub.append(vec)
+            b_ub.append(float(con.rhs))
+        else:
+            a_ub.append([-x for x in vec])
+            b_ub.append(-float(con.rhs))
+    bounds = [(0, None if lp.upper_bounds.get(name) is None
+               else float(lp.upper_bounds[name])) for name in lp.variables]
+    res = linprog(cost, A_ub=a_ub or None, b_ub=b_ub or None,
+                  A_eq=a_eq or None, b_eq=b_eq or None, bounds=bounds,
+                  method="highs")
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[res.status]
+    return status, (sign * res.fun if status == OPTIMAL else None)
+
+
+def test_zero_rhs_dense_programs_match_highs():
+    pytest.importorskip("scipy")
+    seen = set()
+    for trial, lp in enumerate(_zero_rhs_dense_programs(6101, 120)):
+        sol = solve_lp(lp)
+        status, objective = _highs(lp)
+        assert sol.status == status, trial
+        seen.add(status)
+        if status != OPTIMAL:
+            continue
+        x = sol.assignment
+        assert all(x[name] >= 0 for name in lp.variables), trial
+        assert all(x[name] <= ub for name, ub in lp.upper_bounds.items()), trial
+        for con in lp.constraints:
+            lhs = sum((c * x[name] for name, c in con.coeffs.items()), rat(0))
+            holds = {LE: lhs <= con.rhs, GE: lhs >= con.rhs,
+                     EQ: lhs == con.rhs}[con.relation]
+            assert holds, trial
+        assert sol.objective == sum(
+            (c * x[name] for name, c in lp.objective.items()), rat(0)), trial
+        assert abs(float(sol.objective) - objective) <= 1e-9, trial
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}

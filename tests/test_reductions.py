@@ -1,11 +1,9 @@
-import itertools
 import random
 
-from nodeflow import (FlowNetwork, check_disjoint_shortest_paths,
-                      check_max_coverage, check_node_split,
-                      check_two_disjoint_paths, check_unit_path,
-                      max_coverage_brute, max_coverage_gadget,
-                      n_group_max_flow)
+from nodeflow import (check_disjoint_shortest_paths, check_max_coverage,
+                      check_node_split, check_two_disjoint_paths,
+                      check_unit_path, max_coverage_brute,
+                      max_coverage_gadget, n_group_max_flow)
 
 from conftest import random_directed
 

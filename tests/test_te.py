@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from nodeflow import (FlowNetwork, TruncatedFamily, check_demand_load_duality,
-                      decide_dmf, default_families, enumerate_paths,
-                      get_builtin, max_flow_arc_lp, rat, solve_te_lu,
-                      solve_te_mf)
+                      decide_dmf, enumerate_paths, get_builtin,
+                      max_flow_arc_lp, rat, solve_te_lu, solve_te_mf)
 
 from conftest import brute_max_flow, random_directed, random_undirected
 

@@ -7,8 +7,8 @@ from nodeflow import (FlowNetwork, MalformedNetwork, augmenting_w_flow,
                       get_builtin, group_flow, max_set_flow, max_set_flow_paths,
                       max_w_flow_exact, max_w_flow_simple,
                       max_w_flow_undirected, max_w_flow_undirected_norepeat,
-                      min_swt_edge_cut, rat, solve_te_mf, solve_transform,
-                      through, validate_walk, verify_cut)
+                      min_swt_edge_cut, rat, solve_te_mf, through,
+                      validate_walk, verify_cut)
 
 from conftest import (oracle_walks, pick_inner_node, random_directed,
                       random_undirected)
