@@ -294,12 +294,14 @@ def cmd_centrality(args, inst, rec):
 def cmd_group_flow(args, inst, rec):
     group = _need(args, inst, "group",
                   _nodelist(args.group) if args.group else None)
+    ctr._guard(inst.network, args.max_nodes_exact)
     result = ctr.group_flow(inst.network, group, cap=args.max_paths)
     rec.add("group", ",".join(result.group))
     rec.add("objective", result.value)
 
 
 def cmd_ngroup(args, inst, rec):
+    ctr._guard(inst.network, args.max_nodes_exact)
     result = ctr.n_group_max_flow(inst.network, args.n, method=args.method,
                                   cap=args.max_paths)
     rec.add("method", args.method)
@@ -312,6 +314,7 @@ def cmd_ngroup(args, inst, rec):
 
 
 def cmd_probe(args, inst, rec):
+    ctr._guard(inst.network, args.max_nodes_exact, enumerates=True)
     report = ctr.submodularity_probe(inst.network, trials=args.trials,
                                      seed=args.seed, cap=args.max_paths)
     rec.add("samples", report.samples)

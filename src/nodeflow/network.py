@@ -10,6 +10,9 @@ Terminology used throughout the package:
 Path enumeration is exhaustive and deterministic (lexicographic in the edge
 id sequence, forward traversal before reverse), with a configurable cap.  A
 family that hit the cap is marked truncated and the exact solvers refuse it.
+Families can hold many walks, so walks are kept small: an EdgeWalk has
+slots, and every enumerated walk shares one (edge id, direction) step tuple
+per arc with every other walk over that arc.
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ def fresh_name(base, taken):
     return name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeWalk:
     """A walk recorded as node sequence plus (edge id, direction) steps."""
 
@@ -234,6 +237,12 @@ class PathFamily:
         return len(self.paths)
 
 
+# (edge id, direction) -> the one step tuple for that arc.  Each entry equals
+# its key, so sharing the table between networks and calls changes no result,
+# only which equal tuple a walk holds; it grows to two entries per edge id.
+_STEPS = {}
+
+
 def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
                 adj=None) -> Iterator[EdgeWalk]:
     """Depth-first generator over edge-distinct walks source -> sink.
@@ -243,28 +252,38 @@ def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
     and come back), except in simple mode where extension past a visited node
     is impossible anyway.  adj, in the form of net.adjacency(), restricts the
     search to the edges it lists.
+
+    Every walk's steps are the shared tuples of _STEPS, one per arc, so a
+    family holds one step object per arc rather than one per step.
     """
     if adj is None:
         adj = net.adjacency()
+    # node -> [(key, next node, step)]; a key on the walk blocks the arc.  A
+    # directed edge has only its forward step, and an undirected one may be
+    # walked once each way, so the step is the key unless single_use blocks
+    # the whole edge.
+    arcs = {}
+    for node, pairs in adj.items():
+        out = arcs[node] = []
+        for edge, direction in pairs:
+            step = (edge.id, direction)
+            step = _STEPS.setdefault(step, step)
+            out.append((edge.id if single_use else step,
+                        edge.head if direction == FWD else edge.tail, step))
     node_seq = [source]
     steps = []
-    used = {}  # edge id -> set of directions used so far
+    used = set()  # keys of the arcs on the walk
     on_path = {source}  # only consulted in simple mode
 
     def extend(node):
         if node == sink and steps:
             yield EdgeWalk(tuple(node_seq), tuple(steps))
-        for edge, direction in adj[node]:
-            dirs = used.get(edge.id)
-            if dirs is not None:
-                if single_use or net.directed or direction in dirs:
-                    continue
-            nxt = edge.head if direction == FWD else edge.tail
-            if simple and nxt in on_path:
+        for key, nxt, step in arcs[node]:
+            if key in used or (simple and nxt in on_path):
                 continue
-            used.setdefault(edge.id, set()).add(direction)
+            used.add(key)
             node_seq.append(nxt)
-            steps.append((edge.id, direction))
+            steps.append(step)
             if simple:
                 on_path.add(nxt)
             yield from extend(nxt)
@@ -272,10 +291,7 @@ def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
                 on_path.discard(nxt)
             steps.pop()
             node_seq.pop()
-            dirs = used[edge.id]
-            dirs.discard(direction)
-            if not dirs:
-                del used[edge.id]
+            used.discard(key)
 
     yield from extend(source)
 

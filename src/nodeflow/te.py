@@ -28,7 +28,7 @@ from .network import UNCONSTRAINED, FlowNetwork, enumerate_paths
 from .rational import ONE, ZERO
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowSolution:
     status: str
     objective: object = None
@@ -79,6 +79,14 @@ def solve_columns(net: FlowNetwork, columns, minimize_load):
     theta subject to load <= c(e) * theta on every edge, with every
     commodity's routes carrying its required demand in full.
 
+    Equal columns of one commodity share one variable, held by the first
+    copy; its twins report 0.  Under Bland's rule this changes nothing but
+    the program's width: twins keep the same tableau column and reduced cost
+    as the first copy, so the lower-indexed first copy always enters before
+    them and they then price at 0.  Status, pivots, objective and every
+    first copy's flow are those of the program with one variable per
+    column.
+
     Returns (status, values, objective, pivots); values[i][k] is the flow on
     columns[i][k], or values is None when the program is not optimal.
     """
@@ -93,15 +101,25 @@ def solve_columns(net: FlowNetwork, columns, minimize_load):
     if minimize_load:
         theta = lp.add_variable("theta")
         lp.set_objective({theta: 1}, "min")
-    names = [[lp.add_variable(f"f_{i}_{k}") for k in range(len(cols))]
-             for i, cols in enumerate(columns)]
-    if not minimize_load:
-        lp.set_objective({name: 1 for row in names for name in row}, "max")
+    names = []  # names[i][k]: columns[i][k]'s variable, None for a twin
     cells = [{} for _ in net.edges]  # edge id -> {variable: load}
-    for row, cols in zip(names, columns):
-        for name, col in zip(row, cols):
+    for i, cols in enumerate(columns):
+        seen = set()
+        row = []
+        for k, col in enumerate(cols):
+            key = frozenset(col.items())
+            if key in seen:
+                row.append(None)
+                continue
+            seen.add(key)
+            name = lp.add_variable(f"f_{i}_{k}")
+            row.append(name)
             for eid, load in col.items():
                 cells[eid][name] = load
+        names.append(row)
+    distinct = [[name for name in row if name is not None] for row in names]
+    if not minimize_load:
+        lp.set_objective({name: 1 for row in distinct for name in row}, "max")
     for e in net.edges:
         coeffs = cells[e.id]
         if minimize_load:
@@ -109,7 +127,7 @@ def solve_columns(net: FlowNetwork, columns, minimize_load):
             lp.add_constraint(coeffs, lpmod.LE, 0)
         elif coeffs:
             lp.add_constraint(coeffs, lpmod.LE, e.capacity)
-    for row, com in zip(names, net.commodities):
+    for row, com in zip(distinct, net.commodities):
         if not row:
             continue
         if minimize_load:
@@ -119,7 +137,8 @@ def solve_columns(net: FlowNetwork, columns, minimize_load):
     sol = lpmod.solve(lp)
     if sol.status != lpmod.OPTIMAL:
         return sol.status, None, None, sol.pivots
-    values = [[sol.value(name) for name in row] for row in names]
+    values = [[ZERO if name is None else sol.value(name) for name in row]
+              for row in names]
     return sol.status, values, sol.objective, sol.pivots
 
 

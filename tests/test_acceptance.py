@@ -31,17 +31,20 @@ def _minimal_family(net, fam):
     from nodeflow import PathFamily
     vecs = {}
     for p in fam.paths:
-        mult = p.edge_multiplicity()
-        key = tuple(mult.get(e.id, 0) for e in net.edges)
-        vecs.setdefault(key, p)
-    keys = list(vecs)
-    keep = []
-    for k in keys:
-        dominated = any(o != k and all(a <= b for a, b in zip(o, k))
-                        for o in keys)
-        if not dominated:
-            keep.append(vecs[k])
-    return PathFamily(fam.source, fam.sink, fam.constraint, tuple(keep),
+        vec = [0] * len(net.edges)
+        for eid, _ in p.steps:
+            vec[eid] += 1
+        vecs.setdefault(tuple(vec), p)
+    # A vector that dominates another has a larger total, and dominance is
+    # transitive, so in order of total each vector need only be checked
+    # against the minimal ones kept before it.
+    minimal = []
+    for k in sorted(vecs, key=sum):
+        if not any(all(a <= b for a, b in zip(o, k)) for o in minimal):
+            minimal.append(k)
+    minimal = set(minimal)
+    keep = tuple(p for k, p in vecs.items() if k in minimal)
+    return PathFamily(fam.source, fam.sink, fam.constraint, keep,
                       fam.truncated, fam.single_use)
 
 

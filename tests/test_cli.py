@@ -208,3 +208,30 @@ def test_node_guard_on_undirected_walk_enumerators_exit_3(tmp_path, capsys):
         code, _, _ = run(capsys, *argv, "--instance", str(path),
                          "--max-nodes-exact", "5")
         assert code == 0, argv
+
+
+def test_node_guard_on_group_solvers_exit_3(tmp_path, capsys):
+    nodes = [f"v{i}" for i in range(12)]
+    for orientation in ("directed", "undirected"):
+        path = tmp_path / f"{orientation}.json"
+        path.write_text(json.dumps({
+            "orientation": orientation, "nodes": nodes,
+            "edges": [{"tail": a, "head": b, "capacity": 1}
+                      for a, b in zip(nodes, nodes[1:])],
+            "commodities": [{"src": "v0", "dst": "v11"}]}))
+        guarded = [("probe-submodularity", "--trials", "1")]
+        if orientation == "directed":
+            guarded += [("group-flow", "--group", "v5"), ("ngroup", "-n", "1")]
+        for argv in guarded:
+            code, _, err = run(capsys, *argv, "--instance", str(path),
+                               "--max-nodes-exact", "5")
+            assert code == 3, (orientation, argv)
+            assert "limit" in err
+            code, _, _ = run(capsys, *argv, "--instance", str(path),
+                             "--max-nodes-exact", "12")
+            assert code == 0, (orientation, argv)
+    # Group flow on an undirected network is the polynomial transform.
+    for argv in (("group-flow", "--group", "v5"), ("ngroup", "-n", "1")):
+        code, _, _ = run(capsys, *argv, "--instance", str(path),
+                         "--max-nodes-exact", "5")
+        assert code == 0, argv

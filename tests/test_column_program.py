@@ -13,7 +13,11 @@ import random
 import pytest
 
 from nodeflow import (FlowNetwork, InfiniteDemand, SrConfig, catalog,
-                      solve_sr_lu, solve_sr_mf, solve_te_lu, solve_te_mf)
+                      enumerate_paths, solve_sr_lu, solve_sr_mf, solve_te_lu,
+                      solve_te_mf, through)
+from nodeflow import lp as lpmod
+from nodeflow.srte import _tunnel_column, build_tunnels, segment_tables
+from nodeflow.te import solve_columns
 
 from conftest import random_directed, random_undirected
 
@@ -370,3 +374,88 @@ def test_te_lu_and_sr_lu_agree_on_infinite_demand():
         solve_te_lu(net)
     with pytest.raises(InfiniteDemand):
         solve_sr_lu(net, SrConfig(("b",), 1))
+
+
+def _without_twins(columns):
+    """Each commodity's columns with every repeat of an earlier equal column
+    deleted, and for each column the position of its first copy there."""
+    kept, where = [], []
+    for cols in columns:
+        first = {}
+        for col in cols:
+            first.setdefault(tuple(sorted(col.items())), len(first))
+        kept.append([dict(key) for key in first])
+        where.append([first[tuple(sorted(col.items()))] for col in cols])
+    return kept, where
+
+
+def _assert_merge_is_exact(net, columns, minimize_load, monkeypatch):
+    """solve_columns over columns with twins behaves as over the columns
+    without them; returns the number of twins."""
+    widths = []
+    real_solve = lpmod.solve
+
+    def solve(lp):
+        widths.append(len(lp.variables))
+        return real_solve(lp)
+
+    monkeypatch.setattr(lpmod, "solve", solve)
+    kept, where = _without_twins(columns)
+    status, values, objective, pivots = solve_columns(net, columns, minimize_load)
+    ref_status, ref_values, ref_objective, ref_pivots = solve_columns(
+        net, kept, minimize_load)
+    monkeypatch.setattr(lpmod, "solve", real_solve)
+    assert (status, pivots, objective) == (ref_status, ref_pivots, ref_objective)
+    # Both programs have one variable per distinct column, plus theta when
+    # minimizing load; none is built when a commodity without routes must
+    # carry flow.
+    distinct = sum(len(cols) for cols in kept)
+    assert widths in ([], [distinct + minimize_load] * 2)
+    if ref_values is None:
+        assert values is None
+    else:
+        for i, cols in enumerate(where):
+            seen = set()
+            for k, pos in enumerate(cols):
+                assert values[i][k] == (0 if pos in seen else ref_values[i][pos])
+                seen.add(pos)
+    return sum(len(cols) for cols in columns) - distinct
+
+
+def test_equal_columns_share_one_variable_on_walks(monkeypatch):
+    rng = random.Random(7331)
+    twins = 0
+    for _ in range(40):
+        net = random_directed(rng, n_nodes=rng.randint(4, 6),
+                              n_edges=rng.randint(7, 11),
+                              n_commodities=rng.randint(1, 2),
+                              finite_demands=True, min_demands=True)
+        w = rng.choice(net.nodes)
+        columns = [[walk.edge_multiplicity()
+                    for walk in enumerate_paths(net, i, through(w)).paths]
+                   for i in range(len(net.commodities))]
+        for minimize_load in (False, True):
+            twins += _assert_merge_is_exact(net, columns, minimize_load,
+                                            monkeypatch)
+    assert twins > 0
+
+
+def test_equal_columns_share_one_variable_on_tunnels(monkeypatch):
+    rng = random.Random(7332)
+    twins = fractional = 0
+    for _ in range(40):
+        net = random_undirected(rng, n_nodes=rng.randint(5, 7),
+                                n_edges=rng.randint(6, 10),
+                                n_commodities=rng.randint(1, 3),
+                                finite_demands=True)
+        cfg = SrConfig(tuple(rng.sample(net.nodes, 4)), 2)
+        tunnels = build_tunnels(net, cfg)
+        tables = segment_tables(net, tunnels)
+        columns = [[_tunnel_column(t, com, tables) for t in ts]
+                   for com, ts in zip(net.commodities, tunnels)]
+        fractional += sum(1 for cols in columns for col in cols
+                          if any(v.denominator > 1 for v in col.values()))
+        for minimize_load in (False, True):
+            twins += _assert_merge_is_exact(net, columns, minimize_load,
+                                            monkeypatch)
+    assert twins > 0 and fractional > 0

@@ -1,12 +1,13 @@
+import hashlib
 import random
 
 import pytest
 
-from nodeflow import (FlowNetwork, MalformedNetwork, UnknownNode,
+from nodeflow import (FlowNetwork, MalformedNetwork, UnknownNode, catalog,
                       concat_walks, enumerate_st_paths, get_builtin,
                       reverse_walk, simple_through, through, through_any,
                       validate_walk)
-from nodeflow.network import EdgeWalk
+from nodeflow.network import EdgeWalk, _iter_walks
 
 from conftest import oracle_walks, random_directed, random_undirected
 
@@ -130,3 +131,53 @@ def test_edge_ids_dense():
         from nodeflow.network import Edge
         FlowNetwork("directed", ("a", "b"),
                     (Edge(1, "a", "b", 1),), ())
+
+
+def _walk_order_networks():
+    nets = [b.network for b in catalog()]
+    rng = random.Random(2026)
+    for _ in range(16):
+        nets.append(random_directed(rng, n_nodes=rng.randint(4, 6),
+                                    n_edges=rng.randint(6, 11)))
+        nets.append(random_undirected(rng, n_nodes=rng.randint(4, 6),
+                                      n_edges=rng.randint(4, 8)))
+    return nets
+
+
+# Walk count and SHA-256 of every walk's (nodes, steps), in search order,
+# over every ordered pair of _walk_order_networks() in plain, simple and
+# single_use mode.  Recorded from the search that allocated a step tuple per
+# DFS step, before the steps were shared.
+PINNED_WALK_ORDER = (
+    235005, "4e917ca8627cc342baa8b960da879be1ccb0c8ae0e2e771d1ecb8b0692021583")
+
+
+def test_walk_order_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for net in _walk_order_networks():
+        for s in net.nodes:
+            for t in net.nodes:
+                if s == t:
+                    continue
+                for simple, single_use in ((False, False), (True, False),
+                                           (False, True)):
+                    digest.update(f"{s}>{t}:{simple},{single_use};".encode())
+                    for walk in _iter_walks(net, s, t, simple, single_use):
+                        digest.update(repr((walk.nodes, walk.steps)).encode())
+                        count += 1
+    assert (count, digest.hexdigest()) == PINNED_WALK_ORDER
+
+
+def test_walks_share_step_tuples():
+    # Walks of two separate searches that cross one arc hold one step object.
+    net = get_builtin("augmenting-undirected").network
+    walks = (enumerate_st_paths(net, net.nodes[0], net.nodes[-1]).paths
+             + enumerate_st_paths(net, net.nodes[-1], net.nodes[0]).paths)
+    first = {}
+    occurrences = 0
+    for walk in walks:
+        for step in walk.steps:
+            assert first.setdefault(step, step) is step
+            occurrences += 1
+    assert occurrences > 10 * len(first)
