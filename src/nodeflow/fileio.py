@@ -7,7 +7,6 @@ of "inf" means unbounded.  Unknown keys are rejected to catch typos early.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .errors import ParseError
@@ -198,6 +197,10 @@ def save_instance(instance: Instance, path):
 
 
 def instance_hash(instance: Instance) -> str:
+    # hashlib loads OpenSSL (some 3.5 MB of memory), so it is imported only
+    # by the one caller that needs it.
+    import hashlib
+
     canonical = json.dumps(instance_to_dict(instance), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

@@ -9,8 +9,12 @@ Two formulations over an explicit path family per commodity:
 
 Both are exact, and both are solve_columns with one column per walk; the
 segment-routing tunnel programs in srte are the same program with one
-column per tunnel.  A truncated path family is refused -- the optimum over
-an incomplete family is not the optimum of the instance.
+column per tunnel.  Only minimal columns get an LP variable: a walk or
+tunnel whose load vector is at least another's of the same commodity on
+every edge is never needed, since moving its flow to the smaller one keeps
+every row satisfied at the same objective.  A truncated path family is
+refused -- the optimum over an incomplete family is not the optimum of the
+instance.
 
 The other program is solve_arcs, one copy of every arc per flow layer and
 no enumeration: one layer per commodity gives the unconstrained maximum
@@ -70,6 +74,29 @@ def _check_families(net, families):
             raise ValueError(f"family {i} endpoints do not match commodity")
 
 
+def _minimal_columns(cols):
+    """Indices of the minimal columns: the first copy of each distinct
+    column that no other column lies below on every edge.
+
+    A column that lies below another has no larger total load, so in order
+    of (total load, index) each first copy need only be compared with the
+    minimal ones kept before it; the key-subset test rules most of them out
+    before any load is compared.
+    """
+    first = {}
+    for k, col in enumerate(cols):
+        first.setdefault(frozenset(col.items()), k)
+    kept, keep = [], set()
+    for _, k in sorted((sum(cols[k].values()), k) for k in first.values()):
+        col = cols[k]
+        if not any(m.keys() <= col.keys()
+                   and all(col[eid] >= load for eid, load in m.items())
+                   for m in kept):
+            kept.append(col)
+            keep.add(k)
+    return keep
+
+
 def solve_columns(net: FlowNetwork, columns, minimize_load):
     """The program shared by the path and tunnel formulations.
 
@@ -79,13 +106,14 @@ def solve_columns(net: FlowNetwork, columns, minimize_load):
     theta subject to load <= c(e) * theta on every edge, with every
     commodity's routes carrying its required demand in full.
 
-    Equal columns of one commodity share one variable, held by the first
-    copy; its twins report 0.  Under Bland's rule this changes nothing but
-    the program's width: twins keep the same tableau column and reduced cost
-    as the first copy, so the lower-indexed first copy always enters before
-    them and they then price at 0.  Status, pivots, objective and every
-    first copy's flow are those of the program with one variable per
-    column.
+    Only a commodity's minimal columns get a variable; every other column
+    reports 0.  A column is dropped when an earlier equal column (a twin) or
+    another column of the same commodity lies below it on every edge: moving
+    its flow to that column keeps every capacity and demand row satisfied
+    and the objective unchanged, so status, objective and theta are those of
+    the program with one variable per column.  The pivots, and which minimal
+    column carries the flow, may differ from that program's.  Variables are
+    made in column order, so Bland's ties still favour the earliest column.
 
     Returns (status, values, objective, pivots); values[i][k] is the flow on
     columns[i][k], or values is None when the program is not optimal.
@@ -101,25 +129,23 @@ def solve_columns(net: FlowNetwork, columns, minimize_load):
     if minimize_load:
         theta = lp.add_variable("theta")
         lp.set_objective({theta: 1}, "min")
-    names = []  # names[i][k]: columns[i][k]'s variable, None for a twin
+    names = []  # names[i][k]: columns[i][k]'s variable, None if dropped
     cells = [{} for _ in net.edges]  # edge id -> {variable: load}
     for i, cols in enumerate(columns):
-        seen = set()
+        keep = _minimal_columns(cols)
         row = []
         for k, col in enumerate(cols):
-            key = frozenset(col.items())
-            if key in seen:
+            if k not in keep:
                 row.append(None)
                 continue
-            seen.add(key)
             name = lp.add_variable(f"f_{i}_{k}")
             row.append(name)
             for eid, load in col.items():
                 cells[eid][name] = load
         names.append(row)
-    distinct = [[name for name in row if name is not None] for row in names]
+    kept = [[name for name in row if name is not None] for row in names]
     if not minimize_load:
-        lp.set_objective({name: 1 for row in distinct for name in row}, "max")
+        lp.set_objective({name: 1 for row in kept for name in row}, "max")
     for e in net.edges:
         coeffs = cells[e.id]
         if minimize_load:
@@ -127,7 +153,7 @@ def solve_columns(net: FlowNetwork, columns, minimize_load):
             lp.add_constraint(coeffs, lpmod.LE, 0)
         elif coeffs:
             lp.add_constraint(coeffs, lpmod.LE, e.capacity)
-    for row, com in zip(distinct, net.commodities):
+    for row, com in zip(kept, net.commodities):
         if not row:
             continue
         if minimize_load:

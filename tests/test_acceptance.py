@@ -23,31 +23,6 @@ from nodeflow import (SrConfig, Tunnel, acyclic_feasible, augmenting_w_flow,
 from conftest import pick_inner_node, random_directed, random_undirected
 
 
-def _minimal_family(net, fam):
-    """Drop LP columns that cannot matter: of walks with identical edge
-    multiplicities keep one, and drop any walk whose multiplicity vector
-    componentwise dominates another's (the dominated-by walk routes the same
-    unit using no more of any capacity)."""
-    from nodeflow import PathFamily
-    vecs = {}
-    for p in fam.paths:
-        vec = [0] * len(net.edges)
-        for eid, _ in p.steps:
-            vec[eid] += 1
-        vecs.setdefault(tuple(vec), p)
-    # A vector that dominates another has a larger total, and dominance is
-    # transitive, so in order of total each vector need only be checked
-    # against the minimal ones kept before it.
-    minimal = []
-    for k in sorted(vecs, key=sum):
-        if not any(all(a <= b for a, b in zip(o, k)) for o in minimal):
-            minimal.append(k)
-    minimal = set(minimal)
-    keep = tuple(p for k, p in vecs.items() if k in minimal)
-    return PathFamily(fam.source, fam.sink, fam.constraint, keep,
-                      fam.truncated, fam.single_use)
-
-
 def _report(num, label, ok):
     print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} - {label}")
     assert ok, f"criterion {num} failed: {label}"
@@ -94,7 +69,7 @@ def test_criterion_03_undirected_transform_equivalence():
         if w is None:
             continue
         brute = solve_te_mf(
-            net, [_minimal_family(net, enumerate_paths(net, i, through(w)))
+            net, [enumerate_paths(net, i, through(w))
                   for i in range(len(net.commodities))]).objective
         if max_w_flow_undirected(net, w) != brute:
             ok = False

@@ -5,7 +5,10 @@ per-commodity routes (walks or segment-routing tunnels).  Exact arithmetic
 makes each solve a pure function of that program, so the status, pivot
 count, objective, theta and every nonzero flow are pinned on every builtin
 and on a seeded random set.  They were recorded from the three separate
-builders the shared one replaced.
+builders the shared one replaced, and re-recorded when dominated columns
+lost their variables (no status, objective or theta moved).  The pruning
+itself is checked against the program over every distinct column, built
+here directly.
 """
 
 import random
@@ -18,6 +21,8 @@ from nodeflow import (FlowNetwork, InfiniteDemand, SrConfig, catalog,
 from nodeflow import lp as lpmod
 from nodeflow.srte import _tunnel_column, build_tunnels, segment_tables
 from nodeflow.te import solve_columns
+
+_lp_solve = lpmod.solve
 
 from conftest import random_directed, random_undirected
 
@@ -96,8 +101,8 @@ PINNED_BUILTINS = {
     "augmenting-undirected sr-mf M=2": "optimal 3 9 None | 0:-=5 0:u=4",
     "augmenting-undirected te-lu": "InfiniteDemand",
     "augmenting-undirected te-mf":
-        "optimal 22 9 None | 0:0+,1+,6+=2 0:0+,5-,4-,7+,3+=5 0:4+,4-,7+,3+=1 "
-        "0:7+,2-,2+,3+=1",
+        "optimal 4 9 None | 0:0+,1+,2+,3+=1 0:0+,1+,6+=1 0:7+,2-,6+=1 "
+        "0:7+,3+=6",
     "cycle-3 sr-lu M=1": "optimal 3 1 1 | 0:-=1",
     "cycle-3 sr-lu M=2": "optimal 3 1 1 | 0:-=1",
     "cycle-3 sr-mf M=1": "optimal 1 1 None | 0:-=1",
@@ -123,17 +128,15 @@ PINNED_BUILTINS = {
     "fig8-undirected sr-mf M=1": "optimal 3 3 None | 0:-=1 1:-=1 2:-=1",
     "fig8-undirected sr-mf M=2": "optimal 3 3 None | 0:-=1 1:-=1 2:-=1",
     "fig8-undirected te-lu":
-        "optimal 11 3/2 3/2 | 0:0+,1+,2+,3+,4+=2 1:5+,0-,0+,1+,2+,2-,6+=1 "
-        "2:7+,2-,2+,3+,4+,4-,8+=1",
+        "optimal 8 3/2 3/2 | 0:0+,1+,2+,3+,4+=2 1:5+,1+,6+=1 2:7+,3+,8+=1",
     "fig8-undirected te-mf":
-        "optimal 4 3 None | 0:0+,1+,2+,3+,4+=1 1:5+,0-,0+,1+,2+,2-,6+=1 "
-        "2:7+,2-,2+,3+,4+,4-,8+=1",
+        "optimal 3 3 None | 0:0+,1+,2+,3+,4+=1 1:5+,1+,6+=1 2:7+,3+,8+=1",
     "figadd sr-lu M=1": "optimal 2 1 1 | 0:-=1",
     "figadd sr-lu M=2": "optimal 2 1 1 | 0:-=1",
     "figadd sr-mf M=1": "optimal 1 1 None | 0:-=1",
     "figadd sr-mf M=2": "optimal 1 1 None | 0:-=1",
-    "figadd te-lu": "optimal 3 1 1 | 0:0+,1+,2+=1",
-    "figadd te-mf": "optimal 2 1 None | 0:0+,1+,2+=1",
+    "figadd te-lu": "optimal 2 1 1 | 0:2+=1",
+    "figadd te-mf": "optimal 1 1 None | 0:2+=1",
     "remarks sr-lu M=1": "InfiniteDemand",
     "remarks sr-lu M=2": "InfiniteDemand",
     "remarks sr-mf M=1": "optimal 2 4 None | 0:-=2 0:u=2",
@@ -151,7 +154,7 @@ PINNED_BUILTINS = {
     "wst-undirected sr-mf M=1": "optimal 1 1 None | 0:-=1",
     "wst-undirected sr-mf M=2": "optimal 1 1 None | 0:-=1",
     "wst-undirected te-lu": "InfiniteDemand",
-    "wst-undirected te-mf": "optimal 2 1 None | 0:0-,0+,1+=1/2 0:1+=1/2",
+    "wst-undirected te-mf": "optimal 1 1 None | 0:1+=1",
 }
 
 PINNED_RANDOM = {
@@ -161,7 +164,7 @@ PINNED_RANDOM = {
     "random-00 sr-mf M=2": "optimal 4 4 None | 0:-=1 0:n4=1 1:-=2",
     "random-00 te-lu": "InfiniteDemand",
     "random-00 te-mf":
-        "optimal 6 5 None | 0:0+,5-=1 0:1+,2-,4+=1 0:3+=2 1:4-,2+=1",
+        "optimal 4 5 None | 0:0+,5-=1 0:1+,2-,4+=1 0:3+=2 1:4-,2+=1",
     "random-01 sr-lu M=1": "optimal 7 1/7 1/7 | 1:-=3/7 1:n1=4/7",
     "random-01 sr-lu M=2": "optimal 7 1/7 1/7 | 1:-=3/7 1:n1=4/7",
     "random-01 sr-mf M=1": "optimal 2 3 None | 0:-=1 1:-=2",
@@ -173,9 +176,8 @@ PINNED_RANDOM = {
     "random-02 sr-mf M=1": "optimal 2 4 None | 0:-=1 1:-=3",
     "random-02 sr-mf M=2": "optimal 2 4 None | 0:-=1 1:-=3",
     "random-02 te-lu":
-        "optimal 8 2/3 2/3 | 0:1+=1 1:0+,0-,2+=5/6 1:0+,1-=1/3 1:2+=11/6",
-    "random-02 te-mf":
-        "optimal 4 4 None | 0:1+=1 1:0+,0-,2+=1 1:0+,1-=1 1:2+=1",
+        "optimal 6 2/3 2/3 | 0:1+=1/6 0:2-,0+=5/6 1:0+,1-=7/6 1:2+=11/6",
+    "random-02 te-mf": "optimal 4 4 None | 0:2-,0+=1 1:0+,1-=2 1:2+=1",
     "random-03 sr-lu M=1": "InfiniteDemand",
     "random-03 sr-lu M=2": "InfiniteDemand",
     "random-03 sr-mf M=1": "optimal 1 1 None | 1:-=1",
@@ -201,9 +203,7 @@ PINNED_RANDOM = {
     "random-06 sr-mf M=2":
         "optimal 4 31/4 None | 0:-=1/4 0:n0=5/4 0:n4=9/4 1:-=4",
     "random-06 te-lu": "InfiniteDemand",
-    "random-06 te-mf":
-        "optimal 6 9 None | 0:0+,0-,3-,1-=1/2 0:0+,4-,5+=3 0:2-=2 "
-        "0:3-,1-=7/2",
+    "random-06 te-mf": "optimal 4 9 None | 0:0+,4-,5+=3 0:2-=2 0:3-,1-=4",
     "random-07 sr-lu M=1": "optimal 3 0 0 | ",
     "random-07 sr-lu M=2": "optimal 3 0 0 | ",
     "random-07 sr-mf M=1": "optimal 2 1 None | 0:-=1",
@@ -214,8 +214,7 @@ PINNED_RANDOM = {
     "random-08 sr-lu M=2": "optimal 4 1 1 | 0:-=3 1:-=2 1:n1=1",
     "random-08 sr-mf M=1": "optimal 3 6 None | 0:-=3 1:-=2 1:n1=1",
     "random-08 sr-mf M=2": "optimal 3 6 None | 0:-=3 1:-=2 1:n1=1",
-    "random-08 te-lu":
-        "optimal 8 1 1 | 0:1-=5/2 0:2+,0-=1/2 1:0+=3/2 1:1+,2+=3/2",
+    "random-08 te-lu": "optimal 4 1 1 | 0:1-=3 1:0+=2 1:1+,2+=1",
     "random-08 te-mf": "optimal 3 6 None | 0:1-=3 1:0+=2 1:1+,2+=1",
     "random-09 sr-lu M=1": "InfiniteDemand",
     "random-09 sr-lu M=2": "InfiniteDemand",
@@ -223,16 +222,15 @@ PINNED_RANDOM = {
     "random-09 sr-mf M=2": "optimal 2 3 None | 0:-=1 1:-=2",
     "random-09 te-lu": "InfiniteDemand",
     "random-09 te-mf":
-        "optimal 4 6 None | 0:0+,1+=1 1:3+,4+,1+,6+=2 1:3+,6+=1 1:7+=2",
+        "optimal 4 6 None | 0:0+,1+=1 1:3+,4+,5+=2 1:3+,6+=1 1:7+=2",
     "random-10 sr-lu M=1": "optimal 4 6/7 6/7 | 0:-=2 1:-=24/7 1:n2=4/7",
     "random-10 sr-lu M=2": "optimal 4 6/7 6/7 | 0:-=2 1:-=24/7 1:n2=4/7",
     "random-10 sr-mf M=1": "optimal 3 6 None | 0:-=2 1:-=4",
     "random-10 sr-mf M=2": "optimal 3 6 None | 0:-=2 1:-=4",
     "random-10 te-lu":
-        "optimal 8 6/7 6/7 | 0:1-,0+=4/7 0:2+=10/7 1:0+,2-=8/7 1:1+=20/7",
+        "optimal 6 6/7 6/7 | 0:1-,0+=4/7 0:2+=10/7 1:0+,2-=8/7 1:1+=20/7",
     "random-10 te-mf":
-        "optimal 6 6 None | 0:1-,1+,2+=1/2 0:2+=3/2 1:0+,0-,1+=1/2 1:0+,2-=1 "
-        "1:1+=5/2",
+        "optimal 4 6 None | 0:1-,0+=1/2 0:2+=3/2 1:0+,2-=3/2 1:1+=5/2",
     "random-11 sr-lu M=1": "optimal 3 0 0 | ",
     "random-11 sr-lu M=2": "optimal 3 0 0 | ",
     "random-11 sr-mf M=1": "optimal 1 1 None | 0:-=1",
@@ -281,7 +279,7 @@ PINNED_RANDOM = {
     "random-18 sr-mf M=2": "optimal 4 6 None | 0:-=3 0:n3=2 1:-=1",
     "random-18 te-lu": "InfiniteDemand",
     "random-18 te-mf":
-        "optimal 6 7 None | 0:3+,0-,2-=1 0:3+,1-=1 0:5+=4 1:2+,4-=1",
+        "optimal 4 7 None | 0:3+,0-,2-=1 0:3+,1-=1 0:5+=4 1:2+,4-=1",
     "random-19 sr-lu M=1": "infeasible 0 None None | ",
     "random-19 sr-lu M=2": "infeasible 0 None None | ",
     "random-19 sr-mf M=1": "optimal 0 0 None | ",
@@ -292,8 +290,8 @@ PINNED_RANDOM = {
     "random-20 sr-lu M=2": "optimal 3 1/5 1/5 | 0:-=4/5 0:n1=1/5",
     "random-20 sr-mf M=1": "optimal 1 1 None | 0:-=1",
     "random-20 sr-mf M=2": "optimal 1 1 None | 0:-=1",
-    "random-20 te-lu": "optimal 4 1/5 1/5 | 0:0+,2+=1/5 0:1+=4/5",
-    "random-20 te-mf": "optimal 3 1 None | 0:0+,2+=1",
+    "random-20 te-lu": "optimal 3 1/5 1/5 | 0:0+,2+=1/5 0:1+=4/5",
+    "random-20 te-mf": "optimal 2 1 None | 0:0+,2+=1",
     "random-21 sr-lu M=1": "InfiniteDemand",
     "random-21 sr-lu M=2": "InfiniteDemand",
     "random-21 sr-mf M=1": "optimal 1 2 None | 0:-=2",
@@ -304,14 +302,14 @@ PINNED_RANDOM = {
     "random-22 sr-lu M=2": "optimal 3 1 1 | 0:-=2 0:n0=2",
     "random-22 sr-mf M=1": "optimal 2 4 None | 0:-=2 0:n0=2",
     "random-22 sr-mf M=2": "optimal 2 4 None | 0:-=2 0:n0=2",
-    "random-22 te-lu": "optimal 4 1 1 | 0:0-,0+,1+=1/2 0:0-,2+=2 0:1+=3/2",
-    "random-22 te-mf": "optimal 3 4 None | 0:0-,0+,1+=1/2 0:0-,2+=2 0:1+=3/2",
+    "random-22 te-lu": "optimal 4 1 1 | 0:0-,2+=2 0:1+=2",
+    "random-22 te-mf": "optimal 2 4 None | 0:0-,2+=2 0:1+=2",
     "random-23 sr-lu M=1": "optimal 3 4/5 4/5 | 0:-=12/5 0:n2=8/5",
     "random-23 sr-lu M=2": "optimal 3 4/5 4/5 | 0:-=12/5 0:n2=8/5",
     "random-23 sr-mf M=1": "optimal 2 4 None | 0:-=3 0:n2=1",
     "random-23 sr-mf M=2": "optimal 2 4 None | 0:-=3 0:n2=1",
-    "random-23 te-lu": "optimal 5 4/5 4/5 | 0:3+,4+=8/5 0:5+=12/5",
-    "random-23 te-mf": "optimal 3 4 None | 0:3+,1+,5+=1 0:3+,4+=1 0:5+=2",
+    "random-23 te-lu": "optimal 3 4/5 4/5 | 0:3+,4+=8/5 0:5+=12/5",
+    "random-23 te-mf": "optimal 2 4 None | 0:3+,4+=2 0:5+=2",
     "random-24 sr-lu M=1": "InfiniteDemand",
     "random-24 sr-lu M=2": "InfiniteDemand",
     "random-24 sr-mf M=1": "optimal 3 16/3 None | 0:-=5/3 0:n2=1 0:n0=8/3",
@@ -329,11 +327,9 @@ PINNED_RANDOM = {
     "random-26 sr-mf M=1": "optimal 2 4 None | 0:-=3 1:-=1",
     "random-26 sr-mf M=2": "optimal 2 4 None | 0:-=3 1:-=1",
     "random-26 te-lu":
-        "optimal 33 5/6 5/6 | 0:1-,4-,0+=2/3 0:2-,0+=5/6 0:3-,3+,5-=1/4 "
-        "0:3-,3+,5-,0-,0+=11/12 0:5-=4/3 1:3+,1-,1+,2-=5/6 1:3+,1-,4-=1/6",
-    "random-26 te-mf":
-        "optimal 9 5 None | 0:1-,4-,0+=1 0:2-,0+=1 0:3-,3+,5-=3/2 0:5-=1/2 "
-        "1:3+,1-,1+,2-=1",
+        "optimal 10 5/6 5/6 | 0:1-,4-,0+=3/4 0:2-,0+=5/3 0:5-=19/12 "
+        "1:3+,1-,4-=1/12 1:3+,5-,0-=11/12",
+    "random-26 te-mf": "optimal 5 5 None | 0:2-,0+=2 0:5-=2 1:3+,1-,4-=1",
     "random-27 sr-lu M=1": "InfiniteDemand",
     "random-27 sr-lu M=2": "InfiniteDemand",
     "random-27 sr-mf M=1": "optimal 0 0 None | ",
@@ -376,78 +372,162 @@ def test_te_lu_and_sr_lu_agree_on_infinite_demand():
         solve_sr_lu(net, SrConfig(("b",), 1))
 
 
-def _without_twins(columns):
-    """Each commodity's columns with every repeat of an earlier equal column
-    deleted, and for each column the position of its first copy there."""
-    kept, where = [], []
-    for cols in columns:
-        first = {}
-        for col in cols:
-            first.setdefault(tuple(sorted(col.items())), len(first))
-        kept.append([dict(key) for key in first])
-        where.append([first[tuple(sorted(col.items()))] for col in cols])
-    return kept, where
+def _vector(net, col):
+    return tuple(col.get(e.id, 0) for e in net.edges)
 
 
-def _assert_merge_is_exact(net, columns, minimize_load, monkeypatch):
-    """solve_columns over columns with twins behaves as over the columns
-    without them; returns the number of twins."""
+def _minimal(vectors):
+    """The vectors no other one lies below on every edge."""
+    return {v for v in vectors
+            if not any(u != v and all(a <= b for a, b in zip(u, v))
+                       for u in vectors)}
+
+
+def _oracle(net, columns, minimize_load):
+    """The path or tunnel program over every distinct column of each
+    commodity, built directly: (status, objective)."""
+    lp = lpmod.LinearProgram()
+    use = [{} for _ in net.edges]
+    routes = []
+    for i, cols in enumerate(columns):
+        names = []
+        for j, vec in enumerate(sorted({_vector(net, c) for c in cols})):
+            names.append(lp.add_variable(f"y_{i}_{j}"))
+            for eid, load in enumerate(vec):
+                if load:
+                    use[eid][names[-1]] = load
+        routes.append(names)
+    if minimize_load:
+        lp.add_variable("theta")
+        lp.set_objective({"theta": 1}, "min")
+    else:
+        lp.set_objective({n: 1 for names in routes for n in names}, "max")
+    for e in net.edges:
+        if minimize_load:
+            lp.add_constraint({**use[e.id], "theta": -e.capacity}, lpmod.LE, 0)
+        else:
+            lp.add_constraint(use[e.id], lpmod.LE, e.capacity)
+    for names, com in zip(routes, net.commodities):
+        if minimize_load:
+            lp.add_constraint(dict.fromkeys(names, 1), lpmod.GE,
+                              com.effective_min())
+        elif com.max_demand is not None:
+            lp.add_constraint(dict.fromkeys(names, 1), lpmod.LE, com.max_demand)
+    sol = _lp_solve(lp)
+    return sol.status, sol.objective
+
+
+def _assert_pruning_is_exact(net, columns, minimize_load, monkeypatch):
+    """solve_columns answers as the program over every distinct column does,
+    with one variable per minimal column (its first copy) and flow on
+    nothing else; returns the numbers of twin and of dominated columns."""
     widths = []
-    real_solve = lpmod.solve
 
     def solve(lp):
         widths.append(len(lp.variables))
-        return real_solve(lp)
+        return _lp_solve(lp)
 
     monkeypatch.setattr(lpmod, "solve", solve)
-    kept, where = _without_twins(columns)
-    status, values, objective, pivots = solve_columns(net, columns, minimize_load)
-    ref_status, ref_values, ref_objective, ref_pivots = solve_columns(
-        net, kept, minimize_load)
-    monkeypatch.setattr(lpmod, "solve", real_solve)
-    assert (status, pivots, objective) == (ref_status, ref_pivots, ref_objective)
-    # Both programs have one variable per distinct column, plus theta when
-    # minimizing load; none is built when a commodity without routes must
-    # carry flow.
-    distinct = sum(len(cols) for cols in kept)
-    assert widths in ([], [distinct + minimize_load] * 2)
-    if ref_values is None:
+    status, values, objective, _ = solve_columns(net, columns, minimize_load)
+    assert (status, objective) == _oracle(net, columns, minimize_load)
+    vectors = [[_vector(net, c) for c in cols] for cols in columns]
+    kept = set()
+    twins = dominated = 0
+    for i, vecs in enumerate(vectors):
+        first = {}
+        for k, vec in enumerate(vecs):
+            first.setdefault(vec, k)
+        minimal = _minimal(first)
+        kept |= {(i, first[vec]) for vec in minimal}
+        twins += len(vecs) - len(first)
+        dominated += len(first) - len(minimal)
+    # theta is one more variable; no program is built when a commodity
+    # without routes must carry flow.
+    routeless = minimize_load and any(
+        com.effective_min() > 0 and not cols
+        for com, cols in zip(net.commodities, columns))
+    assert widths == ([] if routeless else [len(kept) + minimize_load])
+    if status != lpmod.OPTIMAL:
         assert values is None
-    else:
-        for i, cols in enumerate(where):
-            seen = set()
-            for k, pos in enumerate(cols):
-                assert values[i][k] == (0 if pos in seen else ref_values[i][pos])
-                seen.add(pos)
-    return sum(len(cols) for cols in columns) - distinct
+        return twins, dominated
+    carrying = {(i, k) for i, vals in enumerate(values)
+                for k, f in enumerate(vals) if f != 0}
+    assert carrying <= kept
+    # The flows are a solution of the program, at the reported objective.
+    theta = objective if minimize_load else 1
+    for e in net.edges:
+        load = sum(values[i][k] * vectors[i][k][e.id] for i, k in carrying)
+        assert load <= e.capacity * theta
+    for vals, com in zip(values, net.commodities):
+        assert all(f >= 0 for f in vals)
+        if minimize_load:
+            assert sum(vals) >= com.effective_min()
+        elif com.max_demand is not None:
+            assert sum(vals) <= com.max_demand
+    if not minimize_load:
+        assert sum(sum(vals) for vals in values) == objective
+    return twins, dominated
 
 
-def test_equal_columns_share_one_variable_on_walks(monkeypatch):
+def _walk_columns(net, w):
+    return [[walk.edge_multiplicity()
+             for walk in enumerate_paths(net, i, through(w)).paths]
+            for i in range(len(net.commodities))]
+
+
+def _check_modes(net, columns, finite, monkeypatch):
+    """Both modes when every demand is finite; max-flow only otherwise,
+    since min-load needs a finite required amount."""
+    counts = _assert_pruning_is_exact(net, columns, False, monkeypatch)
+    if not finite:
+        with pytest.raises(InfiniteDemand):
+            solve_columns(net, columns, True)
+        return counts
+    more = _assert_pruning_is_exact(net, columns, True, monkeypatch)
+    return counts[0] + more[0], counts[1] + more[1]
+
+
+def test_pruning_is_exact_on_directed_walks(monkeypatch):
     rng = random.Random(7331)
-    twins = 0
-    for _ in range(40):
+    twins = dominated = 0
+    for trial in range(40):
+        finite = trial % 2 == 0
         net = random_directed(rng, n_nodes=rng.randint(4, 6),
                               n_edges=rng.randint(7, 11),
                               n_commodities=rng.randint(1, 2),
-                              finite_demands=True, min_demands=True)
-        w = rng.choice(net.nodes)
-        columns = [[walk.edge_multiplicity()
-                    for walk in enumerate_paths(net, i, through(w)).paths]
-                   for i in range(len(net.commodities))]
-        for minimize_load in (False, True):
-            twins += _assert_merge_is_exact(net, columns, minimize_load,
-                                            monkeypatch)
-    assert twins > 0
+                              finite_demands=finite, min_demands=finite)
+        columns = _walk_columns(net, rng.choice(net.nodes))
+        t, d = _check_modes(net, columns, finite, monkeypatch)
+        twins, dominated = twins + t, dominated + d
+    assert twins > 0 and dominated > 0
 
 
-def test_equal_columns_share_one_variable_on_tunnels(monkeypatch):
+def test_pruning_is_exact_on_undirected_walks(monkeypatch):
+    rng = random.Random(7333)
+    twins = dominated = doubled = 0
+    for trial in range(40):
+        finite = trial % 2 == 0
+        net = random_undirected(rng, n_nodes=rng.randint(4, 5),
+                                n_edges=rng.randint(4, 7),
+                                n_commodities=rng.randint(1, 2),
+                                finite_demands=finite)
+        columns = _walk_columns(net, rng.choice(net.nodes))
+        doubled += sum(1 for cols in columns for col in cols
+                       if 2 in col.values())
+        t, d = _check_modes(net, columns, finite, monkeypatch)
+        twins, dominated = twins + t, dominated + d
+    assert twins > 0 and dominated > 0 and doubled > 0
+
+
+def test_pruning_is_exact_on_tunnels(monkeypatch):
     rng = random.Random(7332)
-    twins = fractional = 0
-    for _ in range(40):
+    twins = dominated = fractional = 0
+    for trial in range(40):
+        finite = trial % 4 != 0
         net = random_undirected(rng, n_nodes=rng.randint(5, 7),
                                 n_edges=rng.randint(6, 10),
                                 n_commodities=rng.randint(1, 3),
-                                finite_demands=True)
+                                finite_demands=finite)
         cfg = SrConfig(tuple(rng.sample(net.nodes, 4)), 2)
         tunnels = build_tunnels(net, cfg)
         tables = segment_tables(net, tunnels)
@@ -455,7 +535,6 @@ def test_equal_columns_share_one_variable_on_tunnels(monkeypatch):
                    for com, ts in zip(net.commodities, tunnels)]
         fractional += sum(1 for cols in columns for col in cols
                           if any(v.denominator > 1 for v in col.values()))
-        for minimize_load in (False, True):
-            twins += _assert_merge_is_exact(net, columns, minimize_load,
-                                            monkeypatch)
-    assert twins > 0 and fractional > 0
+        t, d = _check_modes(net, columns, finite, monkeypatch)
+        twins, dominated = twins + t, dominated + d
+    assert twins > 0 and dominated > 0 and fractional > 0

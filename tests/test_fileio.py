@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -31,6 +34,37 @@ def test_hash_stable_and_distinct():
         hashes[name] = h
     # fig8 and fig8-undirected differ only in orientation but must not collide
     assert hashes["fig8"] != hashes["fig8-undirected"]
+
+
+# Recorded before hashlib was imported lazily; the hash is a stable
+# identifier, so it must not move.
+PINNED_HASHES = {
+    "augmenting-undirected": "bf08edffa39e69d3",
+    "cycle-3": "e063c7e0dc36b3e6",
+    "cycle-4": "6616cc43924dfa4f",
+    "fig8": "4dad2f55234a1ac5",
+    "fig8-undirected": "d6b536f0fb38c991",
+    "figadd": "464a0f1f51794f0b",
+    "remarks": "69d87ce1ddaa8bd7",
+    "remarks-unit": "e4b7e932d47f2ae4",
+    "wst-undirected": "007d00a09d9fc660",
+}
+
+
+def test_hash_pinned_on_builtins():
+    assert {name: instance_hash(inst) for name, inst in _instances()} \
+        == PINNED_HASHES
+
+
+def test_import_does_not_load_openssl():
+    # hashlib pulls in OpenSSL's libcrypto, several MB of resident memory
+    # that only instance_hash needs.
+    code = "import sys, nodeflow; print('_hashlib' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_save_and_load(tmp_path):
