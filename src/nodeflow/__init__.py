@@ -4,8 +4,8 @@ Path-based and arc-based multicommodity flow LPs over exact rationals, an
 exact Dinic max flow and min cut, node-constrained (through-w and
 through-group) maximum flow for directed and undirected networks,
 segment-routing tunnel programs with ECMP splitting, flow centrality, and
-the NP-hardness gadget constructions, all backed by an exact two-phase
-simplex.
+the NP-hardness gadget constructions, all backed by an exact simplex that
+starts at the origin.
 """
 
 from .errors import (CapExceeded, InfiniteDemand, LimitExceeded,
@@ -18,8 +18,8 @@ from .network import (Commodity, Edge, EdgeWalk, FlowNetwork, PathConstraint,
                       enumerate_paths, enumerate_st_paths, reverse_walk,
                       simple_through, through, through_any, validate_walk)
 from .lp import (Constraint, LinearProgram, LpSolution, EQ, GE, LE,
-                 INFEASIBLE, OPTIMAL, UNBOUNDED, solve)
-from .te import (DmfResult, FlowSolution, DualityReport,
+                 OPTIMAL, UNBOUNDED, solve)
+from .te import (INFEASIBLE, DmfResult, FlowSolution, DualityReport,
                  check_demand_load_duality, decide_dmf, default_families,
                  max_flow_arc_lp, solve_te_lu, solve_te_mf)
 from .maxflow import MaxFlowResult, max_flow

@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
-Infeasible/unbounded linear programs are *results*, reported through solution
-statuses, and never raised from here.  Exceptions are reserved for malformed
+Unbounded linear programs and infeasible flow programs are *results*,
+reported through solution statuses, and never raised from here.  Exceptions are reserved for malformed
 inputs and exceeded resource limits.
 """
 
@@ -19,7 +19,8 @@ class MalformedNetwork(NodeflowError):
 
 
 class MalformedProgram(NodeflowError):
-    """A linear program referenced an undeclared variable or is inconsistent."""
+    """A linear program referenced an undeclared variable, or has a row that
+    fails at the origin."""
 
 
 class ParseError(NodeflowError):

@@ -1,15 +1,16 @@
-"""Exact rational linear programming via two-phase primal simplex.
+"""Exact rational linear programming via the primal simplex.
 
 Tableau over exact rationals, Bland's anti-cycling rule throughout, so
-results are deterministic and free of rounding.  Each row is put in standard
-form with a nonnegative right-hand side.  A <= row starts with its slack
-basic.  A >= row, and an equality row with a nonzero right-hand side, start
-with an artificial basic.  An equality row with right-hand side 0 gets no
-artificial: once the tableau is built, each such row, in row order, is
-pivoted on its lowest-index nonzero column.  That pivot moves no right-hand
-side, so the basis stays feasible; a row left with no nonzero entry is
-redundant and dropped.  Phase 1 runs only when there are artificials, and
-the arc programs (conservation and capacity rows only) have none.
+results are deterministic and free of rounding.  Every program starts from
+the origin, so every row must hold there: a <= row needs a right-hand side
+b >= 0, a >= row b <= 0 (it is negated into a <= row), an equality row
+b = 0, and an upper bound must be >= 0.  Anything else raises
+MalformedProgram when it is added.  Each <= row starts with its slack
+basic.  An equality row gets no slack: once the tableau is built, each one,
+in row order, is pivoted on its lowest-index nonzero column.  That pivot
+moves no right-hand side, so the basis stays feasible; a row left with no
+nonzero entry is redundant and dropped.  There are no artificial columns
+and no phase 1, so a solve is either optimal or unbounded.
 
 Rows are stored as full lists, but a pivot touches only what can change: it
 scales the pivot row on its nonzeros, then updates in place only the rows
@@ -19,8 +20,7 @@ programs are mostly slack columns and 0/+-1 incidence rows, so that is a
 small share of the tableau.  This is meant for the small and mid-size
 programs this package generates, not as a general-purpose LP code.
 
-Infeasible and unbounded are statuses on the returned solution, never
-exceptions.
+Unbounded is a status on the returned solution, never an exception.
 """
 
 from __future__ import annotations
@@ -31,10 +31,21 @@ from .errors import MalformedProgram
 from .rational import ZERO, ONE, rat
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 LE, GE, EQ = "<=", ">=", "="
+
+
+_HOLDS_AT_ORIGIN = {LE: lambda b: b >= 0, GE: lambda b: b <= 0,
+                    EQ: lambda b: b == 0}
+
+
+def _check_origin(relation, rhs):
+    """Raise MalformedProgram unless the row holds at the origin."""
+    if relation not in _HOLDS_AT_ORIGIN:
+        raise MalformedProgram(f"bad relation {relation!r}")
+    if not _HOLDS_AT_ORIGIN[relation](rhs):
+        raise MalformedProgram(f"row {relation} {rhs} fails at the origin")
 
 
 @dataclass
@@ -61,21 +72,27 @@ class LinearProgram:
             if name in self.index:
                 raise MalformedProgram(f"duplicate variable {name!r}")
             self.index[name] = len(self.index)
+        for con in self.constraints:
+            _check_origin(con.relation, con.rhs)
+        for ub in self.upper_bounds.values():
+            _check_origin(LE, ub)
 
     def add_variable(self, name, upper=None, objective=None):
         if name in self.index:
             raise MalformedProgram(f"duplicate variable {name!r}")
+        if upper is not None:
+            upper = rat(upper)
+            _check_origin(LE, upper)
+            self.upper_bounds[name] = upper
         self.index[name] = len(self.variables)
         self.variables.append(name)
-        if upper is not None:
-            self.upper_bounds[name] = rat(upper)
         if objective is not None:
             self.objective[name] = rat(objective)
         return name
 
     def add_constraint(self, coeffs, relation, rhs):
-        if relation not in (LE, GE, EQ):
-            raise MalformedProgram(f"bad relation {relation!r}")
+        rhs = rat(rhs)
+        _check_origin(relation, rhs)
         cleaned = {}
         for name, c in coeffs.items():
             if name not in self.index:
@@ -83,7 +100,7 @@ class LinearProgram:
             c = rat(c)
             if c != 0:
                 cleaned[name] = c
-        self.constraints.append(Constraint(cleaned, relation, rat(rhs)))
+        self.constraints.append(Constraint(cleaned, relation, rhs))
 
     def set_objective(self, coeffs, sense="max"):
         if sense not in ("max", "min"):
@@ -136,7 +153,7 @@ def _pivot(rows, basis, r, c, z=None):
     basis[r] = c
 
 
-def _bland_optimize(rows, basis, cost, ncols, allowed):
+def _bland_optimize(rows, basis, cost, ncols):
     """Maximize cost over the current tableau.  rows carry [A | b]; the
     objective row is maintained implicitly through reduced costs.
 
@@ -151,11 +168,7 @@ def _bland_optimize(rows, basis, cost, ncols, allowed):
                     z[j] -= cb * x
     pivots = 0
     while True:
-        enter = -1
-        for j in range(ncols):
-            if allowed[j] and z[j] > 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if z[j] > 0), -1)
         if enter < 0:
             return OPTIMAL, pivots, -z[ncols]
         leave = -1
@@ -173,11 +186,10 @@ def _bland_optimize(rows, basis, cost, ncols, allowed):
         pivots += 1
 
 
-def _pivot_zero_rows(rows, basis, positions):
-    """Give each EQ row with right-hand side 0 a basic column without an
-    artificial: pivot the rows at positions, in order, each on its
-    lowest-index nonzero column.  Such a pivot adds multiples of a row whose
-    right-hand side is 0, so no right-hand side moves and the basis stays
+def _pivot_eq_rows(rows, basis, positions):
+    """Give each EQ row a basic column: pivot the rows at positions, in
+    order, each on its lowest-index nonzero column.  An EQ row's right-hand
+    side is 0, so such a pivot moves no right-hand side and the basis stays
     feasible.  A row left with no nonzero entry is redundant and dropped.
 
     Returns the number of pivots."""
@@ -198,88 +210,46 @@ def _pivot_zero_rows(rows, basis, positions):
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    names = list(lp.variables)
+    names = lp.variables
     index = lp.index
     n = len(names)
 
-    # Declared constraints plus upper bounds as <= rows, each row built once
-    # in standard form: negated when its right-hand side is negative, so b >= 0.
+    # Declared constraints plus upper bounds as <= rows, each row built once:
+    # a >= row negated into a <= row, and a slack basic in every <= row.
     specs = [(con.coeffs, con.relation, con.rhs) for con in lp.constraints]
     specs += [({name: ONE}, LE, ub) for name, ub in lp.upper_bounds.items()]
-    flip = {LE: GE, GE: LE, EQ: EQ}
-    rels = [flip[rel] if rhs < 0 else rel for _, rel, rhs in specs]
-    nslack = sum(1 for rel in rels if rel in (LE, GE))
-    nart = sum(1 for (_, _, rhs), rel in zip(specs, rels)
-               if rel == GE or (rel == EQ and rhs != 0))
-    first_art = n + nslack
-    ncols = first_art + nart
+    ncols = n + sum(1 for _, rel, _ in specs if rel != EQ)
     rows = []
     basis = []
     scol = n
-    acol = first_art
-    zero_eq = []      # positions of the EQ rows with right-hand side 0
-    for (coeffs, _, rhs), rel in zip(specs, rels):
+    eq_rows = []      # positions of the EQ rows
+    for coeffs, rel, rhs in specs:
         row = [ZERO] * (ncols + 1)
-        neg = rhs < 0
+        neg = rel == GE
         for name, c in coeffs.items():
             row[index[name]] = -c if neg else c
         row[ncols] = -rhs if neg else rhs
-        if rel == LE:
+        if rel == EQ:
+            eq_rows.append(len(rows))
+            basis.append(-1)
+        else:
             row[scol] = ONE
             basis.append(scol)
             scol += 1
-        elif rel == EQ and rhs == 0:
-            zero_eq.append(len(rows))
-            basis.append(-1)
-        else:
-            if rel == GE:
-                row[scol] = -ONE
-                scol += 1
-            row[acol] = ONE
-            basis.append(acol)
-            acol += 1
         rows.append(row)
 
-    total_pivots = _pivot_zero_rows(rows, basis, zero_eq)
-    allowed = [True] * ncols
-
-    if nart:
-        # Phase 1: drive artificials to zero.
-        p1cost = [ZERO] * first_art + [-ONE] * nart
-        status, piv, val = _bland_optimize(rows, basis, p1cost, ncols, allowed)
-        total_pivots += piv
-        if status != OPTIMAL or val != 0:
-            return LpSolution(INFEASIBLE, pivots=total_pivots)
-        # Pivot remaining artificials out of the basis where possible;
-        # a row with no eligible pivot is redundant and dropped.
-        i = 0
-        while i < len(rows):
-            if basis[i] >= first_art:
-                target = next((j for j in range(first_art) if rows[i][j]), -1)
-                if target >= 0:
-                    _pivot(rows, basis, i, target)
-                    total_pivots += 1
-                    i += 1
-                else:
-                    del rows[i]
-                    del basis[i]
-            else:
-                i += 1
-        allowed[first_art:] = [False] * nart
-
+    pivots = _pivot_eq_rows(rows, basis, eq_rows)
     sign = ONE if lp.sense == "max" else -ONE
     cost = [ZERO] * ncols
     for name, c in lp.objective.items():
         cost[index[name]] = sign * c
-    status, piv, val = _bland_optimize(rows, basis, cost, ncols, allowed)
-    total_pivots += piv
+    status, piv, val = _bland_optimize(rows, basis, cost, ncols)
+    pivots += piv
     if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, pivots=total_pivots)
+        return LpSolution(UNBOUNDED, pivots=pivots)
 
-    assignment = {}
+    assignment = dict.fromkeys(names, ZERO)
     for i, b in enumerate(basis):
         if b < n:
             assignment[names[b]] = rows[i][ncols]
-    for name in names:
-        assignment.setdefault(name, ZERO)
-    return LpSolution(OPTIMAL, sign * val, assignment, total_pivots)
+    return LpSolution(OPTIMAL, sign * val, assignment, pivots)

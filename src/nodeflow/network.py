@@ -46,7 +46,8 @@ class Commodity:
     """A demand pair.  max_demand None means unbounded (no demand constraint).
 
     min_demand is the amount a load-minimizing solver must route; it defaults
-    to max_demand and must be finite there.
+    to max_demand and must be finite there.  Demands are >= 0, and
+    min_demand <= max_demand (FlowNetwork checks both).
     """
 
     source: str
@@ -88,6 +89,12 @@ class FlowNetwork:
                 raise UnknownNode(f"commodity ({c.source},{c.sink}) has unknown endpoint")
             if c.source == c.sink:
                 raise MalformedNetwork("commodity source equals sink")
+            # The floor is min_demand, else max_demand: 0 <= floor <= max.
+            floor = c.effective_min()
+            if floor is not None and (floor < 0 or c.max_demand is not None
+                                      and floor > c.max_demand):
+                raise MalformedNetwork(f"commodity ({c.source},{c.sink}) needs "
+                                       "0 <= min_demand <= demand")
 
     # -- convenience constructors -------------------------------------------
 

@@ -7,6 +7,15 @@ Two formulations over an explicit path family per commodity:
 * min-load: minimize the worst link utilization theta while routing every
   commodity's required demand in full.
 
+Min-load is solved as a maximum concurrent flow (Shahrokhi & Matula, JACM
+1990): maximize lambda with load <= c(e) on every edge and each commodity
+routing its need times lambda.  Flows f at lambda, divided by lambda, route
+every need at utilization 1/lambda, and a routing at utilization theta,
+divided by theta, is one at lambda = 1/theta; so theta = 1/lambda, with
+flows f/lambda.  An unbounded lambda means every need is 0 (theta = 0);
+lambda = 0 means a positive need has only zero-capacity routes (no theta).
+Unlike the theta program, every row of this one holds at the origin.
+
 Both are exact, and both are solve_columns with one column per walk; the
 segment-routing tunnel programs in srte are the same program with one
 column per tunnel.  Only minimal columns get an LP variable: a walk or
@@ -30,6 +39,8 @@ from . import lp as lpmod
 from .errors import InfiniteDemand, TruncatedFamily
 from .network import UNCONSTRAINED, FlowNetwork, enumerate_paths
 from .rational import ONE, ZERO
+
+INFEASIBLE = "infeasible"
 
 
 @dataclass(slots=True)
@@ -101,10 +112,9 @@ def solve_columns(net: FlowNetwork, columns, minimize_load):
     """The program shared by the path and tunnel formulations.
 
     columns[i] lists commodity i's routes, each as {edge id: load per unit
-    of flow}.  Max-flow mode maximizes the total flow subject to each edge's
-    load <= c(e) and the finite demand ceilings.  Min-load mode minimizes
-    theta subject to load <= c(e) * theta on every edge, with every
-    commodity's routes carrying its required demand in full.
+    of flow}.  Both modes keep each edge's load <= c(e).  Max-flow mode
+    maximizes the total flow within the finite demand ceilings; min-load
+    mode is the concurrent-flow program of the module docstring.
 
     Only a commodity's minimal columns get a variable; every other column
     reports 0.  A column is dropped when an earlier equal column (a twin) or
@@ -116,7 +126,8 @@ def solve_columns(net: FlowNetwork, columns, minimize_load):
     made in column order, so Bland's ties still favour the earliest column.
 
     Returns (status, values, objective, pivots); values[i][k] is the flow on
-    columns[i][k], or values is None when the program is not optimal.
+    columns[i][k], or values is None when the program is not optimal.  In
+    min-load mode the objective is theta, INFEASIBLE when none exists.
     """
     if minimize_load:
         needs = [com.effective_min() for com in net.commodities]
@@ -124,11 +135,10 @@ def solve_columns(net: FlowNetwork, columns, minimize_load):
             if need is None:
                 raise InfiniteDemand(f"commodity {i} has no finite required demand")
         if any(need > 0 and not cols for need, cols in zip(needs, columns)):
-            return lpmod.INFEASIBLE, None, None, 0
+            return INFEASIBLE, None, None, 0
     lp = lpmod.LinearProgram()
     if minimize_load:
-        theta = lp.add_variable("theta")
-        lp.set_objective({theta: 1}, "min")
+        lam = lp.add_variable("lambda")
     names = []  # names[i][k]: columns[i][k]'s variable, None if dropped
     cells = [{} for _ in net.edges]  # edge id -> {variable: load}
     for i, cols in enumerate(columns):
@@ -144,28 +154,33 @@ def solve_columns(net: FlowNetwork, columns, minimize_load):
                 cells[eid][name] = load
         names.append(row)
     kept = [[name for name in row if name is not None] for row in names]
-    if not minimize_load:
-        lp.set_objective({name: 1 for row in kept for name in row}, "max")
     for e in net.edges:
-        coeffs = cells[e.id]
-        if minimize_load:
-            coeffs[theta] = -e.capacity
-            lp.add_constraint(coeffs, lpmod.LE, 0)
-        elif coeffs:
-            lp.add_constraint(coeffs, lpmod.LE, e.capacity)
+        if cells[e.id]:
+            lp.add_constraint(cells[e.id], lpmod.LE, e.capacity)
     for row, com in zip(kept, net.commodities):
         if not row:
             continue
         if minimize_load:
-            lp.add_constraint(dict.fromkeys(row, 1), lpmod.GE, com.effective_min())
+            lp.add_constraint({**dict.fromkeys(row, 1), lam: -com.effective_min()},
+                              lpmod.EQ, 0)
         elif com.max_demand is not None:
             lp.add_constraint(dict.fromkeys(row, 1), lpmod.LE, com.max_demand)
+    lp.set_objective({lam: 1} if minimize_load
+                     else {name: 1 for row in kept for name in row}, "max")
     sol = lpmod.solve(lp)
-    if sol.status != lpmod.OPTIMAL:
-        return sol.status, None, None, sol.pivots
-    values = [[ZERO if name is None else sol.value(name) for name in row]
+    if not minimize_load:
+        if sol.status != lpmod.OPTIMAL:
+            return sol.status, None, None, sol.pivots
+        scale, objective = ONE, sol.objective
+    elif sol.status == lpmod.UNBOUNDED:      # every need is 0
+        scale, objective = ZERO, ZERO
+    elif sol.objective == 0:   # a positive need has only zero-capacity routes
+        return INFEASIBLE, None, None, sol.pivots
+    else:
+        scale = objective = ONE / sol.objective
+    values = [[ZERO if name is None else scale * sol.value(name) for name in row]
               for row in names]
-    return sol.status, values, sol.objective, sol.pivots
+    return lpmod.OPTIMAL, values, objective, sol.pivots
 
 
 def _solve_families(net, families, cap, minimize_load):

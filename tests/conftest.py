@@ -1,8 +1,10 @@
-"""Shared helpers: random instance generators and an independent walk oracle."""
+"""Shared helpers: random instance generators and independent walk and
+min-load oracles."""
 
 from fractions import Fraction
 
-from nodeflow import FlowNetwork
+from nodeflow import INFEASIBLE, LE, UNBOUNDED, FlowNetwork, LinearProgram
+from nodeflow import solve as solve_lp
 
 
 def random_directed(rng, n_nodes=None, n_edges=None, n_commodities=1,
@@ -87,6 +89,36 @@ def oracle_walks(net, s, t, through=None, simple=False, single_use=False):
 
     rec(s, [s])
     return found
+
+
+def vector(net, col):
+    """A route column {edge id: load} as a tuple over every edge."""
+    return tuple(col.get(e.id, 0) for e in net.edges)
+
+
+def min_load_dual(net, columns):
+    """The least worst-link utilization theta over every distinct column of
+    each commodity, from the LP dual of the theta program, built directly:
+    maximize sum_i need_i * u_i subject to u_i <= sum_e load_e * y_e for
+    every column of commodity i and sum_e c(e) * y_e <= 1.  The dual is
+    feasible at the origin, so it is unbounded exactly when no theta routes
+    every need.  Returns (status, theta)."""
+    lp = LinearProgram()
+    ys = [lp.add_variable(f"y_{e.id}") for e in net.edges]
+    lp.add_constraint({y: e.capacity for y, e in zip(ys, net.edges)}, LE, 1)
+    objective = {}
+    for i, (cols, com) in enumerate(zip(columns, net.commodities)):
+        u = lp.add_variable(f"u_{i}")
+        objective[u] = com.effective_min()
+        for vec in sorted({vector(net, c) for c in cols}):
+            coeffs = {ys[eid]: -load for eid, load in enumerate(vec)}
+            coeffs[u] = 1
+            lp.add_constraint(coeffs, LE, 0)
+    lp.set_objective(objective, "max")
+    sol = solve_lp(lp)
+    if sol.status == UNBOUNDED:
+        return INFEASIBLE, None
+    return sol.status, sol.objective
 
 
 def brute_max_flow(net, commodity=0):

@@ -157,6 +157,20 @@ def test_cut_without_commodities_or_s_exit_4(tmp_path, capsys):
     assert "cut_value: 1\n" in out
 
 
+def test_negative_demand_is_a_parse_error_exit_2(tmp_path, capsys):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({
+        "orientation": "undirected", "nodes": ["s", "w", "t"],
+        "edges": [{"tail": "s", "head": "w", "capacity": 1},
+                  {"tail": "w", "head": "t", "capacity": 1}],
+        "commodities": [{"src": "s", "dst": "t", "demand": -1}]}))
+    for argv in (["te-lu"], ["te-mf"], ["w-flow", "--w", "w"],
+                 ["set-flow", "--set", "w"]):
+        code, _, err = run(capsys, *argv, "--instance", str(path))
+        assert code == 2, argv
+        assert "0 <= min_demand <= demand" in err, argv
+
+
 def test_solver_error_exit_1(capsys):
     # remarks has a commodity with no finite demand, which te-lu refuses.
     code, _, err = run(capsys, "te-lu", "--builtin", "remarks")

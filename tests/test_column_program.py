@@ -6,25 +6,26 @@ makes each solve a pure function of that program, so the status, pivot
 count, objective, theta and every nonzero flow are pinned on every builtin
 and on a seeded random set.  They were recorded from the three separate
 builders the shared one replaced, and re-recorded when dominated columns
-lost their variables (no status, objective or theta moved).  The pruning
-itself is checked against the program over every distinct column, built
-here directly.
+lost their variables and again when min-load became a maximum concurrent
+flow (no status, objective or theta moved).  The pruning itself is checked
+against the program over every distinct column, built here directly; for
+min-load that program is the LP dual of the theta program.
 """
 
 import random
 
 import pytest
 
-from nodeflow import (FlowNetwork, InfiniteDemand, SrConfig, catalog,
-                      enumerate_paths, solve_sr_lu, solve_sr_mf, solve_te_lu,
-                      solve_te_mf, through)
+from nodeflow import (INFEASIBLE, FlowNetwork, InfiniteDemand, SrConfig,
+                      catalog, enumerate_paths, rat, solve_sr_lu,
+                      solve_sr_mf, solve_te_lu, solve_te_mf, through)
 from nodeflow import lp as lpmod
 from nodeflow.srte import _tunnel_column, build_tunnels, segment_tables
 from nodeflow.te import solve_columns
 
 _lp_solve = lpmod.solve
 
-from conftest import random_directed, random_undirected
+from conftest import min_load_dual, random_directed, random_undirected, vector
 
 
 def _walk_str(walk):
@@ -103,32 +104,32 @@ PINNED_BUILTINS = {
     "augmenting-undirected te-mf":
         "optimal 4 9 None | 0:0+,1+,2+,3+=1 0:0+,1+,6+=1 0:7+,2-,6+=1 "
         "0:7+,3+=6",
-    "cycle-3 sr-lu M=1": "optimal 3 1 1 | 0:-=1",
-    "cycle-3 sr-lu M=2": "optimal 3 1 1 | 0:-=1",
+    "cycle-3 sr-lu M=1": "optimal 2 1 1 | 0:-=1",
+    "cycle-3 sr-lu M=2": "optimal 2 1 1 | 0:-=1",
     "cycle-3 sr-mf M=1": "optimal 1 1 None | 0:-=1",
     "cycle-3 sr-mf M=2": "optimal 1 1 None | 0:-=1",
-    "cycle-3 te-lu": "optimal 3 1 1 | 0:0+,1+,4+=1",
+    "cycle-3 te-lu": "optimal 2 1 1 | 0:0+,1+,4+=1",
     "cycle-3 te-mf": "optimal 1 1 None | 0:0+,1+,4+=1",
-    "cycle-4 sr-lu M=1": "optimal 3 1 1 | 0:-=1",
-    "cycle-4 sr-lu M=2": "optimal 3 1 1 | 0:-=1",
+    "cycle-4 sr-lu M=1": "optimal 2 1 1 | 0:-=1",
+    "cycle-4 sr-lu M=2": "optimal 2 1 1 | 0:-=1",
     "cycle-4 sr-mf M=1": "optimal 1 1 None | 0:-=1",
     "cycle-4 sr-mf M=2": "optimal 1 1 None | 0:-=1",
-    "cycle-4 te-lu": "optimal 3 1 1 | 0:0+,1+,2+,5+=1",
+    "cycle-4 te-lu": "optimal 2 1 1 | 0:0+,1+,2+,5+=1",
     "cycle-4 te-mf": "optimal 1 1 None | 0:0+,1+,2+,5+=1",
-    "fig8 sr-lu M=1": "optimal 8 3/2 3/2 | 0:-=2 1:-=1 2:-=1",
-    "fig8 sr-lu M=2": "optimal 8 3/2 3/2 | 0:-=2 1:-=1 2:-=1",
+    "fig8 sr-lu M=1": "optimal 4 3/2 3/2 | 0:-=2 1:-=1 2:-=1",
+    "fig8 sr-lu M=2": "optimal 4 3/2 3/2 | 0:-=2 1:-=1 2:-=1",
     "fig8 sr-mf M=1": "optimal 3 3 None | 0:-=1 1:-=1 2:-=1",
     "fig8 sr-mf M=2": "optimal 3 3 None | 0:-=1 1:-=1 2:-=1",
     "fig8 te-lu":
-        "optimal 8 3/2 3/2 | 0:0+,1+,2+,3+,4+=2 1:5+,1+,6+=1 2:7+,3+,8+=1",
+        "optimal 4 3/2 3/2 | 0:0+,1+,2+,3+,4+=2 1:5+,1+,6+=1 2:7+,3+,8+=1",
     "fig8 te-mf":
         "optimal 3 3 None | 0:0+,1+,2+,3+,4+=1 1:5+,1+,6+=1 2:7+,3+,8+=1",
-    "fig8-undirected sr-lu M=1": "optimal 8 3/2 3/2 | 0:-=2 1:-=1 2:-=1",
-    "fig8-undirected sr-lu M=2": "optimal 8 3/2 3/2 | 0:-=2 1:-=1 2:-=1",
+    "fig8-undirected sr-lu M=1": "optimal 4 3/2 3/2 | 0:-=2 1:-=1 2:-=1",
+    "fig8-undirected sr-lu M=2": "optimal 4 3/2 3/2 | 0:-=2 1:-=1 2:-=1",
     "fig8-undirected sr-mf M=1": "optimal 3 3 None | 0:-=1 1:-=1 2:-=1",
     "fig8-undirected sr-mf M=2": "optimal 3 3 None | 0:-=1 1:-=1 2:-=1",
     "fig8-undirected te-lu":
-        "optimal 8 3/2 3/2 | 0:0+,1+,2+,3+,4+=2 1:5+,1+,6+=1 2:7+,3+,8+=1",
+        "optimal 4 3/2 3/2 | 0:0+,1+,2+,3+,4+=2 1:5+,1+,6+=1 2:7+,3+,8+=1",
     "fig8-undirected te-mf":
         "optimal 3 3 None | 0:0+,1+,2+,3+,4+=1 1:5+,1+,6+=1 2:7+,3+,8+=1",
     "figadd sr-lu M=1": "optimal 2 1 1 | 0:-=1",
@@ -165,11 +166,11 @@ PINNED_RANDOM = {
     "random-00 te-lu": "InfiniteDemand",
     "random-00 te-mf":
         "optimal 4 5 None | 0:0+,5-=1 0:1+,2-,4+=1 0:3+=2 1:4-,2+=1",
-    "random-01 sr-lu M=1": "optimal 7 1/7 1/7 | 1:-=3/7 1:n1=4/7",
-    "random-01 sr-lu M=2": "optimal 7 1/7 1/7 | 1:-=3/7 1:n1=4/7",
+    "random-01 sr-lu M=1": "optimal 4 1/7 1/7 | 1:-=3/7 1:n1=4/7",
+    "random-01 sr-lu M=2": "optimal 4 1/7 1/7 | 1:-=3/7 1:n1=4/7",
     "random-01 sr-mf M=1": "optimal 2 3 None | 0:-=1 1:-=2",
     "random-01 sr-mf M=2": "optimal 2 3 None | 0:-=1 1:-=2",
-    "random-01 te-lu": "optimal 7 1/8 1/8 | 1:0+,6+=1/8 1:3+=3/8 1:4+,2+=1/2",
+    "random-01 te-lu": "optimal 5 1/8 1/8 | 1:0+,6+=1/8 1:3+=3/8 1:4+,2+=1/2",
     "random-01 te-mf": "optimal 2 3 None | 0:6+,1+,4+=1 1:3+=2",
     "random-02 sr-lu M=1": "optimal 4 2/3 2/3 | 0:-=1 1:-=8/3 1:n2=1/3",
     "random-02 sr-lu M=2": "optimal 4 2/3 2/3 | 0:-=1 1:-=8/3 1:n2=1/3",
@@ -204,11 +205,11 @@ PINNED_RANDOM = {
         "optimal 4 31/4 None | 0:-=1/4 0:n0=5/4 0:n4=9/4 1:-=4",
     "random-06 te-lu": "InfiniteDemand",
     "random-06 te-mf": "optimal 4 9 None | 0:0+,4-,5+=3 0:2-=2 0:3-,1-=4",
-    "random-07 sr-lu M=1": "optimal 3 0 0 | ",
-    "random-07 sr-lu M=2": "optimal 3 0 0 | ",
+    "random-07 sr-lu M=1": "optimal 1 0 0 | ",
+    "random-07 sr-lu M=2": "optimal 1 0 0 | ",
     "random-07 sr-mf M=1": "optimal 2 1 None | 0:-=1",
     "random-07 sr-mf M=2": "optimal 2 1 None | 0:-=1",
-    "random-07 te-lu": "optimal 3 0 0 | ",
+    "random-07 te-lu": "optimal 1 0 0 | ",
     "random-07 te-mf": "optimal 2 1 None | 0:3+=1",
     "random-08 sr-lu M=1": "optimal 4 1 1 | 0:-=3 1:-=2 1:n1=1",
     "random-08 sr-lu M=2": "optimal 4 1 1 | 0:-=3 1:-=2 1:n1=1",
@@ -231,11 +232,11 @@ PINNED_RANDOM = {
         "optimal 6 6/7 6/7 | 0:1-,0+=4/7 0:2+=10/7 1:0+,2-=8/7 1:1+=20/7",
     "random-10 te-mf":
         "optimal 4 6 None | 0:1-,0+=1/2 0:2+=3/2 1:0+,2-=3/2 1:1+=5/2",
-    "random-11 sr-lu M=1": "optimal 3 0 0 | ",
-    "random-11 sr-lu M=2": "optimal 3 0 0 | ",
+    "random-11 sr-lu M=1": "optimal 1 0 0 | ",
+    "random-11 sr-lu M=2": "optimal 1 0 0 | ",
     "random-11 sr-mf M=1": "optimal 1 1 None | 0:-=1",
     "random-11 sr-mf M=2": "optimal 1 1 None | 0:-=1",
-    "random-11 te-lu": "optimal 3 0 0 | ",
+    "random-11 te-lu": "optimal 1 0 0 | ",
     "random-11 te-mf": "optimal 1 1 None | 0:2+=1",
     "random-12 sr-lu M=1": "InfiniteDemand",
     "random-12 sr-lu M=2": "InfiniteDemand",
@@ -302,7 +303,7 @@ PINNED_RANDOM = {
     "random-22 sr-lu M=2": "optimal 3 1 1 | 0:-=2 0:n0=2",
     "random-22 sr-mf M=1": "optimal 2 4 None | 0:-=2 0:n0=2",
     "random-22 sr-mf M=2": "optimal 2 4 None | 0:-=2 0:n0=2",
-    "random-22 te-lu": "optimal 4 1 1 | 0:0-,2+=2 0:1+=2",
+    "random-22 te-lu": "optimal 3 1 1 | 0:0-,2+=2 0:1+=2",
     "random-22 te-mf": "optimal 2 4 None | 0:0-,2+=2 0:1+=2",
     "random-23 sr-lu M=1": "optimal 3 4/5 4/5 | 0:-=12/5 0:n2=8/5",
     "random-23 sr-lu M=2": "optimal 3 4/5 4/5 | 0:-=12/5 0:n2=8/5",
@@ -327,8 +328,8 @@ PINNED_RANDOM = {
     "random-26 sr-mf M=1": "optimal 2 4 None | 0:-=3 1:-=1",
     "random-26 sr-mf M=2": "optimal 2 4 None | 0:-=3 1:-=1",
     "random-26 te-lu":
-        "optimal 10 5/6 5/6 | 0:1-,4-,0+=3/4 0:2-,0+=5/3 0:5-=19/12 "
-        "1:3+,1-,4-=1/12 1:3+,5-,0-=11/12",
+        "optimal 6 5/6 5/6 | 0:2-,0+=3/2 0:5-=5/2 1:3+,1-,4-=5/6 "
+        "1:3+,2-=1/6",
     "random-26 te-mf": "optimal 5 5 None | 0:2-,0+=2 0:5-=2 1:3+,1-,4-=1",
     "random-27 sr-lu M=1": "InfiniteDemand",
     "random-27 sr-lu M=2": "InfiniteDemand",
@@ -372,10 +373,6 @@ def test_te_lu_and_sr_lu_agree_on_infinite_demand():
         solve_sr_lu(net, SrConfig(("b",), 1))
 
 
-def _vector(net, col):
-    return tuple(col.get(e.id, 0) for e in net.edges)
-
-
 def _minimal(vectors):
     """The vectors no other one lies below on every edge."""
     return {v for v in vectors
@@ -383,35 +380,61 @@ def _minimal(vectors):
                        for u in vectors)}
 
 
+# Min-load edge cases on s -> a -> t (plus a direct s -> t edge in one),
+# each pinned for te-lu and for sr-lu through a: (status, theta).
+MIN_LOAD_CASES = [
+    # every route crosses a zero-capacity edge
+    ([("s", "a", 0), ("a", "t", 1)], [("s", "t", 1)], (INFEASIBLE, None)),
+    # a zero-capacity route beside a capacity-3 route
+    ([("s", "t", 0), ("s", "a", 3), ("a", "t", 3)], [("s", "t", 2)],
+     ("optimal", rat(2, 3))),
+    # every need 0
+    ([("s", "a", 1), ("a", "t", 1)], [("s", "t", 0), ("a", "t", 0)],
+     ("optimal", 0)),
+    # one need 0 and one need 3
+    ([("s", "a", 2), ("a", "t", 2)], [("s", "t", 0), ("s", "t", 3)],
+     ("optimal", rat(3, 2))),
+    # min_demand 1 with max_demand 5
+    ([("s", "a", 1), ("a", "t", 1)], [("s", "t", 5, 1)], ("optimal", 1)),
+]
+
+
+@pytest.mark.parametrize("edges, commodities, expect", MIN_LOAD_CASES)
+def test_min_load_edge_cases(edges, commodities, expect):
+    net = FlowNetwork.build("directed", ["s", "a", "t"], edges, commodities)
+    te = solve_te_lu(net)
+    sr, _ = solve_sr_lu(net, SrConfig(("a",), 1))
+    assert (te.status, te.theta) == (sr.status, sr.theta) == expect
+    if te.status == INFEASIBLE:
+        return
+    for i, com in enumerate(net.commodities):
+        assert te.commodity_value(i) == com.effective_min()
+        assert sum(f for (j, _), f in sr.tunnel_flows.items()
+                   if j == i) == com.effective_min()
+
+
 def _oracle(net, columns, minimize_load):
-    """The path or tunnel program over every distinct column of each
-    commodity, built directly: (status, objective)."""
+    """(status, objective) of the program over every distinct column of
+    each commodity, built directly: the max-flow program itself, and for
+    min-load the LP dual of the theta program."""
+    if minimize_load:
+        return min_load_dual(net, columns)
     lp = lpmod.LinearProgram()
     use = [{} for _ in net.edges]
     routes = []
     for i, cols in enumerate(columns):
         names = []
-        for j, vec in enumerate(sorted({_vector(net, c) for c in cols})):
+        for j, vec in enumerate(sorted({vector(net, c) for c in cols})):
             names.append(lp.add_variable(f"y_{i}_{j}"))
             for eid, load in enumerate(vec):
                 if load:
                     use[eid][names[-1]] = load
         routes.append(names)
-    if minimize_load:
-        lp.add_variable("theta")
-        lp.set_objective({"theta": 1}, "min")
-    else:
-        lp.set_objective({n: 1 for names in routes for n in names}, "max")
+    lp.set_objective({n: 1 for names in routes for n in names}, "max")
     for e in net.edges:
-        if minimize_load:
-            lp.add_constraint({**use[e.id], "theta": -e.capacity}, lpmod.LE, 0)
-        else:
-            lp.add_constraint(use[e.id], lpmod.LE, e.capacity)
+        lp.add_constraint(use[e.id], lpmod.LE, e.capacity)
     for names, com in zip(routes, net.commodities):
-        if minimize_load:
-            lp.add_constraint(dict.fromkeys(names, 1), lpmod.GE,
-                              com.effective_min())
-        elif com.max_demand is not None:
+        if com.max_demand is not None:
             lp.add_constraint(dict.fromkeys(names, 1), lpmod.LE, com.max_demand)
     sol = _lp_solve(lp)
     return sol.status, sol.objective
@@ -430,7 +453,7 @@ def _assert_pruning_is_exact(net, columns, minimize_load, monkeypatch):
     monkeypatch.setattr(lpmod, "solve", solve)
     status, values, objective, _ = solve_columns(net, columns, minimize_load)
     assert (status, objective) == _oracle(net, columns, minimize_load)
-    vectors = [[_vector(net, c) for c in cols] for cols in columns]
+    vectors = [[vector(net, c) for c in cols] for cols in columns]
     kept = set()
     twins = dominated = 0
     for i, vecs in enumerate(vectors):
@@ -441,7 +464,7 @@ def _assert_pruning_is_exact(net, columns, minimize_load, monkeypatch):
         kept |= {(i, first[vec]) for vec in minimal}
         twins += len(vecs) - len(first)
         dominated += len(first) - len(minimal)
-    # theta is one more variable; no program is built when a commodity
+    # lambda is one more variable; no program is built when a commodity
     # without routes must carry flow.
     routeless = minimize_load and any(
         com.effective_min() > 0 and not cols
@@ -461,7 +484,7 @@ def _assert_pruning_is_exact(net, columns, minimize_load, monkeypatch):
     for vals, com in zip(values, net.commodities):
         assert all(f >= 0 for f in vals)
         if minimize_load:
-            assert sum(vals) >= com.effective_min()
+            assert sum(vals) == com.effective_min()
         elif com.max_demand is not None:
             assert sum(vals) <= com.max_demand
     if not minimize_load:

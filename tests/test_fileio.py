@@ -130,6 +130,17 @@ def test_malformed_network_wrapped():
         parse_instance(json.dumps(doc))
 
 
+@pytest.mark.parametrize("demands", [{"demand": -1}, {"min_demand": "-1/2"},
+                                     {"demand": 1, "min_demand": 2}])
+def test_negative_demand_and_floor_above_ceiling_rejected(demands):
+    doc = {"orientation": "undirected", "nodes": ["s", "w", "t"],
+           "edges": [{"tail": "s", "head": "w", "capacity": 1},
+                     {"tail": "w", "head": "t", "capacity": 1}],
+           "commodities": [{"src": "s", "dst": "t", **demands}]}
+    with pytest.raises(ParseError):
+        parse_instance(json.dumps(doc))
+
+
 def test_not_json_at_all():
     with pytest.raises(ParseError):
         parse_instance("orientation: directed")

@@ -32,6 +32,19 @@ def test_build_rejects_negative_capacity():
         FlowNetwork.build("directed", ["a", "b"], [("a", "b", -1)])
 
 
+@pytest.mark.parametrize("commodity", [("a", "b", -1), ("a", "b", 2, -1),
+                                       ("a", "b", None, -1), ("a", "b", 1, 2)])
+def test_build_rejects_negative_demands_and_floor_above_ceiling(commodity):
+    with pytest.raises(MalformedNetwork):
+        FlowNetwork.build("directed", ["a", "b"], [("a", "b", 1)], [commodity])
+
+
+def test_build_accepts_zero_demands_and_floor_up_to_ceiling():
+    net = FlowNetwork.build("directed", ["a", "b"], [("a", "b", 1)],
+                            [("a", "b", 0), ("a", "b", 2, 2), ("a", "b", None, 3)])
+    assert [c.effective_min() for c in net.commodities] == [0, 2, 3]
+
+
 def test_build_rejects_bad_orientation():
     with pytest.raises(MalformedNetwork):
         FlowNetwork.build("sideways", ["a", "b"], [("a", "b", 1)])
