@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .errors import LimitExceeded
+from .errors import LimitExceeded, UnknownNode
 from .maxflow import max_flow
 from .network import DEFAULT_PATH_CAP, Commodity, FlowNetwork, fresh_name
 from .rational import ZERO
@@ -307,6 +307,9 @@ def check_pair_sum_identity(net: FlowNetwork, w, s, t, cap=DEFAULT_PATH_CAP,
 
     Evaluates both sides exactly and reports the residual.
     """
+    for x in (w, s, t):
+        if x not in net.nodes:
+            raise UnknownNode(f"node {x!r} not in network")
     _guard(net, node_limit)
     hats = hat_constructions(net, s, t)
     lhs = pair_w_flow(net, w, s, t, cap=cap)

@@ -277,10 +277,10 @@ def cmd_acyclic_check(args, inst, rec):
 def cmd_centrality(args, inst, rec):
     w = _need(args, inst, "w", args.w)
     if args.instance_demands:
-        report = ctr.commodity_centrality(inst.network, w,
+        report = ctr.commodity_centrality(inst.network, w, cap=args.max_paths,
                                           node_limit=args.max_nodes_exact)
     else:
-        report = ctr.flow_centrality(inst.network, w,
+        report = ctr.flow_centrality(inst.network, w, cap=args.max_paths,
                                      node_limit=args.max_nodes_exact)
     rec.add("node", report.node)
     rec.add("numerator", report.numerator)
@@ -330,7 +330,7 @@ def cmd_probe(args, inst, rec):
 def cmd_eq25(args, inst, rec):
     w = _need(args, inst, "w", args.w)
     s, t = _endpoints(args, inst)
-    report = ctr.check_pair_sum_identity(inst.network, w, s, t,
+    report = ctr.check_pair_sum_identity(inst.network, w, s, t, cap=args.max_paths,
                                          node_limit=args.max_nodes_exact)
     rec.add("lhs", report.lhs)
     for name, value in sorted(report.terms.items()):

@@ -17,41 +17,32 @@ from dataclasses import dataclass, field
 from . import lp as lpmod
 from .errors import CapExceeded, MalformedNetwork, UnknownNode
 from .network import EdgeWalk, FlowNetwork, concat_walks, validate_walk
-from .rational import ZERO, rat
+from .rational import ONE, ZERO
 from .te import solve_columns
 
 
-def shortest_path_data(net: FlowNetwork, source, reverse=False):
+def shortest_path_data(net: FlowNetwork, source):
     """Single-source shortest paths by edge length.
 
-    Returns (dist, count, preds): exact hop distances, number of distinct
-    shortest paths (exact big integers), and for each node the list of
-    (predecessor, edge id) pairs lying on shortest paths.  With reverse=True
-    distances are measured *to* source along edge direction.
+    Returns (dist, count, preds): exact distances from source, number of
+    distinct shortest paths (exact big integers), and for each node the list
+    of (predecessor, edge id) pairs lying on shortest paths.
     """
     if source not in net.nodes:
-        raise UnknownNode(f"{source!r}")
+        raise UnknownNode(f"node {source!r} not in network")
     adj = {v: [] for v in net.nodes}
     for e in net.edges:
         adj[e.tail].append((e.head, e.id, e.length))
         if not net.directed:
             adj[e.head].append((e.tail, e.id, e.length))
-    if reverse:
-        radj = {v: [] for v in net.nodes}
-        for v, lst in adj.items():
-            for u, eid, ln in lst:
-                radj[u].append((v, eid, ln))
-        adj = radj
     dist = {source: 0}
     count = {source: 1}
     preds = {v: [] for v in net.nodes}
     heap = [(0, source)]
-    done = set()
     while heap:
         d, v = heapq.heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
+        if d > dist[v]:
+            continue  # stale: v was settled nearer
         for u, eid, ln in adj[v]:
             nd = d + ln
             if u not in dist or nd < dist[u]:
@@ -59,7 +50,7 @@ def shortest_path_data(net: FlowNetwork, source, reverse=False):
                 count[u] = count[v]
                 preds[u] = [(v, eid)]
                 heapq.heappush(heap, (nd, u))
-            elif nd == dist[u] and u not in done:
+            elif nd == dist[u]:  # lengths > 0: u is not settled yet
                 count[u] += count[v]
                 preds[u].append((v, eid))
     return dist, count, preds
@@ -80,31 +71,31 @@ class SegmentFractions:
 
 
 def ecmp_fractions(net: FlowNetwork, u, v) -> SegmentFractions:
-    """Exact per-edge load fractions for segment (u, v).
+    """Exact per-edge load fractions for segment (u, v): an edge e = (a, b)
+    on a shortest u-v path carries sigma(u,a) * sigma(b,v) / sigma(u,v) of
+    the segment's traffic, where sigma counts shortest paths."""
+    if v not in net.nodes:
+        raise UnknownNode(f"node {v!r} not in network")
+    return _split(u, v, shortest_path_data(net, u))
 
-    An edge e = (a, b) lies on a shortest u-v path iff
-    dist(u,a) + len(e) + dist(b,v) = dist(u,v); it then carries the fraction
-    sigma(u,a) * sigma(b,v) / sigma(u,v) of the segment's traffic, where
-    sigma counts shortest paths.
-    """
-    du, cu, _ = shortest_path_data(net, u)
-    dv, cv, _ = shortest_path_data(net, v, reverse=True)
-    if v not in du:
+
+def _split(u, v, search):
+    """Segment (u, v) from u's search by dependency accumulation (Brandes
+    2001): v holds one unit; in decreasing distance each node b passes
+    share(b) * sigma(u,a) / sigma(u,b) to each predecessor a.  As lengths are
+    > 0, a shortest b-v path on a shortest u-v path is in u's DAG."""
+    dist, count, preds = search
+    if v not in dist:
         return SegmentFractions(u, v, -1, 0, {})
-    total = du[v]
-    sigma_uv = cu[v]
+    share = {v: ONE}
     fractions = {}
-    for e in net.edges:
-        ends = [(e.tail, e.head)]
-        if not net.directed:
-            ends.append((e.head, e.tail))
-        share = ZERO
-        for a, b in ends:
-            if a in du and b in dv and du[a] + e.length + dv[b] == total:
-                share += rat(cu[a] * cv[b], sigma_uv)
-        if share != 0:
-            fractions[e.id] = share
-    return SegmentFractions(u, v, total, sigma_uv, fractions)
+    for b in sorted(dist, key=dist.__getitem__, reverse=True):
+        if b in share:
+            for a, eid in preds[b]:
+                part = share[b] * count[a] / count[b]
+                fractions[eid] = part
+                share[a] = share[a] + part if a in share else part
+    return SegmentFractions(u, v, dist[v], count[v], dict(sorted(fractions.items())))
 
 
 @dataclass(frozen=True)
@@ -167,13 +158,17 @@ def build_tunnels(net: FlowNetwork, cfg: SrConfig):
 
 
 def segment_tables(net: FlowNetwork, tunnels_per_com):
+    """Every tunnel segment's SegmentFractions, one search per source."""
+    searches = {}
     tables = {}
     for i, tunnels in enumerate(tunnels_per_com):
         com = net.commodities[i]
         for t in tunnels:
-            for seg in t.segments(com):
-                if seg not in tables:
-                    tables[seg] = ecmp_fractions(net, *seg)
+            for u, v in t.segments(com):
+                if (u, v) not in tables:
+                    if u not in searches:
+                        searches[u] = shortest_path_data(net, u)
+                    tables[u, v] = _split(u, v, searches[u])
     return tables
 
 
@@ -293,6 +288,9 @@ def acyclic_feasible(net: FlowNetwork, source, sink, middlepoints,
     if mode not in ("path", "simple_path"):
         raise ValueError(f"bad mode {mode!r}")
     chain = (source,) + tuple(middlepoints) + (sink,)
+    for x in chain:
+        if x not in net.nodes:
+            raise UnknownNode(f"node {x!r} not in network")
     if len(set(chain)) != len(chain):
         raise MalformedNetwork("source, middlepoints and sink must be distinct")
     segs = list(zip(chain, chain[1:]))

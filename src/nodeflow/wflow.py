@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lp as lpmod
-from .errors import MalformedNetwork, NonIntegralCapacity, WIsEndpoint
+from .errors import MalformedNetwork, NonIntegralCapacity, UnknownNode, WIsEndpoint
 from .maxflow import max_flow
 from .network import (DEFAULT_PATH_CAP, FWD, EdgeWalk, FlowNetwork,
                       _iter_walks, concat_walks, enumerate_st_paths,
@@ -158,6 +158,9 @@ def min_swt_edge_cut(net: FlowNetwork, s, w, t, max_exact_edges=20) -> CutResult
     w-t cuts.  An s-w cut is one only when w != s (a walk that starts at w
     need not reach it again), a w-t cut only when w != t.
     """
+    for x in (s, w, t):
+        if x not in net.nodes:
+            raise UnknownNode(f"node {x!r} not in network")
     if len(net.edges) > max_exact_edges:
         pairs = [(a, b) for a, b, valid in ((s, t, s != t), (s, w, w != s), (w, t, w != t))
                  if valid]
@@ -199,6 +202,9 @@ def _swt_walk(net, adj, removed, s, w, t):
 
 
 def verify_cut(net: FlowNetwork, s, w, t, edge_ids) -> bool:
+    for x in (s, w, t):
+        if x not in net.nodes:
+            raise UnknownNode(f"node {x!r} not in network")
     adj = net.adjacency()
     removed = frozenset(edge_ids)
     # Plain reachability settles the common case in linear time; only when

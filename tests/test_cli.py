@@ -249,3 +249,41 @@ def test_node_guard_on_group_solvers_exit_3(tmp_path, capsys):
         code, _, _ = run(capsys, *argv, "--instance", str(path),
                          "--max-nodes-exact", "5")
         assert code == 0, argv
+
+
+def test_cut_unknown_w_exit_1(capsys):
+    code, out, err = run(capsys, "cut", "--builtin", "remarks", "--w", "zz")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "'zz'" in err
+
+
+def test_cut_unknown_s_exit_1(capsys):
+    code, out, err = run(capsys, "cut", "--builtin", "remarks", "--w", "w",
+                         "--s", "nope")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "'nope'" in err
+
+
+def test_acyclic_check_unknown_middlepoint_exit_1(capsys):
+    code, out, err = run(capsys, "acyclic-check", "--builtin", "remarks",
+                         "--middlepoints", "zz")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "'zz'" in err
+
+
+def test_eq25_unknown_s_names_it_exit_1(capsys):
+    code, out, err = run(capsys, "eq25", "--builtin", "fig8", "--w", "v1",
+                         "--s", "v0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "'v0'" in err
+
+
+def test_centrality_honours_max_paths_exit_3(capsys):
+    for extra in ((), ("--instance-demands",)):
+        code, _, err = run(capsys, "centrality", "--builtin", "remarks",
+                           "--w", "w", "--max-paths", "1", *extra)
+        assert code == 3, extra
+        assert "limit" in err
+    code, _, _ = run(capsys, "eq25", "--builtin", "remarks", "--w", "w",
+                     "--max-paths", "1")
+    assert code == 3

@@ -1,12 +1,24 @@
 import random
+from collections import Counter
+from fractions import Fraction
 from math import comb
 
-from nodeflow import (SrConfig, Tunnel, acyclic_feasible, build_tunnels,
-                      detect_cycles, ecmp_fractions, get_builtin, rat,
-                      segment_tables, shortest_path_data, solve_sr_lu,
-                      solve_sr_mf, solve_te_mf, tunnel_bound)
+import pytest
 
-from conftest import random_directed
+from nodeflow import (FlowNetwork, SrConfig, Tunnel, UnknownNode,
+                      acyclic_feasible, build_tunnels, detect_cycles,
+                      ecmp_fractions, get_builtin, rat, segment_tables,
+                      shortest_path_data, solve_sr_lu, solve_sr_mf,
+                      solve_te_mf, srte, tunnel_bound)
+
+from conftest import oracle_walks, random_directed, random_undirected
+
+
+def _with_lengths(rng, net):
+    """The same network with every edge length drawn from 1-3."""
+    edges = [(e.tail, e.head, e.capacity, rng.randint(1, 3)) for e in net.edges]
+    commodities = [(c.source, c.sink) for c in net.commodities]
+    return FlowNetwork.build(net.orientation, net.nodes, edges, commodities)
 
 
 def _brute_shortest(net, s):
@@ -39,6 +51,81 @@ def test_shortest_path_data_matches_bellman_ford():
         bf_dist, bf_counts = _brute_shortest(net, s)
         assert dist == bf_dist, trial
         assert counts == bf_counts, trial
+    for trial in range(40):
+        gen = random_undirected if trial % 2 else random_directed
+        net = _with_lengths(rng, gen(rng, n_commodities=1))
+        s = net.commodities[0].source
+        dist, counts, _ = shortest_path_data(net, s)
+        assert (dist, counts) == _brute_shortest(net, s), trial
+
+
+def test_ecmp_fractions_match_shortest_path_enumeration():
+    """dist, n_paths and every fraction against the minimum-length simple
+    paths: an edge carries the share of them that use it."""
+    rng = random.Random(89)
+    for trial in range(40):
+        gen = random_undirected if trial % 2 else random_directed
+        net = _with_lengths(rng, gen(rng))
+        edge_of = {}
+        for e in net.edges:
+            edge_of.setdefault((e.tail, e.head), []).append(e)
+            if not net.directed:
+                edge_of.setdefault((e.head, e.tail), []).append(e)
+        # No parallel edges, so a node sequence names its edges.
+        assert all(len(es) == 1 for es in edge_of.values())
+        for u in net.nodes:
+            assert ecmp_fractions(net, u, u).n_paths == 1
+            for v in net.nodes:
+                if u == v:
+                    continue
+                frac = ecmp_fractions(net, u, v)
+                paths = [[edge_of[hop][0] for hop in zip(seq, seq[1:])]
+                         for seq in oracle_walks(net, u, v, simple=True)]
+                if not paths:
+                    assert (frac.dist, frac.n_paths, frac.fractions) == (-1, 0, {})
+                    continue
+                best = min(sum(e.length for e in p) for p in paths)
+                shortest = [p for p in paths if sum(e.length for e in p) == best]
+                uses = Counter(e.id for p in shortest for e in p)
+                assert frac.dist == best, (trial, u, v)
+                assert frac.n_paths == len(shortest), (trial, u, v)
+                assert frac.fractions == {eid: Fraction(k, len(shortest))
+                                          for eid, k in uses.items()}, (trial, u, v)
+                assert list(frac.fractions) == sorted(uses), (trial, u, v)
+
+
+def test_ecmp_fractions_unknown_node_raises():
+    net = get_builtin("cycle-3").network
+    for u, v in (("s", "zz"), ("zz", "t")):
+        with pytest.raises(UnknownNode, match="zz"):
+            ecmp_fractions(net, u, v)
+
+
+def test_one_search_per_segment_source(monkeypatch):
+    calls = []
+    search = srte.shortest_path_data
+
+    def counted(net, source):
+        calls.append(source)
+        return search(net, source)
+
+    monkeypatch.setattr(srte, "shortest_path_data", counted)
+    rng = random.Random(97)
+    for trial in range(10):
+        net = _with_lengths(rng, random_undirected(rng, n_nodes=6, n_edges=9,
+                                                   n_commodities=3))
+        cfg = SrConfig(tuple(rng.sample(net.nodes, 3)), 2)
+        calls.clear()
+        tunnels = build_tunnels(net, cfg)
+        assert len(calls) == len(set(calls)), trial
+        segs = {seg for per_com, com in zip(tunnels, net.commodities)
+                for t in per_com for seg in t.segments(com)}
+        calls.clear()
+        tables = segment_tables(net, tunnels)
+        assert sorted(calls) == sorted({u for u, _ in segs}), trial
+        assert set(tables) == segs
+        for seg, table in tables.items():
+            assert table == ecmp_fractions(net, *seg), (trial, seg)
 
 
 def test_ecmp_fractions_conserve_and_bound():
