@@ -45,7 +45,7 @@ def _guard(net: FlowNetwork, limit, enumerates=False):
             f"{len(net.nodes)} nodes exceeds the guard of {limit}")
 
 
-@dataclass
+@dataclass(slots=True)
 class CentralityReport:
     node: str
     numerator: object

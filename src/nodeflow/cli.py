@@ -168,11 +168,13 @@ def _emit_flow_solution(rec, sol, net):
 
 
 def cmd_te_mf(args, inst, rec):
+    ctr._guard(inst.network, args.max_nodes_exact, enumerates=True)
     sol = te.solve_te_mf(inst.network, cap=args.max_paths)
     _emit_flow_solution(rec, sol, inst.network)
 
 
 def cmd_te_lu(args, inst, rec):
+    ctr._guard(inst.network, args.max_nodes_exact, enumerates=True)
     sol = te.solve_te_lu(inst.network, cap=args.max_paths)
     _emit_flow_solution(rec, sol, inst.network)
 

@@ -28,7 +28,9 @@ instance.
 The other program is solve_arcs, one copy of every arc per flow layer and
 no enumeration: one layer per commodity gives the unconstrained maximum
 (max_flow_arc_lp), and one layer per (commodity, designated node) gives the
-undirected node-constrained transform in wflow.
+undirected node-constrained transform in wflow.  On undirected networks it
+first prunes dead ends and merges series and parallel edges, which changes
+pivots but not status or objective.
 """
 
 from __future__ import annotations
@@ -253,6 +255,47 @@ def check_demand_load_duality(net: FlowNetwork, cap=None) -> DualityReport:
     return DualityReport(dmf.satisfiable, lu.objective, consistent)
 
 
+def _reduced_graph(net: FlowNetwork, terminals):
+    """The undirected graph an arc program needs, given the nodes that some
+    layer does not conserve: (nodes, edges), edges as (a, b, capacity).
+
+    Applied until none fires: a zero-capacity edge is dropped; parallel
+    edges become one edge of their summed capacity; a non-terminal node
+    with at most one neighbour goes, with its edges; and a non-terminal
+    node with two neighbours a, b is replaced by one edge a-b of capacity
+    min(c_av, c_vb).  Edges keep their order: parallel edges merge into
+    the first of them, and a series edge goes last unless it merges into
+    an existing a-b edge.
+    """
+    cap = {}                               # (a, b) -> capacity, in order
+    nbrs = {v: {} for v in net.nodes}      # node -> {neighbour: (a, b)}
+
+    def link(a, b, c):
+        key = nbrs[a].get(b)
+        if key is None:
+            key = nbrs[a][b] = nbrs[b][a] = (a, b)
+            cap[key] = ZERO
+        cap[key] += c
+
+    for e in net.edges:
+        if e.capacity:
+            link(e.tail, e.head, e.capacity)
+    stack = [v for v in reversed(net.nodes) if v not in terminals]
+    while stack:
+        v = stack.pop()
+        if v not in nbrs or len(nbrs[v]) > 2:
+            continue
+        ends = {u: cap.pop(key) for u, key in nbrs.pop(v).items()}
+        for u in ends:
+            del nbrs[u][v]
+        if len(ends) == 2:
+            (a, c_av), (b, c_vb) = ends.items()
+            link(a, b, min(c_av, c_vb))
+        stack.extend(u for u in ends if u not in terminals)
+    return ([v for v in net.nodes if v in nbrs],
+            [(a, b, c) for (a, b), c in cap.items()])
+
+
 def solve_arcs(net: FlowNetwork, layers):
     """The arc program shared by the undirected transform and the arc LP.
 
@@ -265,17 +308,33 @@ def solve_arcs(net: FlowNetwork, layers):
     number of exits (the sum of the flow leaving at every exit), and a
     commodity's finite demand caps the sum of its layers' exit variables.
 
+    An undirected graph is first reduced (_reduced_graph) with every
+    layer's origin and exits as its terminals, the only nodes some layer
+    does not conserve.  Each rule keeps the set of layer flows the capacity
+    rows admit.  Flow that enters a dead end can only come back out, so it
+    cancels to 0.  At a series node v between a and b, once each layer's
+    opposite flows on an edge are cancelled, the layer's net flow a-v-b
+    loads both edges by its absolute value, so the layers fit on both
+    exactly when they fit on one edge of capacity min(c_av, c_vb).  Status
+    and objective are therefore those of the unreduced program; the
+    pivots may differ.  Directed graphs are not reduced.
+
     Returns the LpSolution.
     """
-    arcs = []         # (edge id, tail, head)
-    for e in net.edges:
-        arcs.append((e.id, e.tail, e.head))
+    if net.directed:
+        nodes, edges = net.nodes, [(e.tail, e.head, e.capacity) for e in net.edges]
+    else:
+        terminals = {v for _, origin, exits in layers for v in (origin, *exits)}
+        nodes, edges = _reduced_graph(net, terminals)
+    arcs = []         # (edge index, tail, head)
+    for k, (tail, head, _) in enumerate(edges):
+        arcs.append((k, tail, head))
         if not net.directed:
-            arcs.append((e.id, e.head, e.tail))
-    by_edge = [[] for _ in net.edges]
-    incidence = {v: [] for v in net.nodes}   # node -> [(arc, +-1)]
-    for j, (eid, tail, head) in enumerate(arcs):
-        by_edge[eid].append(j)
+            arcs.append((k, head, tail))
+    by_edge = [[] for _ in edges]
+    incidence = {v: [] for v in nodes}   # node -> [(arc, +-1)]
+    for j, (k, tail, head) in enumerate(arcs):
+        by_edge[k].append(j)
         incidence[head].append((j, ONE))
         incidence[tail].append((j, -ONE))
 
@@ -284,11 +343,11 @@ def solve_arcs(net: FlowNetwork, layers):
     for k in range(len(layers)):
         flows.append([lp.add_variable(f"x{k}_{j}") for j in range(len(arcs))])
         outs.append(lp.add_variable(f"x{k}_exit"))
-    for e in net.edges:
-        lp.add_constraint({row[j]: ONE for row in flows for j in by_edge[e.id]},
-                          lpmod.LE, e.capacity)
+    for arcs_of_edge, (_, _, capacity) in zip(by_edge, edges):
+        lp.add_constraint({row[j]: ONE for row in flows for j in arcs_of_edge},
+                          lpmod.LE, capacity)
     for (_, origin, exits), row, out in zip(layers, flows, outs):
-        for v in net.nodes:
+        for v in nodes:
             if v == origin:
                 continue
             coeffs = {row[j]: c for j, c in incidence[v]}

@@ -5,14 +5,17 @@ te.solve_arcs.  Exact arithmetic makes each transform solve a pure function
 of its program, so max_set_flow's status, pivot count and objective are
 pinned on every undirected builtin and on a seeded random set.  The statuses
 and objectives were recorded from the transform's earlier builder of its
-own, the pivot counts from the program with one exit variable per layer.
+own, the pivot counts from the program on the reduced graph (dead ends
+pruned, series and parallel edges merged).
 The arc LP's program changed shape with the move, so it is checked by value
 against the path program instead.
 """
 
 import random
 
-from nodeflow import catalog, max_flow_arc_lp, max_set_flow, solve_te_mf
+from nodeflow import (FlowNetwork, catalog, max_flow_arc_lp, max_set_flow,
+                      max_set_flow_paths, solve_te_mf)
+from nodeflow.te import _reduced_graph
 
 from conftest import random_directed, random_undirected
 
@@ -54,12 +57,12 @@ def _random_signatures():
 
 
 PINNED_BUILTINS = {
-    "augmenting-undirected s": "optimal 9 9",
+    "augmenting-undirected s": "optimal 7 9",
     "augmenting-undirected u": "optimal 11 7",
-    "augmenting-undirected v": "optimal 11 8",
-    "augmenting-undirected w": "optimal 10 3",
-    "augmenting-undirected x": "optimal 12 8",
-    "augmenting-undirected t": "optimal 13 9",
+    "augmenting-undirected v": "optimal 8 8",
+    "augmenting-undirected w": "optimal 9 3",
+    "augmenting-undirected x": "optimal 8 8",
+    "augmenting-undirected t": "optimal 8 9",
     "fig8-undirected s1": "optimal 28 2",
     "fig8-undirected s2": "optimal 29 2",
     "fig8-undirected s3": "optimal 37 3",
@@ -72,51 +75,51 @@ PINNED_BUILTINS = {
     "fig8-undirected v4": "optimal 38 2",
     "fig8-undirected s1,s2,s3": "optimal 88 3",
     "wst-undirected w": "optimal 3 1/2",
-    "wst-undirected s": "optimal 3 1",
-    "wst-undirected t": "optimal 4 1",
+    "wst-undirected s": "optimal 2 1",
+    "wst-undirected t": "optimal 3 1",
 }
 
 PINNED_RANDOM = {
     "0 n2,n3": "optimal 11 2",
-    "1 n3,n5": "optimal 18 2",
-    "2 n0": "optimal 7 2",
-    "3 n0": "optimal 15 4",
+    "1 n3,n5": "optimal 14 2",
+    "2 n0": "optimal 6 2",
+    "3 n0": "optimal 6 4",
     "4 n2": "optimal 16 5",
-    "5 n1": "optimal 4 1",
-    "6 n2,n0": "optimal 11 2",
-    "7 n1": "optimal 8 2",
-    "8 n1": "optimal 4 1",
+    "5 n1": "optimal 3 1",
+    "6 n2,n0": "optimal 8 2",
+    "7 n1": "optimal 5 2",
+    "8 n1": "optimal 2 1",
     "9 n3,n1": "optimal 13 7",
-    "10 n3": "optimal 7 2",
+    "10 n3": "optimal 2 2",
     "11 n3": "optimal 18 7",
     "12 n3,n4": "optimal 28 3",
     "13 n3,n1": "optimal 11 1",
-    "14 n3": "optimal 10 1",
+    "14 n3": "optimal 8 1",
     "15 n1,n3": "optimal 32 4",
     "16 n3": "optimal 17 7/2",
     "17 n1,n0": "optimal 22 6",
-    "18 n3": "optimal 11 2",
+    "18 n3": "optimal 8 2",
     "19 n1": "optimal 18 6",
-    "20 n3": "optimal 22 2",
-    "21 n1": "optimal 9 2",
-    "22 n2,n3": "optimal 24 3",
-    "23 n2": "optimal 10 6",
-    "24 n3": "optimal 5 1",
-    "25 n0": "optimal 10 5",
-    "26 n1": "optimal 13 3",
-    "27 n2": "optimal 7 6",
-    "28 n1": "optimal 6 2",
+    "20 n3": "optimal 19 2",
+    "21 n1": "optimal 7 2",
+    "22 n2,n3": "optimal 13 3",
+    "23 n2": "optimal 8 6",
+    "24 n3": "optimal 4 1",
+    "25 n0": "optimal 4 5",
+    "26 n1": "optimal 12 3",
+    "27 n2": "optimal 2 6",
+    "28 n1": "optimal 5 2",
     "29 n3,n0": "optimal 24 10",
     "30 n2,n0": "optimal 10 4",
-    "31 n2,n1": "optimal 15 4",
+    "31 n2,n1": "optimal 8 4",
     "32 n2": "optimal 11 5",
-    "33 n1,n0": "optimal 8 0",
+    "33 n1,n0": "optimal 4 0",
     "34 n2": "optimal 10 2",
-    "35 n2": "optimal 12 0",
+    "35 n2": "optimal 9 0",
     "36 n3": "optimal 33 15/2",
     "37 n1,n0": "optimal 34 9",
-    "38 n4,n1": "optimal 9 3",
-    "39 n0": "optimal 6 3",
+    "38 n4,n1": "optimal 4 3",
+    "39 n0": "optimal 2 3",
 }
 
 
@@ -145,3 +148,55 @@ def test_arc_lp_matches_path_lp_on_builtins():
         if b.network.commodities:
             assert (max_flow_arc_lp(b.network).objective
                     == solve_te_mf(b.network).objective), b.name
+
+
+# -- the reduction before the arc program --------------------------------------
+#
+# The core s-u, s-v, u-v, u-t, v-t is irreducible with terminals s, u, t:
+# its one non-terminal, v, has three neighbours.  Each test adds what one
+# rule removes, checks the graph the program is built on, and checks the
+# value against the path LP over the through-u walks.
+
+CORE = [("s", "u", 2), ("s", "v", 1), ("u", "v", 1), ("u", "t", 1), ("v", "t", 2)]
+
+
+def _reduced(nodes, edges, W=("u",)):
+    net = FlowNetwork.build("undirected", nodes, edges, [("s", "t", None)])
+    assert max_set_flow(net, W).objective == max_set_flow_paths(net, W).objective
+    return _reduced_graph(net, {"s", "t", *W})
+
+
+def test_reduction_drops_zero_capacity_edges():
+    assert _reduced("suvt", CORE + [("s", "t", 0)]) == (list("suvt"), CORE)
+
+
+def test_reduction_prunes_a_dead_end_tree():
+    # d hangs off v and e off d: e goes first, then d.
+    assert (_reduced("suvtde", CORE + [("v", "d", 5), ("d", "e", 3)])
+            == (list("suvt"), CORE))
+
+
+def test_reduction_merges_a_series_node():
+    # s-x-t becomes one edge s-t of capacity min(3, 2), after the others.
+    assert (_reduced("suvtx", CORE + [("s", "x", 3), ("x", "t", 2)])
+            == (list("suvt"), CORE + [("s", "t", 2)]))
+
+
+def test_reduction_merges_parallel_edges():
+    # Both extra s-u edges merge into the first one.
+    merged = [("s", "u", 5)] + CORE[1:]
+    assert (_reduced("suvt", CORE + [("u", "s", 1), ("s", "u", 2)])
+            == (list("suvt"), merged))
+
+
+def test_reduction_prunes_a_node_with_two_edges_to_one_neighbour():
+    # x's two edges to v merge into one, and x is then a dead end.
+    assert (_reduced("suvtx", CORE + [("v", "x", 1), ("x", "v", 2)])
+            == (list("suvt"), CORE))
+
+
+def test_reduction_keeps_a_terminal_inside_a_chain():
+    # w lies in series between s and t but is designated, so its edges
+    # stay; u is now a non-terminal with three neighbours.
+    chain = CORE + [("s", "w", 3), ("w", "t", 2)]
+    assert _reduced("suvtw", chain, W=("w",)) == (list("suvtw"), chain)

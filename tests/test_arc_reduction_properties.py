@@ -1,0 +1,83 @@
+"""Property tests for the arc program on reducible undirected networks
+(skipped without hypothesis).
+
+The networks are a small core with series chains, pendant trees, parallel
+edges and zero-capacity edges added, and commodity endpoints and designated
+nodes drawn from every node, so terminals also sit inside chains and trees.
+The transform is checked against the path LP over the through-W walks, and
+the arc LP against the Dinic kernel; neither oracle builds an arc program.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from nodeflow import (FlowNetwork, max_flow_arc_lp, max_set_flow,  # noqa: E402
+                      max_set_flow_paths)
+from nodeflow.maxflow import max_flow  # noqa: E402
+
+CORE = ["c0", "c1", "c2"]
+capacities = st.sampled_from([0, 1, 2, 3, Fraction(3, 2)])
+
+
+@st.composite
+def reducible_networks(draw):
+    """(nodes, edges): three core nodes with at most one edge, up to two
+    chains of one to three nodes between core nodes, and up to two pendant
+    trees of one or two nodes hanging off any node; one edge may be drawn
+    twice.  At most three independent cycles keep the through-W walks few
+    enough to enumerate."""
+    nodes = list(CORE)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(CORE), st.sampled_from(CORE))
+                          .filter(lambda p: p[0] != p[1]), max_size=1))
+    for c in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(CORE)), draw(st.sampled_from(CORE))
+        chain = [f"x{c}_{i}" for i in range(draw(st.integers(1, 3)))]
+        nodes += chain
+        route = [a, *chain, b]
+        pairs += list(zip(route, route[1:]))
+    for p in range(draw(st.integers(0, 2))):
+        root = draw(st.sampled_from(nodes))
+        tree = [f"p{p}_{i}" for i in range(draw(st.integers(1, 2)))]
+        for i, leaf in enumerate(tree):
+            pairs.append((draw(st.sampled_from([root, *tree[:i]])), leaf))
+        nodes += tree
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=1)) if pairs else []
+    edges = [(a, b, draw(capacities)) for a, b in pairs]
+    return nodes, edges
+
+
+@st.composite
+def set_flow_instances(draw):
+    nodes, edges = draw(reducible_networks())
+    ends = st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True)
+    demand = st.none() | st.integers(0, 3)
+    coms = [(*draw(ends), draw(demand)) for _ in range(draw(st.integers(1, 2)))]
+    W = tuple(draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=2,
+                            unique=True)))
+    return FlowNetwork.build("undirected", nodes, edges, coms), W
+
+
+@settings(max_examples=120, deadline=None)
+@given(instance=set_flow_instances())
+def test_transform_equals_path_lp_over_through_w_walks(instance):
+    net, W = instance
+    sol = max_set_flow(net, W)
+    assert sol.status == "optimal"
+    assert sol.objective == max_set_flow_paths(net, W).objective
+
+
+@settings(max_examples=120, deadline=None)
+@given(graph=reducible_networks(), data=st.data())
+def test_single_commodity_arc_lp_equals_dinic(graph, data):
+    nodes, edges = graph
+    s, t = data.draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2,
+                              unique=True))
+    demand = data.draw(st.none() | st.integers(0, 3))
+    net = FlowNetwork.build("undirected", nodes, edges, [(s, t, demand)])
+    value = max_flow(net, s, t).value
+    expected = value if demand is None else min(value, demand)
+    assert max_flow_arc_lp(net).objective == expected

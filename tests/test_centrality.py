@@ -1,11 +1,11 @@
 import itertools
 import random
 
-from nodeflow import (Commodity, check_pair_sum_identity,
+from nodeflow import (CentralityReport, Commodity, check_pair_sum_identity,
                       commodity_centrality, enumerate_st_paths,
                       flow_centrality, get_builtin, group_flow,
                       hat_constructions, marginal_gain, max_flow_arc_lp,
-                      max_set_flow, n_group_max_flow, pair_max_flow,
+                      max_set_flow_paths, n_group_max_flow, pair_max_flow,
                       pair_w_flow, probe_margins, rat, solve_te_mf,
                       submodularity_probe, through_any)
 
@@ -29,7 +29,8 @@ def test_flow_centrality_matches_definition():
 
 def test_flow_centrality_undirected_matches_per_pair_lps():
     # On undirected networks each unordered pair is solved once; every
-    # ordered pair must still equal its own arc LP and transform LP.
+    # ordered pair must still equal its own arc LP and its own path LP over
+    # the through-w walks, which shares no code with the transform.
     rng = random.Random(103)
     nets = [(get_builtin("augmenting-undirected").network, "w")]
     for _ in range(4):
@@ -43,10 +44,19 @@ def test_flow_centrality_undirected_matches_per_pair_lps():
         for s, t, forced, free in report.pairs:
             single = net.with_commodities([Commodity(s, t, None)])
             assert free == max_flow_arc_lp(single).objective, (s, t)
-            expected = max_set_flow(single, (w,)).objective if free else 0
+            expected = max_set_flow_paths(single, (w,)).objective if free else 0
             assert forced == expected, (s, t)
         assert report.numerator == sum((p[2] for p in report.pairs), rat(0))
         assert report.denominator == sum((p[3] for p in report.pairs), rat(0))
+
+
+def test_centrality_report_has_slots():
+    report = flow_centrality(get_builtin("remarks").network, "w")
+    assert not hasattr(report, "__dict__")
+    assert report == CentralityReport(report.node, report.numerator,
+                                      report.denominator, report.ratio,
+                                      list(report.pairs))
+    assert CentralityReport("w", 0, 0, None).pairs == []
 
 
 def test_commodity_centrality_fig8():

@@ -224,6 +224,27 @@ def test_node_guard_on_undirected_walk_enumerators_exit_3(tmp_path, capsys):
         assert code == 0, argv
 
 
+def test_node_guard_on_te_walk_enumerators_exit_3(tmp_path, capsys):
+    # te-mf and te-lu enumerate every s-t walk, on either kind of network.
+    nodes = [f"v{i}" for i in range(12)]
+    for orientation in ("directed", "undirected"):
+        path = tmp_path / f"{orientation}.json"
+        path.write_text(json.dumps({
+            "orientation": orientation, "nodes": nodes,
+            "edges": [{"tail": a, "head": b, "capacity": 1}
+                      for a, b in zip(nodes, nodes[1:])],
+            "commodities": [{"src": "v0", "dst": "v11", "demand": 1}]}))
+        for command in ("te-mf", "te-lu"):
+            code, _, err = run(capsys, command, "--instance", str(path),
+                               "--max-nodes-exact", "5")
+            assert code == 3, (orientation, command)
+            assert "limit" in err
+            code, out, _ = run(capsys, command, "--instance", str(path),
+                               "--max-nodes-exact", "12")
+            assert code == 0, (orientation, command)
+            assert "objective: 1\n" in out
+
+
 def test_node_guard_on_group_solvers_exit_3(tmp_path, capsys):
     nodes = [f"v{i}" for i in range(12)]
     for orientation in ("directed", "undirected"):

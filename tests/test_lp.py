@@ -416,7 +416,10 @@ def test_bland_path_pinned_on_transform_program():
 
 def test_transform_program_has_only_rows_that_can_bind(monkeypatch):
     # The same question as the pinned program above, in the layer form: the
-    # 16 edge arcs and one exit, with no collector, apex or surrogate.
+    # edge arcs and one exit, with no collector, apex or surrogate, on the
+    # reduced graph.  u is in series between s and v, so s-u-v merges into
+    # the parallel edge s-v (capacity 14); v is then in series between s
+    # and w, giving s-w of capacity 2.
     from nodeflow import get_builtin
     from nodeflow import lp as lpmod
     from nodeflow.wflow import build_transform, solve_transform
@@ -431,9 +434,9 @@ def test_transform_program_has_only_rows_that_can_bind(monkeypatch):
     tr = build_transform(get_builtin("augmenting-undirected").network, ("w",))
     value, _ = solve_transform(tr)
     (lp,) = built
-    # 16 arc variables and one exit; 8 edge capacity rows and conservation
-    # at the 5 nodes other than w.
-    assert (len(lp.variables), len(lp.constraints)) == (17, 13)
+    # 10 arc variables on the 5 edges left and one exit; 5 edge capacity
+    # rows and conservation at s, x and t.
+    assert (len(lp.variables), len(lp.constraints)) == (11, 8)
     assert value == 6
 
 
