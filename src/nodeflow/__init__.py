@@ -31,7 +31,7 @@ from .wflow import (AugmentingResult, CutResult, TransformedNetwork,
                     solve_transform, verify_cut)
 from .srte import (FeasibilityResult, SegmentFractions, SrConfig, SrSolution,
                    Tunnel, acyclic_feasible, build_tunnels, detect_cycles,
-                   ecmp_fractions, segment_tables, shortest_path_data,
+                   ecmp_fractions, shortest_path_data,
                    solve_sr_lu, solve_sr_mf, tunnel_bound)
 from .centrality import (CentralityReport, Eq25Report, GroupFlowResult,
                          HatConstructions, ProbeReport, check_pair_sum_identity,

@@ -186,49 +186,36 @@ class EdgeWalk:
 
 @dataclass(frozen=True)
 class PathConstraint:
-    """What a family of paths is required to satisfy.
+    """Which s-t paths a family holds.
 
-    kind: "unconstrained" | "through" | "through_any" | "simple_through"
-    nodes: the designated node(s), empty for unconstrained.
+    nodes: the designated set W; a path must visit at least one of them.
+      Empty means no node is required.
+    simple: the path must not repeat a node.
+    single_use: an undirected edge may appear at most once, even in opposite
+      directions (the no-repeat variant); no effect on directed networks.
     """
 
-    kind: str
     nodes: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("unconstrained", "through", "through_any", "simple_through"):
-            raise ValueError(f"bad constraint kind {self.kind!r}")
-        if self.kind == "unconstrained" and self.nodes:
-            raise ValueError("unconstrained takes no nodes")
-        if self.kind in ("through", "simple_through") and len(self.nodes) != 1:
-            raise ValueError(f"{self.kind} takes exactly one node")
-        if self.kind == "through_any" and not self.nodes:
-            raise ValueError("through_any takes a nonempty node set")
-
-    def satisfied_by(self, walk: EdgeWalk) -> bool:
-        if self.kind == "unconstrained":
-            return True
-        if self.kind == "through_any":
-            return any(w in walk.nodes for w in self.nodes)
-        ok = self.nodes[0] in walk.nodes
-        if self.kind == "simple_through":
-            ok = ok and walk.is_simple()
-        return ok
+    simple: bool = False
+    single_use: bool = False
 
 
-UNCONSTRAINED = PathConstraint("unconstrained")
+UNCONSTRAINED = PathConstraint()
 
 
-def through(w) -> PathConstraint:
-    return PathConstraint("through", (w,))
+def through(w, single_use=False) -> PathConstraint:
+    return through_any((w,), single_use)
 
 
-def through_any(ws) -> PathConstraint:
-    return PathConstraint("through_any", tuple(sorted(ws)))
+def through_any(ws, single_use=False) -> PathConstraint:
+    nodes = tuple(sorted(ws))
+    if not nodes:
+        raise ValueError("through_any takes a nonempty node set")
+    return PathConstraint(nodes, single_use=single_use)
 
 
 def simple_through(w) -> PathConstraint:
-    return PathConstraint("simple_through", (w,))
+    return PathConstraint((w,), simple=True)
 
 
 @dataclass(frozen=True)
@@ -238,7 +225,6 @@ class PathFamily:
     constraint: PathConstraint
     paths: tuple
     truncated: bool = False
-    single_use: bool = False  # undirected no-repeat variant
 
     def __len__(self):
         return len(self.paths)
@@ -309,12 +295,11 @@ def enumerate_st_paths(
     sink,
     constraint: PathConstraint = UNCONSTRAINED,
     cap: int = DEFAULT_PATH_CAP,
-    single_use: bool = False,
 ) -> PathFamily:
-    """All paths source -> sink satisfying the constraint, deterministic order.
+    """All paths source -> sink satisfying the constraint, in search order.
 
-    single_use forbids using an undirected edge twice even in opposite
-    directions (the "no repeated edge at all" variant).
+    The search itself honours constraint.simple and constraint.single_use;
+    only the designated set is checked per walk.
     """
     if source not in net.nodes or sink not in net.nodes:
         raise UnknownNode(f"no such node pair ({source!r}, {sink!r})")
@@ -323,23 +308,24 @@ def enumerate_st_paths(
     for w in constraint.nodes:
         if w not in net.nodes:
             raise UnknownNode(f"constraint node {w!r} not in network")
-    simple = constraint.kind == "simple_through"
+    W = frozenset(constraint.nodes)
     found = []
     truncated = False
-    for walk in _iter_walks(net, source, sink, simple, single_use):
-        if not constraint.satisfied_by(walk):
+    for walk in _iter_walks(net, source, sink, constraint.simple,
+                            constraint.single_use):
+        if W and W.isdisjoint(walk.nodes):
             continue
         if len(found) >= cap:
             truncated = True
             break
         found.append(walk)
-    return PathFamily(source, sink, constraint, tuple(found), truncated, single_use)
+    return PathFamily(source, sink, constraint, tuple(found), truncated)
 
 
 def enumerate_paths(net: FlowNetwork, commodity: int, constraint=UNCONSTRAINED,
-                    cap=DEFAULT_PATH_CAP, single_use=False) -> PathFamily:
+                    cap=DEFAULT_PATH_CAP) -> PathFamily:
     com = net.commodities[commodity]
-    return enumerate_st_paths(net, com.source, com.sink, constraint, cap, single_use)
+    return enumerate_st_paths(net, com.source, com.sink, constraint, cap)
 
 
 @dataclass(frozen=True)

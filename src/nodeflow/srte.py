@@ -122,24 +122,27 @@ def tunnel_bound(k: int, m: int) -> int:
 
 
 def build_tunnels(net: FlowNetwork, cfg: SrConfig):
-    """Usable tunnels per commodity.
+    """Usable tunnels per commodity, and every usable segment's
+    SegmentFractions keyed by (u, v).
 
     Order-respecting subsequences of the middlepoint list with at most
     max_segments entries (exactly the full list if use_all); subsequences
     touching a commodity's endpoints are skipped, as are tunnels with an
-    unreachable segment.
+    unreachable segment.  One shortest-path search per segment source serves
+    both the reachability test and the tables.
     """
     for w in cfg.middlepoints:
         if w not in net.nodes:
             raise UnknownNode(f"middlepoint {w!r} not in network")
-    dist_cache = {}
+    searches = {}
 
     def reach(u, v):
-        if u not in dist_cache:
-            dist_cache[u] = shortest_path_data(net, u)[0]
-        return v in dist_cache[u]
+        if u not in searches:
+            searches[u] = shortest_path_data(net, u)
+        return v in searches[u][0]
 
     result = []
+    tables = {}
     for i, com in enumerate(net.commodities):
         if cfg.use_all:
             subseqs = [tuple(cfg.middlepoints)]
@@ -151,25 +154,14 @@ def build_tunnels(net: FlowNetwork, cfg: SrConfig):
             if com.source in mids or com.sink in mids:
                 continue
             t = Tunnel(i, mids)
-            if all(reach(u, v) for u, v in t.segments(com)):
+            segs = t.segments(com)
+            if all(reach(u, v) for u, v in segs):
                 tunnels.append(t)
+                for u, v in segs:
+                    if (u, v) not in tables:
+                        tables[u, v] = _split(u, v, searches[u])
         result.append(tunnels)
-    return result
-
-
-def segment_tables(net: FlowNetwork, tunnels_per_com):
-    """Every tunnel segment's SegmentFractions, one search per source."""
-    searches = {}
-    tables = {}
-    for i, tunnels in enumerate(tunnels_per_com):
-        com = net.commodities[i]
-        for t in tunnels:
-            for u, v in t.segments(com):
-                if (u, v) not in tables:
-                    if u not in searches:
-                        searches[u] = shortest_path_data(net, u)
-                    tables[u, v] = _split(u, v, searches[u])
-    return tables
+    return result, tables
 
 
 @dataclass
@@ -202,8 +194,7 @@ def _tunnel_column(tunnel, com, tables):
 
 
 def _sr_lp(net, cfg, minimize_load):
-    tunnels_per_com = build_tunnels(net, cfg)
-    tables = segment_tables(net, tunnels_per_com)
+    tunnels_per_com, tables = build_tunnels(net, cfg)
     columns = [[_tunnel_column(t, com, tables) for t in tunnels]
                for com, tunnels in zip(net.commodities, tunnels_per_com)]
     status, values, objective, pivots = solve_columns(net, columns, minimize_load)

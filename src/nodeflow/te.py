@@ -69,10 +69,9 @@ class FlowSolution:
         return loads
 
 
-def default_families(net: FlowNetwork, cap=None, constraint=UNCONSTRAINED,
-                     single_use=False):
+def default_families(net: FlowNetwork, cap=None, constraint=UNCONSTRAINED):
     kw = {} if cap is None else {"cap": cap}
-    return [enumerate_paths(net, i, constraint, single_use=single_use, **kw)
+    return [enumerate_paths(net, i, constraint, **kw)
             for i in range(len(net.commodities))]
 
 

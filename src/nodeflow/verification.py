@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .network import (DEFAULT_PATH_CAP, FlowNetwork, enumerate_st_paths,
-                      simple_through, through)
+from .errors import TruncatedFamily
+from .network import (DEFAULT_PATH_CAP, FlowNetwork, PathConstraint,
+                      UNCONSTRAINED, enumerate_st_paths, simple_through, through)
 from .reductions import (disjoint_shortest_paths_gadget, max_coverage_gadget,
                          node_split_gadget, two_disjoint_paths_gadget,
                          unit_path_gadget)
@@ -28,9 +29,17 @@ class CheckResult:
     consistent: bool
 
 
+def _paths(net, s, t, constraint, cap):
+    """Every s-t path under the constraint; a search cut short by the cap
+    could miss the one walk that decides a check, so it is refused."""
+    fam = enumerate_st_paths(net, s, t, constraint, cap=cap)
+    if fam.truncated:
+        raise TruncatedFamily(f"more than {cap} paths from {s!r} to {t!r}")
+    return fam.paths
+
+
 def _simple_node_paths(net, s, t, cap=DEFAULT_PATH_CAP):
-    fam = enumerate_st_paths(net, s, t, cap=cap)
-    return [p.nodes for p in fam.paths if p.is_simple()]
+    return [p.nodes for p in _paths(net, s, t, PathConstraint(simple=True), cap)]
 
 
 def check_two_disjoint_paths(net: FlowNetwork, u1, u2, v1, v2,
@@ -38,9 +47,10 @@ def check_two_disjoint_paths(net: FlowNetwork, u1, u2, v1, v2,
     """Vertex-disjoint u1->u2 and v1->v2 paths: direct enumeration versus the
     existence of a simple s-w-t path in the gadget."""
     direct = False
+    second = _simple_node_paths(net, v1, v2, cap)
     for p in _simple_node_paths(net, u1, u2, cap):
         pset = set(p)
-        for q in _simple_node_paths(net, v1, v2, cap):
+        for q in second:
             if not (pset & set(q)):
                 direct = True
                 break
@@ -48,8 +58,7 @@ def check_two_disjoint_paths(net: FlowNetwork, u1, u2, v1, v2,
             break
     gadget = two_disjoint_paths_gadget(net, u1, u2, v1, v2)
     w = gadget.designated["w"]
-    fam = enumerate_st_paths(gadget.network, u1, v2, simple_through(w), cap=cap)
-    via = len(fam.paths) > 0
+    via = len(_paths(gadget.network, u1, v2, simple_through(w), cap)) > 0
     return CheckResult(direct, via, direct == via)
 
 
@@ -57,9 +66,10 @@ def check_node_split(net: FlowNetwork, s, w, t, cap=DEFAULT_PATH_CAP) -> CheckRe
     """Internally node-disjoint s->w and w->t paths versus edge-disjoint
     paths between the corresponding split nodes."""
     direct = False
+    second = _simple_node_paths(net, w, t, cap)
     for p in _simple_node_paths(net, s, w, cap):
         pset = set(p)
-        for q in _simple_node_paths(net, w, t, cap):
+        for q in second:
             if pset & set(q) == {w}:
                 direct = True
                 break
@@ -73,11 +83,10 @@ def check_node_split(net: FlowNetwork, s, w, t, cap=DEFAULT_PATH_CAP) -> CheckRe
     via = False
     # Starting at s.in and ending at t.out makes each leg consume its own
     # endpoint's split edge, so the other leg cannot reuse that node either.
-    fam1 = enumerate_st_paths(g, s_in, w_in, cap=cap)
-    fam2 = enumerate_st_paths(g, w_out, t_out, cap=cap)
-    for p in fam1.paths:
+    legs2 = _paths(g, w_out, t_out, UNCONSTRAINED, cap)
+    for p in _paths(g, s_in, w_in, UNCONSTRAINED, cap):
         pedges = set(eid for eid, _ in p.steps)
-        for q in fam2.paths:
+        for q in legs2:
             if not (pedges & set(eid for eid, _ in q.steps)):
                 via = True
                 break
@@ -89,8 +98,7 @@ def check_node_split(net: FlowNetwork, s, w, t, cap=DEFAULT_PATH_CAP) -> CheckRe
 def check_unit_path(net: FlowNetwork, s, t, w, cap=DEFAULT_PATH_CAP) -> CheckResult:
     """An s-w-t path exists iff the unit-capacity node-constrained max flow
     is at least 1."""
-    fam = enumerate_st_paths(net, s, t, through(w), cap=cap)
-    direct = len(fam.paths) > 0
+    direct = len(_paths(net, s, t, through(w), cap)) > 0
     gadget = unit_path_gadget(net, s, t, w)
     sol = max_w_flow_exact(gadget.network, w, cap=cap)
     via = sol.objective is not None and sol.objective >= 1

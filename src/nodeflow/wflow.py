@@ -45,8 +45,8 @@ def max_set_flow_paths(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
     With single_use=True an undirected edge may appear at most once per path
     (the no-repeat variant); by default opposite-direction reuse is allowed.
     """
-    return solve_te_mf(net, default_families(net, cap, through_any(W),
-                                             single_use))
+    return solve_te_mf(net, default_families(net, cap,
+                                             through_any(W, single_use)))
 
 
 # -- undirected: polynomial transform -----------------------------------------
@@ -128,16 +128,14 @@ def max_w_flow_undirected_norepeat(net: FlowNetwork, w,
     if net.directed:
         raise MalformedNetwork("the no-repeat variant applies to undirected "
                                "networks")
-    return solve_te_mf(net, default_families(net, cap, through(w),
-                                             single_use=True))
+    return solve_te_mf(net, default_families(net, cap,
+                                             through(w, single_use=True)))
 
 
 def max_w_flow_undirected(net: FlowNetwork, w):
     """Exact node-constrained flow value on an undirected network, in
-    polynomial time.  Returns the rational value."""
-    for com in net.commodities:
-        if w in (com.source, com.sink):
-            raise WIsEndpoint(f"{w!r} is an endpoint of a commodity")
+    polynomial time.  Returns the rational value.  w may be a commodity
+    endpoint: the transform counts that commodity's unconstrained flow."""
     return max_set_flow(net, (w,)).objective
 
 

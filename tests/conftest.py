@@ -53,12 +53,13 @@ def pick_inner_node(rng, net):
     return rng.choice(inner) if inner else None
 
 
-def oracle_walks(net, s, t, through=None, simple=False, single_use=False):
+def oracle_walks(net, s, t, through=(), simple=False, single_use=False):
     """Independent recursive enumeration of edge-distinct walks s -> t.
 
-    Returns the set of node sequences.  An undirected edge may be used twice
-    only in opposite directions (once in total under single_use); walks may
-    pass through the sink and come back.
+    Returns the set of node sequences.  through is a node set: when it is
+    nonempty, a walk must visit one of its nodes.  An undirected edge may be
+    used twice only in opposite directions (once in total under single_use);
+    walks may pass through the sink and come back.
     """
     arcs = []
     for e in net.edges:
@@ -70,7 +71,7 @@ def oracle_walks(net, s, t, through=None, simple=False, single_use=False):
 
     def rec(node, seq):
         if node == t and len(seq) > 1:
-            if through is None or through in seq:
+            if not through or any(w in seq for w in through):
                 if not simple or len(set(seq)) == len(seq):
                     found.add(tuple(seq))
         for eid, a, b, d in arcs:

@@ -218,7 +218,7 @@ def test_criterion_09_segment_routing():
         k = rng.randint(1, 3)
         mids = tuple(rng.sample(list(g.nodes), k))
         for m in (1, 2):
-            tunnels = build_tunnels(g, SrConfig(mids, m))
+            tunnels, _ = build_tunnels(g, SrConfig(mids, m))
             # variables per commodity (and so LP columns) stay within the
             # binomial bound sum_{j<=m} C(k, j)
             if any(len(per) > tunnel_bound(k, m) for per in tunnels):
@@ -233,7 +233,7 @@ def test_criterion_10_augmenting_undirected():
     ok = max_w_flow_undirected_norepeat(net, "w").objective == 3
     # Greedy saturation, shortest no-repeat path first: the first pick is
     # s,v,w,t, which blocks both other routes through w.
-    fam = enumerate_paths(net, 0, through("w"), single_use=True)
+    fam = enumerate_paths(net, 0, through("w", single_use=True))
     order = sorted(fam.paths, key=lambda p: (len(p.steps), p.nodes))
     ok = ok and order[0].nodes == ("s", "v", "w", "t")
     residual = {e.id: e.capacity for e in net.edges}

@@ -122,6 +122,14 @@ def test_gadget_output_round_trips(tmp_path, capsys):
     assert "objective: 1\n" in out
 
 
+def test_undirected_w_flow_at_an_endpoint(capsys):
+    for w in ("s", "t"):
+        code, out, _ = run(capsys, "w-flow", "--builtin", "wst-undirected",
+                           "--w", w)
+        assert code == 0, w
+        assert "objective: 1\n" in out
+
+
 def test_no_repeat_flag(capsys):
     code, out, _ = run(capsys, "w-flow", "--builtin",
                        "augmenting-undirected", "--no-repeat")

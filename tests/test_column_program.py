@@ -20,7 +20,7 @@ from nodeflow import (INFEASIBLE, FlowNetwork, InfiniteDemand, SrConfig,
                       catalog, enumerate_paths, rat, solve_sr_lu,
                       solve_sr_mf, solve_te_lu, solve_te_mf, through)
 from nodeflow import lp as lpmod
-from nodeflow.srte import _tunnel_column, build_tunnels, segment_tables
+from nodeflow.srte import _tunnel_column, build_tunnels
 from nodeflow.te import solve_columns
 
 _lp_solve = lpmod.solve
@@ -552,8 +552,7 @@ def test_pruning_is_exact_on_tunnels(monkeypatch):
                                 n_commodities=rng.randint(1, 3),
                                 finite_demands=finite)
         cfg = SrConfig(tuple(rng.sample(net.nodes, 4)), 2)
-        tunnels = build_tunnels(net, cfg)
-        tables = segment_tables(net, tunnels)
+        tunnels, tables = build_tunnels(net, cfg)
         columns = [[_tunnel_column(t, com, tables) for t in ts]
                    for com, ts in zip(net.commodities, tunnels)]
         fractional += sum(1 for cols in columns for col in cols

@@ -77,7 +77,7 @@ def test_sr_lu_is_the_dual_optimum(net, mids, max_segments):
     cfg = SrConfig(tuple(mids), max_segments)
     sol, tables = solve_sr_lu(net, cfg)
     columns = [[_tunnel_column(t, com, tables) for t in tunnels]
-               for com, tunnels in zip(net.commodities, build_tunnels(net, cfg))]
+               for com, tunnels in zip(net.commodities, build_tunnels(net, cfg)[0])]
     assert sol.status in (OPTIMAL, INFEASIBLE)
     routed = [sum((f for (j, _), f in sol.tunnel_flows.items() if j == i),
                   Fraction(0)) for i in range(len(net.commodities))]

