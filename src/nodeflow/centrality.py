@@ -232,17 +232,17 @@ def submodularity_probe(net: FlowNetwork, trials=100, seed=0,
     return ProbeReport(trials, mono, submod)
 
 
-def probe_margins(net: FlowNetwork, S, T, v, cap=DEFAULT_PATH_CAP):
+def probe_margins(net: FlowNetwork, S, T, v):
     """Marginal gains of v at S and at T under the probe's group semantics
     (no-repeat paths on undirected networks).  Returns (gain_at_S, gain_at_T).
     """
-    gf = _GroupFlowCache(net, cap, norepeat=not net.directed)
+    gf = _GroupFlowCache(net, norepeat=not net.directed)
     return (gf(list(S) + [v]) - gf(list(S)),
             gf(list(T) + [v]) - gf(list(T)))
 
 
-def marginal_gain(net: FlowNetwork, base, v, cap=DEFAULT_PATH_CAP):
-    gf = _GroupFlowCache(net, cap)
+def marginal_gain(net: FlowNetwork, base, v):
+    gf = _GroupFlowCache(net)
     return gf(list(base) + [v]) - gf(base)
 
 

@@ -124,7 +124,29 @@ def _need(args, inst, key, flag_value=None):
 
 
 def _nodelist(text):
-    return tuple(x for x in text.split(",") if x)
+    """argparse type: a nonempty comma-separated node list."""
+    nodes = tuple(x for x in text.split(",") if x)
+    if not nodes:
+        raise argparse.ArgumentTypeError(f"no node named in {text!r}")
+    return nodes
+
+
+def _setlist(text):
+    """argparse type: node lists separated by "|", each nonempty."""
+    return [_nodelist(part) for part in text.split("|")]
+
+
+def _count(minimum):
+    """argparse type: an integer of at least minimum."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {value}")
+        return value
+    return parse
 
 
 def _endpoints(args, inst):
@@ -141,8 +163,7 @@ def _endpoints(args, inst):
 
 
 def _middlepoints(args, inst):
-    mids = (_nodelist(args.middlepoints) if args.middlepoints
-            else inst.middlepoints)
+    mids = args.middlepoints or inst.middlepoints
     if not mids:
         raise MissingDesignation("this command needs a middlepoint list")
     return tuple(mids)
@@ -213,7 +234,7 @@ def cmd_w_flow_augment(args, inst, rec):
 
 
 def cmd_set_flow(args, inst, rec):
-    W = _need(args, inst, "W", _nodelist(args.set) if args.set else None)
+    W = _need(args, inst, "W", args.set)
     ctr._guard(inst.network, args.max_nodes_exact)
     sol = wflow.max_set_flow(inst.network, W, cap=args.max_paths)
     rec.add("designated_set", ",".join(sorted(W)))
@@ -294,8 +315,7 @@ def cmd_centrality(args, inst, rec):
 
 
 def cmd_group_flow(args, inst, rec):
-    group = _need(args, inst, "group",
-                  _nodelist(args.group) if args.group else None)
+    group = _need(args, inst, "group", args.group)
     ctr._guard(inst.network, args.max_nodes_exact)
     result = ctr.group_flow(inst.network, group, cap=args.max_paths)
     rec.add("group", ",".join(result.group))
@@ -347,7 +367,7 @@ _GADGETS = ("two-disjoint-paths", "node-split", "unit-path", "max-coverage",
 
 def cmd_gadget(args, inst, rec):
     if args.kind == "two-disjoint-paths":
-        nodes = _nodelist(args.nodes or "")
+        nodes = args.nodes or ()
         if len(nodes) != 4:
             raise ParseError("two-disjoint-paths needs --nodes u1,u2,v1,v2")
         gadget = reductions.two_disjoint_paths_gadget(inst.network, *nodes)
@@ -361,11 +381,11 @@ def cmd_gadget(args, inst, rec):
         if not args.sets:
             raise ParseError("max-coverage needs --sets a|b,c|d style "
                              "and -n")
-        sets = [tuple(_nodelist(part)) for part in args.sets.split("|")]
+        sets = args.sets
         items = sorted({x for part in sets for x in part})
         gadget = reductions.max_coverage_gadget(items, sets, args.n)
     elif args.kind == "disjoint-shortest-paths":
-        pair_nodes = _nodelist(args.nodes or "")
+        pair_nodes = args.nodes or ()
         if not pair_nodes or len(pair_nodes) % 2:
             raise ParseError("disjoint-shortest-paths needs --nodes "
                              "u1,v1,u2,v2,...")
@@ -401,9 +421,9 @@ def _add_instance_args(sub):
     group.add_argument("--instance", help="path to an instance file")
     sub.add_argument("--format", choices=("table", "csv", "structured"),
                      default="table")
-    sub.add_argument("--max-paths", type=int, default=DEFAULT_PATH_CAP,
+    sub.add_argument("--max-paths", type=_count(0), default=DEFAULT_PATH_CAP,
                      help="cap on enumerated paths per family")
-    sub.add_argument("--max-nodes-exact", type=int, default=10,
+    sub.add_argument("--max-nodes-exact", type=_count(0), default=10,
                      help="node-count guard for exponential solvers")
 
 
@@ -450,33 +470,37 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--no-repeat", action="store_true",
                              help="undirected: forbid edge reuse within a path")
         if name == "set-flow":
-            sub.add_argument("--set", help="comma-separated designated set")
+            sub.add_argument("--set", type=_nodelist,
+                             help="comma-separated designated set")
         if name in ("cut", "acyclic-check", "eq25", "gadget"):
             sub.add_argument("--s", help="source node")
             sub.add_argument("--t", help="sink node")
         if name in ("sr-lu", "sr-mf", "acyclic-check"):
-            sub.add_argument("--middlepoints",
+            sub.add_argument("--middlepoints", type=_nodelist,
                              help="comma-separated ordered middlepoint list")
         if name in ("sr-lu", "sr-mf"):
-            sub.add_argument("--max-segments", type=int, default=1)
+            sub.add_argument("--max-segments", type=_count(0), default=1)
         if name == "acyclic-check":
             sub.add_argument("--mode", choices=("path", "simple_path"),
                              default="path")
         if name == "group-flow":
-            sub.add_argument("--group", help="comma-separated node group")
+            sub.add_argument("--group", type=_nodelist,
+                             help="comma-separated node group")
         if name == "ngroup":
-            sub.add_argument("-n", type=int, required=True)
+            sub.add_argument("-n", type=_count(1), required=True)
             sub.add_argument("--method", choices=("brute", "greedy"),
                              default="brute")
         if name == "probe-submodularity":
-            sub.add_argument("--trials", type=int, default=100)
+            sub.add_argument("--trials", type=_count(0), default=100)
             sub.add_argument("--seed", type=int, default=0)
         if name == "gadget":
             sub.add_argument("--kind", choices=_GADGETS, required=True)
             sub.add_argument("--output", required=True)
-            sub.add_argument("--nodes", help="gadget-specific node list")
-            sub.add_argument("--sets", help="max-coverage: sets as a,b|c,d")
-            sub.add_argument("-n", type=int, default=1,
+            sub.add_argument("--nodes", type=_nodelist,
+                             help="gadget-specific node list")
+            sub.add_argument("--sets", type=_setlist,
+                             help="max-coverage: sets as a,b|c,d")
+            sub.add_argument("-n", type=_count(1), default=1,
                              help="max-coverage: number of sets to pick")
 
     subs.add_parser("catalog", help="list builtin instances")

@@ -102,10 +102,12 @@ def _cycle(n):
     return BuiltinInstance(
         f"cycle-{n}",
         "Unique shortest paths s~w and w~t overlap on the shared edge u1→u2, "
-        "so the single-tunnel segment routing doubles its load: theta* is 2 "
-        "and the tunnel through w is cyclic.",
+        "so the tunnel through w doubles its load there and is cyclic.  With "
+        "every tunnel forced through w theta* is 2; the direct tunnel s~t "
+        "crosses u1→u2 once and gives 1.",
         net, {"middlepoints": ("w",), "s": "s", "t": "t"},
-        "SR min utilization 2; tunnel cycle on the shared edge u1→u2")
+        "SR min utilization 1 (2 when every tunnel must use w); tunnel cycle "
+        "on the shared edge u1→u2")
 
 
 def _fig8(orientation):

@@ -99,7 +99,7 @@ class FlowNetwork:
     # -- convenience constructors -------------------------------------------
 
     @staticmethod
-    def build(orientation, nodes, edges, commodities=(), lengths=None):
+    def build(orientation, nodes, edges, commodities=()):
         """edges: iterable of (tail, head, capacity) or (tail, head, capacity, length);
         commodities: iterable of (source, sink[, max_demand[, min_demand]]),
         demand None meaning unbounded."""

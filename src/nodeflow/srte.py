@@ -20,6 +20,8 @@ from .network import EdgeWalk, FlowNetwork, concat_walks, validate_walk
 from .rational import ONE, ZERO
 from .te import solve_columns
 
+COMBO_CAP = 10_000  # shortest paths per segment, and their combinations
+
 
 def shortest_path_data(net: FlowNetwork, source):
     """Single-source shortest paths by edge length.
@@ -129,11 +131,14 @@ def build_tunnels(net: FlowNetwork, cfg: SrConfig):
     max_segments entries (exactly the full list if use_all); subsequences
     touching a commodity's endpoints are skipped, as are tunnels with an
     unreachable segment.  One shortest-path search per segment source serves
-    both the reachability test and the tables.
+    both the reachability test and the tables.  A middlepoint list with a
+    repeat is refused, since two of its subsequences could be one tunnel.
     """
     for w in cfg.middlepoints:
         if w not in net.nodes:
             raise UnknownNode(f"middlepoint {w!r} not in network")
+    if len(set(cfg.middlepoints)) != len(cfg.middlepoints):
+        raise MalformedNetwork("middlepoints must be distinct")
     searches = {}
 
     def reach(u, v):
@@ -221,7 +226,7 @@ def solve_sr_mf(net: FlowNetwork, cfg: SrConfig):
 
 # -- cycles and acyclic feasibility -------------------------------------------
 
-def detect_cycles(net: FlowNetwork, tunnel: Tunnel, tables=None):
+def detect_cycles(net: FlowNetwork, tunnel: Tunnel):
     """Edges carrying traffic of two or more segments of the same tunnel.
 
     Such sharing means some packet-level forwarding loop: the tunnel revisits
@@ -229,12 +234,9 @@ def detect_cycles(net: FlowNetwork, tunnel: Tunnel, tables=None):
     (edge id, [segment indices]) entries.
     """
     com = net.commodities[tunnel.commodity]
-    segs = tunnel.segments(com)
-    if tables is None:
-        tables = {seg: ecmp_fractions(net, *seg) for seg in segs}
     users = {}
-    for idx, seg in enumerate(segs):
-        for eid in tables[seg].fractions:
+    for idx, seg in enumerate(tunnel.segments(com)):
+        for eid in ecmp_fractions(net, *seg).fractions:
             users.setdefault(eid, []).append(idx)
     return [(eid, idxs) for eid, idxs in sorted(users.items()) if len(idxs) >= 2]
 
@@ -246,12 +248,12 @@ class FeasibilityResult:
     combos_tried: int = 0
 
 
-def _shortest_path_walks(net, u, v, combo_cap):
+def _shortest_path_walks(net, u, v):
     """All shortest u->v paths as EdgeWalks (via the predecessor DAG)."""
     dist, count, preds = shortest_path_data(net, u)
     if v not in dist:
         return []
-    if count[v] > combo_cap:
+    if count[v] > COMBO_CAP:
         raise CapExceeded(f"{count[v]} shortest paths for segment ({u},{v})")
     walks = []
 
@@ -269,12 +271,13 @@ def _shortest_path_walks(net, u, v, combo_cap):
 
 
 def acyclic_feasible(net: FlowNetwork, source, sink, middlepoints,
-                     mode="path", combo_cap=10_000) -> FeasibilityResult:
+                     mode="path") -> FeasibilityResult:
     """Is there a choice of one shortest path per segment whose concatenation
     is a path (mode="path") or a simple path (mode="simple_path")?
 
-    Exhaustive over the cartesian product of per-segment shortest paths, with
-    a cap on the number of combinations.
+    Exhaustive over the cartesian product of per-segment shortest paths; more
+    than COMBO_CAP (10,000) paths for a segment, or combinations in all,
+    raise CapExceeded.
     """
     if mode not in ("path", "simple_path"):
         raise ValueError(f"bad mode {mode!r}")
@@ -288,13 +291,13 @@ def acyclic_feasible(net: FlowNetwork, source, sink, middlepoints,
     options = []
     total = 1
     for u, v in segs:
-        walks = _shortest_path_walks(net, u, v, combo_cap)
+        walks = _shortest_path_walks(net, u, v)
         if not walks:
             return FeasibilityResult(False)
         options.append(walks)
         total *= len(walks)
-        if total > combo_cap:
-            raise CapExceeded(f"{total} segment-path combinations exceed cap {combo_cap}")
+        if total > COMBO_CAP:
+            raise CapExceeded(f"{total} segment-path combinations exceed cap {COMBO_CAP}")
     tried = 0
     for combo in itertools.product(*options):
         tried += 1

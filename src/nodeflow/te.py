@@ -220,7 +220,7 @@ class DmfResult:
     witness: FlowSolution
 
 
-def decide_dmf(net: FlowNetwork, families=None, cap=None) -> DmfResult:
+def decide_dmf(net: FlowNetwork) -> DmfResult:
     """Can all demands be satisfied simultaneously?  Decided through the
     max-flow program: yes iff the optimum meets the total demand."""
     total = ZERO
@@ -228,7 +228,7 @@ def decide_dmf(net: FlowNetwork, families=None, cap=None) -> DmfResult:
         if com.max_demand is None:
             raise InfiniteDemand(f"commodity {i} has infinite demand")
         total += com.max_demand
-    sol = solve_te_mf(net, families, cap)
+    sol = solve_te_mf(net)
     routed = sol.objective if sol.status == lpmod.OPTIMAL else ZERO
     return DmfResult(routed == total, routed, total, sol)
 
@@ -240,13 +240,13 @@ class DualityReport:
     consistent: bool
 
 
-def check_demand_load_duality(net: FlowNetwork, cap=None) -> DualityReport:
+def check_demand_load_duality(net: FlowNetwork) -> DualityReport:
     """Demands are satisfiable exactly when the min worst utilization is <= 1.
 
     Runs both programs on the same instance and reports whether the
     biconditional holds (it always should; this is a cross-check)."""
-    dmf = decide_dmf(net, cap=cap)
-    lu = solve_te_lu(net, cap=cap)
+    dmf = decide_dmf(net)
+    lu = solve_te_lu(net)
     if lu.status != lpmod.OPTIMAL:
         consistent = not dmf.satisfiable
         return DualityReport(dmf.satisfiable, None, consistent)

@@ -18,7 +18,7 @@ from .reductions import (disjoint_shortest_paths_gadget, max_coverage_gadget,
                          node_split_gadget, two_disjoint_paths_gadget,
                          unit_path_gadget)
 from .centrality import n_group_max_flow
-from .srte import acyclic_feasible, _shortest_path_walks
+from .srte import COMBO_CAP, acyclic_feasible, _shortest_path_walks
 from .wflow import max_w_flow_exact
 
 
@@ -124,12 +124,13 @@ def check_max_coverage(items, sets, n, cap=DEFAULT_PATH_CAP) -> CheckResult:
     return CheckResult(direct, res.value, direct == res.value)
 
 
-def disjoint_shortest_paths_brute(net: FlowNetwork, pairs, combo_cap=10_000):
+def disjoint_shortest_paths_brute(net: FlowNetwork, pairs):
     """Do the pairs admit pairwise node-disjoint shortest paths?  Exhaustive
-    over per-pair shortest paths."""
+    over per-pair shortest paths; a pair with more than COMBO_CAP (10,000)
+    of them raises CapExceeded."""
     options = []
     for u, v in pairs:
-        walks = _shortest_path_walks(net, u, v, combo_cap)
+        walks = _shortest_path_walks(net, u, v)
         if not walks:
             return False
         options.append(walks)
@@ -145,14 +146,13 @@ def disjoint_shortest_paths_brute(net: FlowNetwork, pairs, combo_cap=10_000):
     return False
 
 
-def check_disjoint_shortest_paths(net: FlowNetwork, pairs,
-                                  combo_cap=10_000) -> CheckResult:
+def check_disjoint_shortest_paths(net: FlowNetwork, pairs) -> CheckResult:
     """Node-disjoint shortest paths versus acyclic (simple-path) feasibility
-    of the middlepoint chain on the gadget."""
-    direct = disjoint_shortest_paths_brute(net, pairs, combo_cap)
+    of the middlepoint chain on the gadget; both sides enumerate at most
+    COMBO_CAP (10,000) shortest paths per segment."""
+    direct = disjoint_shortest_paths_brute(net, pairs)
     gadget = disjoint_shortest_paths_gadget(net, pairs)
     d = gadget.designated
     res = acyclic_feasible(gadget.network, d["source"], d["sink"],
-                           d["middlepoints"], mode="simple_path",
-                           combo_cap=combo_cap)
+                           d["middlepoints"], mode="simple_path")
     return CheckResult(direct, res.feasible, direct == res.feasible)

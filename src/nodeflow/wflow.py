@@ -22,6 +22,10 @@ from .network import (DEFAULT_PATH_CAP, FWD, EdgeWalk, FlowNetwork,
 from .rational import ZERO, rat
 from .te import FlowSolution, default_families, solve_arcs, solve_te_mf
 
+EXACT_CUT_EDGES = 20         # min_swt_edge_cut is exact up to this many edges
+AUGMENT_SEARCH_CAP = 5000    # augmenting_w_flow: walks searched per round
+AUGMENT_MAX_ROUNDS = 10_000  # augmenting_w_flow: rounds at most
+
 
 # -- exact values via path LPs (directed or brute-force undirected) ----------
 
@@ -148,10 +152,10 @@ class CutResult:
     exact: bool
 
 
-def min_swt_edge_cut(net: FlowNetwork, s, w, t, max_exact_edges=20) -> CutResult:
+def min_swt_edge_cut(net: FlowNetwork, s, w, t) -> CutResult:
     """Minimum-capacity edge set whose removal leaves no s-w-t path.
 
-    Exact branch-and-bound up to max_exact_edges edges.  Beyond that, an
+    Exact branch-and-bound up to EXACT_CUT_EDGES (20) edges.  Beyond that, an
     upper bound labeled as inexact: the cheapest of the minimum s-t, s-w and
     w-t cuts.  An s-w cut is one only when w != s (a walk that starts at w
     need not reach it again), a w-t cut only when w != t.
@@ -159,7 +163,7 @@ def min_swt_edge_cut(net: FlowNetwork, s, w, t, max_exact_edges=20) -> CutResult
     for x in (s, w, t):
         if x not in net.nodes:
             raise UnknownNode(f"node {x!r} not in network")
-    if len(net.edges) > max_exact_edges:
+    if len(net.edges) > EXACT_CUT_EDGES:
         pairs = [(a, b) for a, b, valid in ((s, t, s != t), (s, w, w != s), (w, t, w != t))
                  if valid]
         if pairs:
@@ -237,26 +241,23 @@ class AugmentingResult:
     decomposition: list  # (EdgeWalk, amount) covering the final flow
 
 
-def augmenting_w_flow(net: FlowNetwork, w, commodity=0, chooser=None,
-                      search_cap=5000, max_rounds=10000) -> AugmentingResult:
-    """Heuristic single-commodity node-constrained flow (directed, integral
-    capacities).  Repeatedly finds residual s-t walks through w, shortest
-    first, and accepts one only if it strictly increases the flow into w;
-    stops when no acceptable walk remains.  Not optimal in general.
-
-    chooser, if given, reorders the candidate walks of a round (takes the
-    candidate list, returns an iterable) -- useful to reproduce adversarial
-    orderings.
+def augmenting_w_flow(net: FlowNetwork, w) -> AugmentingResult:
+    """Heuristic node-constrained flow for the first commodity (directed,
+    integral capacities).  Repeatedly finds residual s-t walks through w,
+    shortest first, and accepts one only if it strictly increases the flow
+    into w; stops when no acceptable walk remains, after AUGMENT_MAX_ROUNDS
+    (10,000) rounds at most.  Each round searches at most AUGMENT_SEARCH_CAP
+    (5,000) walks.  Not optimal in general.
     """
     if not net.directed:
         raise MalformedNetwork("augmenting heuristic is defined on directed networks")
     for e in net.edges:
         if rat(e.capacity).denominator != 1:
             raise NonIntegralCapacity(f"edge {e.id} has capacity {e.capacity}")
-    com = net.commodities[commodity]
+    com = net.commodities[0]
     s, t = com.source, com.sink
     if w in (s, t):
-        raise WIsEndpoint(f"{w!r} is an endpoint of commodity {commodity}")
+        raise WIsEndpoint(f"{w!r} is an endpoint of commodity 0")
 
     flow = {e.id: ZERO for e in net.edges}
 
@@ -280,12 +281,10 @@ def augmenting_w_flow(net: FlowNetwork, w, commodity=0, chooser=None,
         return sum((flow[e.id] for e in net.edges if e.head == w), ZERO)
 
     accepted = []
-    for _ in range(max_rounds):
+    for _ in range(AUGMENT_MAX_ROUNDS):
         rnet, origin = residual_net()
-        fam = enumerate_st_paths(rnet, s, t, through(w), cap=search_cap)
+        fam = enumerate_st_paths(rnet, s, t, through(w), cap=AUGMENT_SEARCH_CAP)
         candidates = sorted(fam.paths, key=lambda p: (len(p.steps), p.steps))
-        if chooser is not None:
-            candidates = list(chooser(candidates))
         before = inflow_w()
         chosen = None
         for walk in candidates:

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from nodeflow import load_instance
 from nodeflow.cli import main
 
@@ -316,3 +318,105 @@ def test_centrality_honours_max_paths_exit_3(capsys):
     code, _, _ = run(capsys, "eq25", "--builtin", "remarks", "--w", "w",
                      "--max-paths", "1")
     assert code == 3
+
+
+# Every subcommand on a builtin, with the line that pins its value: the
+# catalog's headline where it states one (remarks: w-flow 3, heuristic 2,
+# cut 4; figadd: no simple path through w; cycle-3: SR utilization 1; fig8:
+# GF({s1,s2,s3}) = 3, GF({s1,s2}) = 2, best single group 2).
+EVERY_SUBCOMMAND = [
+    (("te-mf", "--builtin", "remarks"), "objective: 4"),
+    (("te-lu", "--builtin", "cycle-3"), "theta: 1"),
+    (("w-flow", "--builtin", "remarks"), "objective: 3"),
+    (("w-flow-simple", "--builtin", "figadd"), "objective: 0"),
+    (("w-flow-augment", "--builtin", "remarks"), "objective: 2"),
+    (("set-flow", "--builtin", "fig8", "--set", "s1,s2,s3"), "objective: 3"),
+    (("cut", "--builtin", "remarks"), "cut_value: 4"),
+    (("sr-lu", "--builtin", "cycle-3"), "theta: 1"),
+    (("sr-mf", "--builtin", "cycle-3"), "objective: 1"),
+    (("acyclic-check", "--builtin", "cycle-3"), "feasible: False"),
+    (("centrality", "--builtin", "remarks", "--w", "w"), "centrality: 22/35"),
+    (("group-flow", "--builtin", "fig8", "--group", "s1,s2"), "objective: 2"),
+    (("ngroup", "--builtin", "fig8", "-n", "1"), "objective: 2"),
+    (("probe-submodularity", "--builtin", "fig8"), "monotone: True"),
+    (("eq25", "--builtin", "remarks"), "consistent: True"),
+    (("catalog",), "headline: w-flow 3; heuristic 2; min s-w-t cut 4"),
+]
+
+GADGETS = [
+    ("two-disjoint-paths", ("--builtin", "fig8", "--nodes", "s1,t1,s2,t2")),
+    ("node-split", ("--builtin", "remarks")),
+    ("unit-path", ("--builtin", "remarks")),
+    ("max-coverage", ("--builtin", "remarks", "--sets", "a,b|b,c|c", "-n", "2")),
+    ("disjoint-shortest-paths", ("--builtin", "fig8", "--nodes",
+                                 "s1,t1,s2,t2")),
+]
+
+
+@pytest.mark.parametrize("argv, line", EVERY_SUBCOMMAND,
+                         ids=[argv[0] for argv, _ in EVERY_SUBCOMMAND])
+def test_every_subcommand_on_a_builtin(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert line in [text.strip() for text in out.splitlines()]
+
+
+@pytest.mark.parametrize("kind, argv", GADGETS, ids=[k for k, _ in GADGETS])
+def test_every_gadget_kind_loads_back(tmp_path, capsys, kind, argv):
+    path = tmp_path / f"{kind}.json"
+    code, out, err = run(capsys, "gadget", "--kind", kind,
+                         "--output", str(path), *argv)
+    assert code == 0, err
+    net = load_instance(path).network
+    assert f"nodes: {len(net.nodes)}" in out.splitlines()
+    assert f"edges: {len(net.edges)}" in out.splitlines()
+
+
+def test_values_beyond_float_range(tmp_path, capsys):
+    for capacity, decimal in ((10 ** 400, "1e+400"),
+                              (f"1/{10 ** 400}", "1e-400")):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({
+            "orientation": "directed", "nodes": ["s", "w", "t"],
+            "edges": [{"tail": "s", "head": "w", "capacity": capacity},
+                      {"tail": "w", "head": "t", "capacity": capacity}],
+            "commodities": [{"src": "s", "dst": "t"}]}))
+        code, out, err = run(capsys, "w-flow", "--instance", str(path),
+                             "--w", "w")
+        assert code == 0, err
+        assert f"objective: {capacity}" in out.splitlines()
+        assert f"objective_decimal: {decimal}" in out.splitlines()
+
+
+# Inputs the parser refuses, each with the start of its message.
+PARSER_REJECTS = {
+    "ngroup-n-0": (("ngroup", "--builtin", "fig8", "-n", "0"),
+                   "argument -n: must be at least 1"),
+    "empty-set": (("set-flow", "--builtin", "fig8", "--set", ","),
+                  "argument --set: no node named"),
+    "empty-group": (("group-flow", "--builtin", "fig8", "--group", ","),
+                    "argument --group: no node named"),
+    "negative-max-segments": (("sr-lu", "--builtin", "cycle-3",
+                               "--middlepoints", "w", "--max-segments", "-1"),
+                              "argument --max-segments: must be at least 0"),
+    "negative-trials": (("probe-submodularity", "--builtin", "fig8",
+                         "--trials", "-1"),
+                        "argument --trials: must be at least 0"),
+}
+
+
+@pytest.mark.parametrize("argv, message", PARSER_REJECTS.values(),
+                         ids=PARSER_REJECTS.keys())
+def test_parser_rejects_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert message in err and "Traceback" not in err
+
+
+def test_repeated_middlepoint_exit_1(capsys):
+    code, out, err = run(capsys, "sr-mf", "--builtin", "cycle-3",
+                         "--middlepoints", "w,w", "--max-segments", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "distinct" in err

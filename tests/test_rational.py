@@ -42,3 +42,15 @@ def test_format_rational():
 def test_as_decimal():
     assert as_decimal(rat(3, 2)) == "1.5"
     assert as_decimal(rat(1, 3)).startswith("0.3333")
+
+
+def test_as_decimal_beyond_float_range():
+    # Exact rounding where a float would overflow or underflow; the float
+    # rendering everywhere in between.
+    assert as_decimal(10 ** 400) == "1e+400"
+    assert as_decimal(rat(-3 * 10 ** 400, 7)) == "-4.28571e+399"
+    assert as_decimal(rat(1, 10 ** 400)) == "1e-400"
+    assert as_decimal(rat(123456789, 10 ** 330)) == "1.23457e-322"
+    assert as_decimal(10 ** 300) == "1e+300"
+    assert as_decimal(rat(2, 10 ** 300)) == "2e-300"
+    assert as_decimal(0) == "0"

@@ -5,11 +5,13 @@ from math import comb
 
 import pytest
 
-from nodeflow import (FlowNetwork, SrConfig, Tunnel, UnknownNode,
-                      acyclic_feasible, build_tunnels, detect_cycles,
+from nodeflow import (FlowNetwork, MalformedNetwork, SrConfig, Tunnel,
+                      UnknownNode, acyclic_feasible, build_tunnels, detect_cycles,
                       ecmp_fractions, get_builtin, rat,
                       shortest_path_data, solve_sr_lu, solve_sr_mf,
                       solve_te_mf, srte, tunnel_bound)
+
+from nodeflow.cli import main
 
 from conftest import oracle_walks, random_directed, random_undirected
 
@@ -192,6 +194,18 @@ def test_cycle_forced_tunnel_doubles_utilization():
     net = get_builtin("cycle-3").network
     sol, _ = solve_sr_lu(net, SrConfig(("w",), 1, use_all=True))
     assert sol.theta == 2
+
+
+def test_cycle_direct_tunnel_keeps_utilization_1(capsys):
+    # The CLI allows the direct tunnel, which crosses u1->u2 only once.
+    assert main(["sr-lu", "--builtin", "cycle-3"]) == 0
+    assert "theta: 1" in capsys.readouterr().out.splitlines()
+
+
+def test_repeated_middlepoint_refused():
+    net = get_builtin("cycle-3").network
+    with pytest.raises(MalformedNetwork, match="distinct"):
+        build_tunnels(net, SrConfig(("w", "w"), 2))
 
 
 def test_sr_solutions_respect_capacity_and_demand():
