@@ -14,15 +14,12 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .errors import LimitExceeded, UnknownNode
+from .errors import UnknownNode
 from .maxflow import max_flow
 from .network import DEFAULT_PATH_CAP, Commodity, FlowNetwork, fresh_name
 from .rational import ZERO
 from .te import max_flow_arc_lp
 from .wflow import max_set_flow, max_set_flow_paths
-
-DEFAULT_EXACT_NODE_LIMIT = 10
-
 
 def pair_w_flow(net: FlowNetwork, w, s, t, cap=DEFAULT_PATH_CAP):
     """Node-constrained max flow for the single unbounded pair (s, t)."""
@@ -35,16 +32,6 @@ def pair_max_flow(net: FlowNetwork, s, t):
     return max_flow(net, s, t).value
 
 
-def _guard(net: FlowNetwork, limit, enumerates=False):
-    """Refuse more than limit nodes to an exact method that is exponential:
-    any on a directed network, and one that enumerates walks on either."""
-    if (net.directed or enumerates) and len(net.nodes) > limit:
-        how = "by walk enumeration" if enumerates else "on directed networks"
-        raise LimitExceeded(
-            f"exact node-constrained flow {how} is exponential; "
-            f"{len(net.nodes)} nodes exceeds the guard of {limit}")
-
-
 @dataclass(slots=True)
 class CentralityReport:
     node: str
@@ -54,12 +41,11 @@ class CentralityReport:
     pairs: list = field(default_factory=list)  # (s, t, constrained, unconstrained)
 
 
-def flow_centrality(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP,
-                    node_limit=DEFAULT_EXACT_NODE_LIMIT) -> CentralityReport:
+def flow_centrality(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP) -> CentralityReport:
     """All-pairs flow centrality of w: the numerator sums node-constrained
     flow values over all ordered pairs not involving w, the denominator the
-    corresponding unconstrained maxima."""
-    _guard(net, node_limit)
+    corresponding unconstrained maxima.  Unguarded, and exponential on
+    directed networks."""
     pairs = [(s, t, forced, free)
              for (s, t), (forced, free) in _pair_values(net, w, cap).items()]
     num = sum((forced for _, _, forced, _ in pairs), ZERO)
@@ -88,11 +74,10 @@ def _pair_values(net: FlowNetwork, w, cap):
     return values
 
 
-def commodity_centrality(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP,
-                         node_limit=DEFAULT_EXACT_NODE_LIMIT) -> CentralityReport:
+def commodity_centrality(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP) -> CentralityReport:
     """Centrality against the instance's own commodities and demands: the
-    node-constrained multicommodity optimum over the unconstrained one."""
-    _guard(net, node_limit)
+    node-constrained multicommodity optimum over the unconstrained one.
+    Unguarded, and exponential on directed networks."""
     den_sol = max_flow_arc_lp(net)
     den = den_sol.objective
     num = max_set_flow(net, (w,), cap=cap).objective
@@ -179,6 +164,7 @@ def n_group_max_flow(net: FlowNetwork, n: int, method="brute",
 
 @dataclass
 class ProbeReport:
+    """monotone/submodular: no sample violated it, which does not prove it."""
     samples: int
     monotonicity_violations: list
     submodularity_violations: list
@@ -214,9 +200,8 @@ def submodularity_probe(net: FlowNetwork, trials=100, seed=0,
     nodes = sorted(net.nodes)
     mono = []
     submod = []
-    for _ in range(trials):
-        if len(nodes) < 2:
-            break
+    samples = trials if len(nodes) >= 2 else 0
+    for _ in range(samples):
         v = rng.choice(nodes)
         rest = [x for x in nodes if x != v]
         t_size = rng.randint(1, len(rest))
@@ -229,7 +214,7 @@ def submodularity_probe(net: FlowNetwork, trials=100, seed=0,
         if gSv - gS < gTv - gT:
             submod.append((tuple(sorted(S)), tuple(sorted(T)), v,
                            gSv - gS, gTv - gT))
-    return ProbeReport(trials, mono, submod)
+    return ProbeReport(samples, mono, submod)
 
 
 def probe_margins(net: FlowNetwork, S, T, v):
@@ -298,19 +283,23 @@ class Eq25Report:
     consistent: bool
 
 
-def check_pair_sum_identity(net: FlowNetwork, w, s, t, cap=DEFAULT_PATH_CAP,
-                            node_limit=DEFAULT_EXACT_NODE_LIMIT) -> Eq25Report:
+def check_pair_sum_identity(net: FlowNetwork, w, s, t,
+                            cap=DEFAULT_PATH_CAP) -> Eq25Report:
     """The pair value nu^w(s,t) equals an inclusion-exclusion of the four
     pair-sum aggregates over the hat constructions:
 
-        nu^w(s,t) = S(both hats) - S(source hat) - S(sink hat) + S(base).
+        nu^w(s,t) = S(both hats) - S(source hat) - S(sink hat) + S(base),
 
-    Evaluates both sides exactly and reports the residual.
+    halved on undirected networks: all pairs cancel but (s_hat, t_hat),
+    worth nu^w(s,t), and (t_hat, s_hat), worth as much there and 0 on a
+    directed network, where t_hat reaches nothing.
+
+    Evaluates both sides exactly and reports the residual.  Unguarded, and
+    exponential on directed networks.
     """
     for x in (w, s, t):
         if x not in net.nodes:
             raise UnknownNode(f"node {x!r} not in network")
-    _guard(net, node_limit)
     hats = hat_constructions(net, s, t)
     lhs = pair_w_flow(net, w, s, t, cap=cap)
     terms = {
@@ -320,4 +309,6 @@ def check_pair_sum_identity(net: FlowNetwork, w, s, t, cap=DEFAULT_PATH_CAP,
         "base": node_flow_sum(hats.base, w, cap=cap),
     }
     rhs = terms["both"] - terms["source_hat"] - terms["sink_hat"] + terms["base"]
+    if not net.directed:
+        rhs /= 2
     return Eq25Report(lhs, terms, lhs - rhs, lhs == rhs)

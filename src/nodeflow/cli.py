@@ -6,6 +6,9 @@ instance was solved (an infeasible program is a result, not an error),
 1 any other solver error (such as an unbounded demand where a finite one is
 required), 2 parse errors, 3 a size guard or enumeration cap was exceeded,
 4 a required designated node/set is missing.
+
+Each subcommand is one row of COMMANDS; main applies the row's size guard
+once, before the body runs.  The library itself guards no solver.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import dataclass
 
 from . import centrality as ctr
 from . import fileio, instances, reductions, srte, te, wflow
@@ -171,12 +175,15 @@ def _middlepoints(args, inst):
 
 # -- subcommand bodies -----------------------------------------------------------
 
-def _emit_flow_solution(rec, sol, net):
+def _emit_status(rec, sol):
     rec.add("status", sol.status)
-    if sol.objective is not None:
-        rec.add("objective", sol.objective)
-    if getattr(sol, "theta", None) is not None:
-        rec.add("theta", sol.theta)
+    for key in ("objective", "theta"):
+        if getattr(sol, key) is not None:
+            rec.add(key, getattr(sol, key))
+
+
+def _emit_flow_solution(rec, sol, net):
+    _emit_status(rec, sol)
     rows = []
     for i, assigned in sorted(sol.flows.items()):
         com = net.commodities[i]
@@ -188,22 +195,15 @@ def _emit_flow_solution(rec, sol, net):
         rec.add_rows("paths", ("commodity", "pair", "flow", "route"), rows)
 
 
-def cmd_te_mf(args, inst, rec):
-    ctr._guard(inst.network, args.max_nodes_exact, enumerates=True)
-    sol = te.solve_te_mf(inst.network, cap=args.max_paths)
-    _emit_flow_solution(rec, sol, inst.network)
-
-
-def cmd_te_lu(args, inst, rec):
-    ctr._guard(inst.network, args.max_nodes_exact, enumerates=True)
-    sol = te.solve_te_lu(inst.network, cap=args.max_paths)
+def cmd_te(args, inst, rec):
+    solve = te.solve_te_lu if args.command == "te-lu" else te.solve_te_mf
+    sol = solve(inst.network, cap=args.max_paths)
     _emit_flow_solution(rec, sol, inst.network)
 
 
 def cmd_w_flow(args, inst, rec):
     net = inst.network
     w = _need(args, inst, "w", args.w)
-    ctr._guard(net, args.max_nodes_exact, enumerates=args.no_repeat)
     if net.directed:
         if args.no_repeat:
             raise ParseError("--no-repeat applies to undirected instances")
@@ -218,7 +218,6 @@ def cmd_w_flow(args, inst, rec):
 
 def cmd_w_flow_simple(args, inst, rec):
     w = _need(args, inst, "w", args.w)
-    ctr._guard(inst.network, args.max_nodes_exact, enumerates=True)
     sol = wflow.max_w_flow_simple(inst.network, w, cap=args.max_paths)
     _emit_flow_solution(rec, sol, inst.network)
 
@@ -235,7 +234,6 @@ def cmd_w_flow_augment(args, inst, rec):
 
 def cmd_set_flow(args, inst, rec):
     W = _need(args, inst, "W", args.set)
-    ctr._guard(inst.network, args.max_nodes_exact)
     sol = wflow.max_set_flow(inst.network, W, cap=args.max_paths)
     rec.add("designated_set", ",".join(sorted(W)))
     _emit_flow_solution(rec, sol, inst.network)
@@ -254,16 +252,8 @@ def cmd_cut(args, inst, rec):
                   for eid in result.edges])
 
 
-def _sr_config(args, inst):
-    return srte.SrConfig(_middlepoints(args, inst), args.max_segments)
-
-
 def _emit_sr(rec, sol, net):
-    rec.add("status", sol.status)
-    if sol.objective is not None:
-        rec.add("objective", sol.objective)
-    if sol.theta is not None:
-        rec.add("theta", sol.theta)
+    _emit_status(rec, sol)
     rec.add("tunnels", sum(len(ts) for ts in sol.tunnels_per_commodity))
     rows = []
     for (i, mids), amount in sorted(sol.tunnel_flows.items()):
@@ -277,13 +267,10 @@ def _emit_sr(rec, sol, net):
                                       "flow"), rows)
 
 
-def cmd_sr_lu(args, inst, rec):
-    sol, _tables = srte.solve_sr_lu(inst.network, _sr_config(args, inst))
-    _emit_sr(rec, sol, inst.network)
-
-
-def cmd_sr_mf(args, inst, rec):
-    sol, _tables = srte.solve_sr_mf(inst.network, _sr_config(args, inst))
+def cmd_sr(args, inst, rec):
+    solve = srte.solve_sr_lu if args.command == "sr-lu" else srte.solve_sr_mf
+    config = srte.SrConfig(_middlepoints(args, inst), args.max_segments)
+    sol, _tables = solve(inst.network, config)
     _emit_sr(rec, sol, inst.network)
 
 
@@ -300,11 +287,9 @@ def cmd_acyclic_check(args, inst, rec):
 def cmd_centrality(args, inst, rec):
     w = _need(args, inst, "w", args.w)
     if args.instance_demands:
-        report = ctr.commodity_centrality(inst.network, w, cap=args.max_paths,
-                                          node_limit=args.max_nodes_exact)
+        report = ctr.commodity_centrality(inst.network, w, cap=args.max_paths)
     else:
-        report = ctr.flow_centrality(inst.network, w, cap=args.max_paths,
-                                     node_limit=args.max_nodes_exact)
+        report = ctr.flow_centrality(inst.network, w, cap=args.max_paths)
     rec.add("node", report.node)
     rec.add("numerator", report.numerator)
     rec.add("denominator", report.denominator)
@@ -316,14 +301,12 @@ def cmd_centrality(args, inst, rec):
 
 def cmd_group_flow(args, inst, rec):
     group = _need(args, inst, "group", args.group)
-    ctr._guard(inst.network, args.max_nodes_exact)
     result = ctr.group_flow(inst.network, group, cap=args.max_paths)
     rec.add("group", ",".join(result.group))
     rec.add("objective", result.value)
 
 
 def cmd_ngroup(args, inst, rec):
-    ctr._guard(inst.network, args.max_nodes_exact)
     result = ctr.n_group_max_flow(inst.network, args.n, method=args.method,
                                   cap=args.max_paths)
     rec.add("method", args.method)
@@ -336,12 +319,13 @@ def cmd_ngroup(args, inst, rec):
 
 
 def cmd_probe(args, inst, rec):
-    ctr._guard(inst.network, args.max_nodes_exact, enumerates=True)
     report = ctr.submodularity_probe(inst.network, trials=args.trials,
                                      seed=args.seed, cap=args.max_paths)
+    # A sample can refute a property but never prove it.
+    unrefuted = f"not refuted ({report.samples} samples)"
     rec.add("samples", report.samples)
-    rec.add("monotone", report.monotone)
-    rec.add("submodular", report.submodular)
+    rec.add("monotone", unrefuted if report.monotone else False)
+    rec.add("submodular", unrefuted if report.submodular else False)
     rec.add_rows("submodularity_violations",
                  ("S", "T", "v", "margin_S", "margin_T"),
                  [(",".join(S), ",".join(T), v, format_rational(mS),
@@ -352,8 +336,7 @@ def cmd_probe(args, inst, rec):
 def cmd_eq25(args, inst, rec):
     w = _need(args, inst, "w", args.w)
     s, t = _endpoints(args, inst)
-    report = ctr.check_pair_sum_identity(inst.network, w, s, t, cap=args.max_paths,
-                                         node_limit=args.max_nodes_exact)
+    report = ctr.check_pair_sum_identity(inst.network, w, s, t, cap=args.max_paths)
     rec.add("lhs", report.lhs)
     for name, value in sorted(report.terms.items()):
         rec.add(f"term_{name}", value)
@@ -384,15 +367,13 @@ def cmd_gadget(args, inst, rec):
         sets = args.sets
         items = sorted({x for part in sets for x in part})
         gadget = reductions.max_coverage_gadget(items, sets, args.n)
-    elif args.kind == "disjoint-shortest-paths":
+    else:  # disjoint-shortest-paths
         pair_nodes = args.nodes or ()
         if not pair_nodes or len(pair_nodes) % 2:
             raise ParseError("disjoint-shortest-paths needs --nodes "
                              "u1,v1,u2,v2,...")
         pairs = list(zip(pair_nodes[::2], pair_nodes[1::2]))
         gadget = reductions.disjoint_shortest_paths_gadget(inst.network, pairs)
-    else:
-        raise ParseError(f"unknown gadget kind {args.kind!r}")
     out = fileio.Instance(gadget.network,
                           gadget.designated.get("middlepoints"),
                           {k: v for k, v in gadget.designated.items()
@@ -413,18 +394,101 @@ def cmd_catalog(args):
     return EXIT_OK
 
 
-# -- argument parsing ------------------------------------------------------------
+# -- the command table -----------------------------------------------------------
 
-def _add_instance_args(sub):
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin", help="name of a builtin instance")
-    group.add_argument("--instance", help="path to an instance file")
-    sub.add_argument("--format", choices=("table", "csv", "structured"),
-                     default="table")
-    sub.add_argument("--max-paths", type=_count(0), default=DEFAULT_PATH_CAP,
-                     help="cap on enumerated paths per family")
-    sub.add_argument("--max-nodes-exact", type=_count(0), default=10,
-                     help="node-count guard for exponential solvers")
+def _flag(*names, **options):
+    """The arguments of one add_argument call."""
+    return names, options
+
+
+_W = _flag("--w", help="designated node")
+_S = _flag("--s", help="source node")
+_T = _flag("--t", help="sink node")
+_MIDDLEPOINTS = _flag("--middlepoints", type=_nodelist,
+                      help="comma-separated ordered middlepoint list")
+_MAX_SEGMENTS = _flag("--max-segments", type=_count(0), default=1)
+
+
+# Guard rules: whether the solver enumerates walks (see _guard).
+DIRECTED, WALKS = False, True
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its body, which looks its solver up through its module
+    at run time, help, own flags and guard rule (or a function of the parsed
+    arguments giving it); no rule, no --max-paths or --max-nodes-exact."""
+    run: object
+    help: str
+    flags: tuple = ()
+    guard: object = None
+
+
+COMMANDS = {
+    "te-mf": Command(cmd_te, "maximum multicommodity flow", (), WALKS),
+    "te-lu": Command(cmd_te, "minimum worst-edge utilization", (), WALKS),
+    "w-flow": Command(cmd_w_flow, "node-constrained maximum flow", (
+        _W, _flag("--no-repeat", action="store_true",
+                  help="undirected: forbid edge reuse within a path"),
+    ), lambda args: WALKS if args.no_repeat else DIRECTED),
+    "w-flow-simple": Command(cmd_w_flow_simple,
+                             "node-constrained flow over simple paths", (_W,), WALKS),
+    "w-flow-augment": Command(cmd_w_flow_augment,
+                              "greedy augmenting heuristic (directed)", (_W,)),
+    "set-flow": Command(cmd_set_flow, "flow through a designated node set", (
+        _flag("--set", type=_nodelist, help="comma-separated designated set"),
+    ), DIRECTED),
+    "cut": Command(cmd_cut, "minimum s-w-t edge cut", (_W, _S, _T)),
+    "sr-lu": Command(cmd_sr, "segment-routing minimum utilization",
+                     (_MIDDLEPOINTS, _MAX_SEGMENTS)),
+    "sr-mf": Command(cmd_sr, "segment-routing maximum flow",
+                     (_MIDDLEPOINTS, _MAX_SEGMENTS)),
+    "acyclic-check": Command(cmd_acyclic_check,
+                             "acyclic middlepoint tunnel feasibility", (
+        _S, _T, _MIDDLEPOINTS,
+        _flag("--mode", choices=("path", "simple_path"), default="path"),
+    )),
+    "centrality": Command(cmd_centrality, "flow centrality of a node", (
+        _W, _flag("--instance-demands", action="store_true",
+                  help="restrict to the instance's commodity pairs, "
+                       "weighted by demand"),
+    ), DIRECTED),
+    "group-flow": Command(cmd_group_flow, "flow through a node group", (
+        _flag("--group", type=_nodelist, help="comma-separated node group"),
+    ), DIRECTED),
+    "ngroup": Command(cmd_ngroup, "best group of at most N nodes", (
+        _flag("-n", type=_count(1), required=True),
+        _flag("--method", choices=("brute", "greedy"), default="brute"),
+    ), DIRECTED),
+    "probe-submodularity": Command(cmd_probe, "sample monotonicity/submodularity", (
+        _flag("--trials", type=_count(0), default=100),
+        _flag("--seed", type=int, default=0),
+    ), WALKS),
+    "eq25": Command(cmd_eq25, "inclusion-exclusion identity check", (_W, _S, _T),
+                    DIRECTED),
+    "gadget": Command(cmd_gadget, "emit a hardness-reduction gadget", (
+        _W, _S, _T,
+        _flag("--kind", choices=_GADGETS, required=True),
+        _flag("--output", required=True),
+        _flag("--nodes", type=_nodelist, help="gadget-specific node list"),
+        _flag("--sets", type=_setlist, help="max-coverage: sets as a,b|c,d"),
+        _flag("-n", type=_count(1), default=1,
+              help="max-coverage: number of sets to pick"),
+    )),
+}
+
+
+def _guard(net, args, rule):
+    """Refuse more than --max-nodes-exact nodes to an exact method that is
+    exponential: any on a directed network, where node-constrained flow is
+    NP-hard, and one that enumerates walks on either."""
+    limit = args.max_nodes_exact
+    enumerates = rule(args) if callable(rule) else rule
+    if (net.directed or enumerates) and len(net.nodes) > limit:
+        how = "by walk enumeration" if enumerates else "on directed networks"
+        raise LimitExceeded(
+            f"exact node-constrained flow {how} is exponential; "
+            f"{len(net.nodes)} nodes exceeds the guard of {limit}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,91 +496,36 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nodeflow",
         description="Exact node-constrained traffic engineering solvers")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    solvers = {
-        "te-mf": (cmd_te_mf, "maximum multicommodity flow"),
-        "te-lu": (cmd_te_lu, "minimum worst-edge utilization"),
-        "w-flow": (cmd_w_flow, "node-constrained maximum flow"),
-        "w-flow-simple": (cmd_w_flow_simple,
-                          "node-constrained flow over simple paths"),
-        "w-flow-augment": (cmd_w_flow_augment,
-                           "greedy augmenting heuristic (directed)"),
-        "set-flow": (cmd_set_flow, "flow through a designated node set"),
-        "cut": (cmd_cut, "minimum s-w-t edge cut"),
-        "sr-lu": (cmd_sr_lu, "segment-routing minimum utilization"),
-        "sr-mf": (cmd_sr_mf, "segment-routing maximum flow"),
-        "acyclic-check": (cmd_acyclic_check,
-                          "acyclic middlepoint tunnel feasibility"),
-        "centrality": (cmd_centrality, "flow centrality of a node"),
-        "group-flow": (cmd_group_flow, "flow through a node group"),
-        "ngroup": (cmd_ngroup, "best group of at most N nodes"),
-        "probe-submodularity": (cmd_probe,
-                                "sample monotonicity/submodularity"),
-        "eq25": (cmd_eq25, "inclusion-exclusion identity check"),
-        "gadget": (cmd_gadget, "emit a hardness-reduction gadget"),
-    }
-    for name, (func, help_text) in solvers.items():
-        sub = subs.add_parser(name, help=help_text)
-        _add_instance_args(sub)
-        sub.set_defaults(func=func)
-        if name in ("w-flow", "w-flow-simple", "w-flow-augment", "cut",
-                    "centrality", "eq25", "gadget"):
-            sub.add_argument("--w", help="designated node")
-        if name == "centrality":
-            sub.add_argument("--instance-demands", action="store_true",
-                             help="restrict to the instance's commodity "
-                                  "pairs, weighted by demand")
-        if name == "w-flow":
-            sub.add_argument("--no-repeat", action="store_true",
-                             help="undirected: forbid edge reuse within a path")
-        if name == "set-flow":
-            sub.add_argument("--set", type=_nodelist,
-                             help="comma-separated designated set")
-        if name in ("cut", "acyclic-check", "eq25", "gadget"):
-            sub.add_argument("--s", help="source node")
-            sub.add_argument("--t", help="sink node")
-        if name in ("sr-lu", "sr-mf", "acyclic-check"):
-            sub.add_argument("--middlepoints", type=_nodelist,
-                             help="comma-separated ordered middlepoint list")
-        if name in ("sr-lu", "sr-mf"):
-            sub.add_argument("--max-segments", type=_count(0), default=1)
-        if name == "acyclic-check":
-            sub.add_argument("--mode", choices=("path", "simple_path"),
-                             default="path")
-        if name == "group-flow":
-            sub.add_argument("--group", type=_nodelist,
-                             help="comma-separated node group")
-        if name == "ngroup":
-            sub.add_argument("-n", type=_count(1), required=True)
-            sub.add_argument("--method", choices=("brute", "greedy"),
-                             default="brute")
-        if name == "probe-submodularity":
-            sub.add_argument("--trials", type=_count(0), default=100)
-            sub.add_argument("--seed", type=int, default=0)
-        if name == "gadget":
-            sub.add_argument("--kind", choices=_GADGETS, required=True)
-            sub.add_argument("--output", required=True)
-            sub.add_argument("--nodes", type=_nodelist,
-                             help="gadget-specific node list")
-            sub.add_argument("--sets", type=_setlist,
-                             help="max-coverage: sets as a,b|c,d")
-            sub.add_argument("-n", type=_count(1), default=1,
-                             help="max-coverage: number of sets to pick")
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        source = sub.add_mutually_exclusive_group(required=True)
+        source.add_argument("--builtin", help="name of a builtin instance")
+        source.add_argument("--instance", help="path to an instance file")
+        sub.add_argument("--format", choices=("table", "csv", "structured"),
+                         default="table")
+        if command.guard is not None:
+            sub.add_argument("--max-paths", type=_count(0), default=DEFAULT_PATH_CAP,
+                             help="cap on enumerated paths per family")
+            sub.add_argument("--max-nodes-exact", type=_count(0), default=10,
+                             help="node-count guard for exponential solvers")
+        for names, options in command.flags:
+            sub.add_argument(*names, **options)
     subs.add_parser("catalog", help="list builtin instances")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "catalog":
         return cmd_catalog(args)
+    command = COMMANDS[args.command]
     try:
         inst, source = _load(args)
+        if command.guard is not None:
+            _guard(inst.network, args, command.guard)
         rec = ResultRecord(args.command, source,
                            fileio.instance_hash(inst))
-        args.func(args, inst, rec)
+        command.run(args, inst, rec)
         rec.finish()
         print(rec.render(args.format))
         return EXIT_OK

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from . import lp as lpmod
 from .errors import InfiniteDemand, TruncatedFamily
-from .network import UNCONSTRAINED, FlowNetwork, enumerate_paths
+from .network import DEFAULT_PATH_CAP, UNCONSTRAINED, FlowNetwork, enumerate_paths
 from .rational import ONE, ZERO
 
 INFEASIBLE = "infeasible"
@@ -69,9 +69,8 @@ class FlowSolution:
         return loads
 
 
-def default_families(net: FlowNetwork, cap=None, constraint=UNCONSTRAINED):
-    kw = {} if cap is None else {"cap": cap}
-    return [enumerate_paths(net, i, constraint, **kw)
+def default_families(net: FlowNetwork, cap=DEFAULT_PATH_CAP, constraint=UNCONSTRAINED):
+    return [enumerate_paths(net, i, constraint, cap)
             for i in range(len(net.commodities))]
 
 
@@ -198,12 +197,12 @@ def _solve_families(net, families, cap, minimize_load):
                         objective if minimize_load else None, pivots)
 
 
-def solve_te_mf(net: FlowNetwork, families=None, cap=None) -> FlowSolution:
+def solve_te_mf(net: FlowNetwork, families=None, cap=DEFAULT_PATH_CAP) -> FlowSolution:
     """Maximum total multicommodity flow over the given path families."""
     return _solve_families(net, families, cap, minimize_load=False)
 
 
-def solve_te_lu(net: FlowNetwork, families=None, cap=None) -> FlowSolution:
+def solve_te_lu(net: FlowNetwork, families=None, cap=DEFAULT_PATH_CAP) -> FlowSolution:
     """Minimum worst-link utilization routing every demand in full.
 
     Every commodity must have a finite required amount (min_demand, which

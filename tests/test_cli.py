@@ -196,8 +196,12 @@ def test_node_guard_on_directed_path_solvers_exit_3(tmp_path, capsys):
         "edges": [{"tail": a, "head": b, "capacity": 1}
                   for a, b in zip(nodes, nodes[1:])],
         "commodities": [{"src": "v0", "dst": "v11"}]}))
-    for argv in (("w-flow", "--w", "v5"), ("w-flow-simple", "--w", "v5"),
-                 ("set-flow", "--set", "v5")):
+    for argv, line in ((("w-flow", "--w", "v5"), "objective: 1"),
+                       (("w-flow-simple", "--w", "v5"), "objective: 1"),
+                       (("set-flow", "--set", "v5"), "objective: 1"),
+                       (("eq25", "--w", "v5"), "consistent: True"),
+                       (("centrality", "--w", "v5", "--instance-demands"),
+                        "centrality: 1")):
         code, _, err = run(capsys, *argv, "--instance", str(path),
                            "--max-nodes-exact", "5")
         assert code == 3, argv
@@ -205,7 +209,7 @@ def test_node_guard_on_directed_path_solvers_exit_3(tmp_path, capsys):
         code, out, _ = run(capsys, *argv, "--instance", str(path),
                            "--max-nodes-exact", "12")
         assert code == 0, argv
-        assert "objective: 1\n" in out
+        assert line in out.splitlines()
 
 
 def test_node_guard_on_undirected_walk_enumerators_exit_3(tmp_path, capsys):
@@ -309,6 +313,27 @@ def test_eq25_unknown_s_names_it_exit_1(capsys):
     assert err.startswith("error:") and "'v0'" in err
 
 
+def test_eq25_consistent_on_undirected_builtins(capsys):
+    # The four-term sum counts both orders of the hat pair there.
+    for name in ("wst-undirected", "augmenting-undirected"):
+        code, out, err = run(capsys, "eq25", "--builtin", name)
+        assert code == 0, err
+        assert "residual: 0" in out.splitlines(), name
+        assert "consistent: True" in out.splitlines(), name
+
+
+def test_probe_verdict_on_fig8(capsys):
+    # Seed 0 samples no violation, which refutes nothing; seed 1 finds one.
+    code, out, _ = run(capsys, "probe-submodularity", "--builtin", "fig8")
+    assert code == 0
+    assert "submodular: not refuted (100 samples)" in out.splitlines()
+    code, out, _ = run(capsys, "probe-submodularity", "--builtin", "fig8",
+                       "--seed", "1")
+    assert code == 0
+    assert "submodular: False" in out.splitlines()
+    assert "monotone: not refuted (100 samples)" in out.splitlines()
+
+
 def test_centrality_honours_max_paths_exit_3(capsys):
     for extra in ((), ("--instance-demands",)):
         code, _, err = run(capsys, "centrality", "--builtin", "remarks",
@@ -338,7 +363,8 @@ EVERY_SUBCOMMAND = [
     (("centrality", "--builtin", "remarks", "--w", "w"), "centrality: 22/35"),
     (("group-flow", "--builtin", "fig8", "--group", "s1,s2"), "objective: 2"),
     (("ngroup", "--builtin", "fig8", "-n", "1"), "objective: 2"),
-    (("probe-submodularity", "--builtin", "fig8"), "monotone: True"),
+    (("probe-submodularity", "--builtin", "fig8"),
+     "monotone: not refuted (100 samples)"),
     (("eq25", "--builtin", "remarks"), "consistent: True"),
     (("catalog",), "headline: w-flow 3; heuristic 2; min s-w-t cut 4"),
 ]
@@ -403,6 +429,21 @@ PARSER_REJECTS = {
                          "--trials", "-1"),
                         "argument --trials: must be at least 0"),
 }
+
+# Only the guarded solvers take the size-guard flags.
+UNGUARDED = {
+    "sr-lu": ("--builtin", "cycle-3"),
+    "sr-mf": ("--builtin", "cycle-3"),
+    "cut": ("--builtin", "remarks"),
+    "acyclic-check": ("--builtin", "cycle-3"),
+    "w-flow-augment": ("--builtin", "remarks"),
+    "gadget": ("--builtin", "remarks", "--kind", "node-split",
+               "--output", "gadget.json"),
+}
+PARSER_REJECTS.update({
+    f"{command}-{flag[2:]}": ((command, *argv, flag, "0"), "unrecognized arguments")
+    for command, argv in UNGUARDED.items()
+    for flag in ("--max-paths", "--max-nodes-exact")})
 
 
 @pytest.mark.parametrize("argv, message", PARSER_REJECTS.values(),
