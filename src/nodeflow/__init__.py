@@ -19,9 +19,8 @@ from .network import (Commodity, Edge, EdgeWalk, FlowNetwork, PathConstraint,
                       simple_through, through, through_any, validate_walk)
 from .lp import (Constraint, LinearProgram, LpSolution, EQ, GE, LE,
                  OPTIMAL, UNBOUNDED, solve)
-from .te import (INFEASIBLE, DmfResult, FlowSolution, DualityReport,
-                 check_demand_load_duality, decide_dmf, default_families,
-                 max_flow_arc_lp, solve_te_lu, solve_te_mf)
+from .te import (INFEASIBLE, FlowSolution, default_families, max_flow_arc_lp,
+                 solve_te_lu, solve_te_mf)
 from .maxflow import MaxFlowResult, max_flow
 from .wflow import (AugmentingResult, CutResult, TransformedNetwork,
                     augmenting_w_flow, build_transform, fix_paths,
@@ -32,20 +31,16 @@ from .wflow import (AugmentingResult, CutResult, TransformedNetwork,
 from .srte import (FeasibilityResult, SegmentFractions, SrConfig, SrSolution,
                    Tunnel, acyclic_feasible, build_tunnels, detect_cycles,
                    ecmp_fractions, shortest_path_data,
-                   solve_sr_lu, solve_sr_mf, tunnel_bound)
+                   solve_sr_lu, solve_sr_mf)
 from .centrality import (CentralityReport, Eq25Report, GroupFlowResult,
                          HatConstructions, ProbeReport, check_pair_sum_identity,
                          commodity_centrality, flow_centrality, group_flow,
-                         hat_constructions, marginal_gain, n_group_max_flow,
+                         hat_constructions, n_group_max_flow,
                          node_flow_sum, pair_max_flow, pair_w_flow,
                          probe_margins, submodularity_probe)
 from .reductions import (GadgetInstance, disjoint_shortest_paths_gadget,
                          max_coverage_gadget, node_split_gadget,
                          two_disjoint_paths_gadget, unit_path_gadget)
-from .verification import (CheckResult, check_disjoint_shortest_paths,
-                           check_max_coverage, check_node_split,
-                           check_two_disjoint_paths, check_unit_path,
-                           disjoint_shortest_paths_brute, max_coverage_brute)
 from .fileio import (Instance, instance_hash, load_instance, parse_instance,
                      save_instance, serialize_instance)
 from .instances import BuiltinInstance, catalog, get_builtin

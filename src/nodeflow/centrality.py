@@ -46,6 +46,8 @@ def flow_centrality(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP) -> CentralityRepo
     flow values over all ordered pairs not involving w, the denominator the
     corresponding unconstrained maxima.  Unguarded, and exponential on
     directed networks."""
+    if w not in net.nodes:
+        raise UnknownNode(f"node {w!r} not in network")
     pairs = [(s, t, forced, free)
              for (s, t), (forced, free) in _pair_values(net, w, cap).items()]
     num = sum((forced for _, _, forced, _ in pairs), ZERO)
@@ -224,11 +226,6 @@ def probe_margins(net: FlowNetwork, S, T, v):
     gf = _GroupFlowCache(net, norepeat=not net.directed)
     return (gf(list(S) + [v]) - gf(list(S)),
             gf(list(T) + [v]) - gf(list(T)))
-
-
-def marginal_gain(net: FlowNetwork, base, v):
-    gf = _GroupFlowCache(net)
-    return gf(list(base) + [v]) - gf(base)
 
 
 # -- source/sink closures and the inclusion-exclusion identity ------------------

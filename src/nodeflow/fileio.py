@@ -132,7 +132,11 @@ def parse_instance(text: str) -> Instance:
                     raise ParseError("expected a node id", "designated.w")
                 designated["w"] = value
             else:
-                designated[key] = tuple(_string_list(value, f"designated.{key}"))
+                listed = _string_list(value, f"designated.{key}")
+                if not listed:
+                    raise ParseError("expected a nonempty list of node ids",
+                                     f"designated.{key}")
+                designated[key] = tuple(listed)
 
     try:
         net = FlowNetwork.build(orientation, nodes, edges, commodities)

@@ -3,7 +3,7 @@
 Each builder returns a GadgetInstance: the constructed network, the
 designated nodes the surrounding argument talks about, a provenance tag, and
 a mapping from source-problem objects to gadget nodes.  The matching
-brute-force equivalence checkers live in nodeflow.verification.
+brute-force equivalence checkers are test oracles, in tests/reduction_checks.py.
 """
 
 from __future__ import annotations

@@ -114,13 +114,6 @@ class Tunnel:
 class SrConfig:
     middlepoints: tuple   # the global ordered list
     max_segments: int     # M: at most this many middlepoints per tunnel
-    use_all: bool = False  # force every tunnel to use the full list
-
-
-def tunnel_bound(k: int, m: int) -> int:
-    """Upper bound on tunnels per commodity: sum_{j<=m} C(k, j)."""
-    from math import comb
-    return sum(comb(k, j) for j in range(0, min(k, m) + 1))
 
 
 def build_tunnels(net: FlowNetwork, cfg: SrConfig):
@@ -128,11 +121,11 @@ def build_tunnels(net: FlowNetwork, cfg: SrConfig):
     SegmentFractions keyed by (u, v).
 
     Order-respecting subsequences of the middlepoint list with at most
-    max_segments entries (exactly the full list if use_all); subsequences
-    touching a commodity's endpoints are skipped, as are tunnels with an
-    unreachable segment.  One shortest-path search per segment source serves
-    both the reachability test and the tables.  A middlepoint list with a
-    repeat is refused, since two of its subsequences could be one tunnel.
+    max_segments entries; subsequences touching a commodity's endpoints are
+    skipped, as are tunnels with an unreachable segment.  One shortest-path
+    search per segment source serves both the reachability test and the
+    tables.  A middlepoint list with a repeat is refused, since two of its
+    subsequences could be one tunnel.
     """
     for w in cfg.middlepoints:
         if w not in net.nodes:
@@ -148,12 +141,9 @@ def build_tunnels(net: FlowNetwork, cfg: SrConfig):
 
     result = []
     tables = {}
+    subseqs = [c for j in range(0, cfg.max_segments + 1)
+               for c in itertools.combinations(cfg.middlepoints, j)]
     for i, com in enumerate(net.commodities):
-        if cfg.use_all:
-            subseqs = [tuple(cfg.middlepoints)]
-        else:
-            subseqs = [c for j in range(0, cfg.max_segments + 1)
-                       for c in itertools.combinations(cfg.middlepoints, j)]
         tunnels = []
         for mids in subseqs:
             if com.source in mids or com.sink in mids:

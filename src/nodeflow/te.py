@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import lp as lpmod
-from .errors import InfiniteDemand, TruncatedFamily
+from .errors import InfiniteDemand, TruncatedFamily, UnknownNode
 from .network import DEFAULT_PATH_CAP, UNCONSTRAINED, FlowNetwork, enumerate_paths
 from .rational import ONE, ZERO
 
@@ -70,6 +70,11 @@ class FlowSolution:
 
 
 def default_families(net: FlowNetwork, cap=DEFAULT_PATH_CAP, constraint=UNCONSTRAINED):
+    """One family per commodity.  A constraint node not in the network is
+    refused even when there is no commodity to enumerate for."""
+    for w in constraint.nodes:
+        if w not in net.nodes:
+            raise UnknownNode(f"constraint node {w!r} not in network")
     return [enumerate_paths(net, i, constraint, cap)
             for i in range(len(net.commodities))]
 
@@ -209,48 +214,6 @@ def solve_te_lu(net: FlowNetwork, families=None, cap=DEFAULT_PATH_CAP) -> FlowSo
     defaults to max_demand).
     """
     return _solve_families(net, families, cap, minimize_load=True)
-
-
-@dataclass
-class DmfResult:
-    satisfiable: bool
-    routed: object
-    demand_total: object
-    witness: FlowSolution
-
-
-def decide_dmf(net: FlowNetwork) -> DmfResult:
-    """Can all demands be satisfied simultaneously?  Decided through the
-    max-flow program: yes iff the optimum meets the total demand."""
-    total = ZERO
-    for i, com in enumerate(net.commodities):
-        if com.max_demand is None:
-            raise InfiniteDemand(f"commodity {i} has infinite demand")
-        total += com.max_demand
-    sol = solve_te_mf(net)
-    routed = sol.objective if sol.status == lpmod.OPTIMAL else ZERO
-    return DmfResult(routed == total, routed, total, sol)
-
-
-@dataclass
-class DualityReport:
-    satisfiable: bool
-    theta: object
-    consistent: bool
-
-
-def check_demand_load_duality(net: FlowNetwork) -> DualityReport:
-    """Demands are satisfiable exactly when the min worst utilization is <= 1.
-
-    Runs both programs on the same instance and reports whether the
-    biconditional holds (it always should; this is a cross-check)."""
-    dmf = decide_dmf(net)
-    lu = solve_te_lu(net)
-    if lu.status != lpmod.OPTIMAL:
-        consistent = not dmf.satisfiable
-        return DualityReport(dmf.satisfiable, None, consistent)
-    consistent = dmf.satisfiable == (lu.objective <= 1)
-    return DualityReport(dmf.satisfiable, lu.objective, consistent)
 
 
 def _reduced_graph(net: FlowNetwork, terminals):

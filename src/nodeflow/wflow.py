@@ -254,6 +254,8 @@ def augmenting_w_flow(net: FlowNetwork, w) -> AugmentingResult:
     for e in net.edges:
         if rat(e.capacity).denominator != 1:
             raise NonIntegralCapacity(f"edge {e.id} has capacity {e.capacity}")
+    if not net.commodities:
+        raise MalformedNetwork("augmenting heuristic needs a commodity")
     com = net.commodities[0]
     s, t = com.source, com.sink
     if w in (s, t):

@@ -1,10 +1,12 @@
-"""Shared helpers: random instance generators and independent walk and
-min-load oracles."""
+"""Shared helpers: random instance generators and independent walk,
+min-load and demand-feasibility oracles."""
 
 from fractions import Fraction
 
-from nodeflow import INFEASIBLE, LE, UNBOUNDED, FlowNetwork, LinearProgram
+from nodeflow import (INFEASIBLE, LE, OPTIMAL, UNBOUNDED, FlowNetwork,
+                      LinearProgram, solve_te_mf)
 from nodeflow import solve as solve_lp
+from nodeflow.rational import ZERO
 
 
 def random_directed(rng, n_nodes=None, n_edges=None, n_commodities=1,
@@ -120,6 +122,14 @@ def min_load_dual(net, columns):
     if sol.status == UNBOUNDED:
         return INFEASIBLE, None
     return sol.status, sol.objective
+
+
+def dmf_satisfiable(net):
+    """Can every finite demand be met at once?  Yes iff the max-flow
+    optimum routes the total demand."""
+    sol = solve_te_mf(net)
+    routed = sol.objective if sol.status == OPTIMAL else ZERO
+    return routed == sum(com.max_demand for com in net.commodities)
 
 
 def brute_max_flow(net, commodity=0):

@@ -11,15 +11,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import TruncatedFamily
-from .network import (DEFAULT_PATH_CAP, FlowNetwork, PathConstraint,
-                      UNCONSTRAINED, enumerate_st_paths, simple_through, through)
-from .reductions import (disjoint_shortest_paths_gadget, max_coverage_gadget,
-                         node_split_gadget, two_disjoint_paths_gadget,
-                         unit_path_gadget)
-from .centrality import n_group_max_flow
-from .srte import COMBO_CAP, acyclic_feasible, _shortest_path_walks
-from .wflow import max_w_flow_exact
+from nodeflow.errors import TruncatedFamily
+from nodeflow.network import (DEFAULT_PATH_CAP, FlowNetwork, PathConstraint,
+                              UNCONSTRAINED, enumerate_st_paths, simple_through,
+                              through)
+from nodeflow.reductions import (disjoint_shortest_paths_gadget,
+                                 max_coverage_gadget, node_split_gadget,
+                                 two_disjoint_paths_gadget, unit_path_gadget)
+from nodeflow.centrality import n_group_max_flow
+from nodeflow.srte import acyclic_feasible, _shortest_path_walks
+from nodeflow.wflow import max_w_flow_exact
 
 
 @dataclass

@@ -6,21 +6,23 @@ pytest also shows captured output for failures).
 
 import random
 import time
+from math import comb
 
 from nodeflow import (SrConfig, Tunnel, acyclic_feasible, augmenting_w_flow,
-                      build_tunnels, catalog, check_demand_load_duality,
-                      check_disjoint_shortest_paths, check_max_coverage,
-                      check_node_split, check_pair_sum_identity,
-                      check_two_disjoint_paths, check_unit_path, decide_dmf,
+                      build_tunnels, catalog, check_pair_sum_identity,
                       detect_cycles, ecmp_fractions, enumerate_paths,
-                      get_builtin, max_coverage_brute, max_coverage_gadget,
-                      max_w_flow_exact, max_w_flow_simple,
-                      max_w_flow_undirected, max_w_flow_undirected_norepeat,
-                      min_swt_edge_cut, n_group_max_flow, probe_margins,
-                      rat, solve_te_lu, solve_te_mf, submodularity_probe,
-                      through, tunnel_bound)
+                      get_builtin, max_coverage_gadget, max_w_flow_exact,
+                      max_w_flow_simple, max_w_flow_undirected,
+                      max_w_flow_undirected_norepeat, min_swt_edge_cut,
+                      n_group_max_flow, probe_margins, rat, solve_te_lu,
+                      solve_te_mf, submodularity_probe, through)
 
-from conftest import pick_inner_node, random_directed, random_undirected
+from conftest import (dmf_satisfiable, pick_inner_node, random_directed,
+                      random_undirected)
+from reduction_checks import (check_disjoint_shortest_paths,
+                              check_max_coverage, check_node_split,
+                              check_two_disjoint_paths, check_unit_path,
+                              max_coverage_brute)
 
 
 def _report(num, label, ok):
@@ -86,11 +88,9 @@ def test_criterion_04_demand_load_duality():
     for _ in range(200):
         net = random_directed(rng, n_commodities=rng.randint(1, 2),
                               finite_demands=True)
-        report = check_demand_load_duality(net)
         theta = solve_te_lu(net).theta
-        agrees = decide_dmf(net).satisfiable == (theta is not None
-                                                 and theta <= 1)
-        if not (report.consistent and agrees):
+        agrees = dmf_satisfiable(net) == (theta is not None and theta <= 1)
+        if not agrees:
             ok = False
             break
     _report(4, "DMF feasible iff theta* <= 1 on 200 random finite-demand "
@@ -221,7 +221,8 @@ def test_criterion_09_segment_routing():
             tunnels, _ = build_tunnels(g, SrConfig(mids, m))
             # variables per commodity (and so LP columns) stay within the
             # binomial bound sum_{j<=m} C(k, j)
-            if any(len(per) > tunnel_bound(k, m) for per in tunnels):
+            bound = sum(comb(k, j) for j in range(min(k, m) + 1))
+            if any(len(per) > bound for per in tunnels):
                 ok = False
     _report(9, "cycle-3 tunnel cycle on u1->u2 and infeasible acyclic "
                "check; ECMP conservation on 100 graphs; tunnel counts "

@@ -286,6 +286,55 @@ def test_node_guard_on_group_solvers_exit_3(tmp_path, capsys):
         assert code == 0, argv
 
 
+def _write(path, orientation, edges, **extra):
+    path.write_text(json.dumps({
+        "orientation": orientation, "nodes": ["s", "w", "t"],
+        "edges": [{"tail": a, "head": b, "capacity": 1} for a, b in edges],
+        "commodities": [], **extra}))
+    return str(path)
+
+
+# An unknown designated node on instances where no commodity or pair would
+# reach it: every command still names it.
+UNKNOWN_NODE = {
+    "w-flow": ("directed", ("w-flow", "--w", "zz")),
+    "w-flow-simple": ("directed", ("w-flow-simple", "--w", "zz")),
+    "set-flow": ("directed", ("set-flow", "--set", "zz,w")),
+    "group-flow": ("directed", ("group-flow", "--group", "zz")),
+    "centrality-instance-demands": (
+        "directed", ("centrality", "--w", "zz", "--instance-demands")),
+    "centrality-undirected": ("undirected", ("centrality", "--w", "zz")),
+}
+
+
+@pytest.mark.parametrize("orientation, argv", UNKNOWN_NODE.values(),
+                         ids=UNKNOWN_NODE.keys())
+def test_unknown_designated_node_exit_1(tmp_path, capsys, orientation, argv):
+    edges = [("s", "w"), ("w", "t")] if orientation == "directed" else []
+    path = _write(tmp_path / "net.json", orientation, edges)
+    code, out, err = run(capsys, *argv, "--instance", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "'zz'" in err
+
+
+@pytest.mark.parametrize("command, key", [("set-flow", "W"),
+                                          ("group-flow", "group")])
+def test_empty_designated_list_in_file_exit_2(tmp_path, capsys, command, key):
+    path = _write(tmp_path / "net.json", "directed", [("s", "w"), ("w", "t")],
+                  designated={key: []})
+    code, out, err = run(capsys, command, "--instance", path)
+    assert code == 2 and out == ""
+    assert f"designated.{key}" in err and "Traceback" not in err
+
+
+def test_augment_without_commodity_exit_1(tmp_path, capsys):
+    path = _write(tmp_path / "net.json", "directed", [("s", "w"), ("w", "t")])
+    code, out, err = run(capsys, "w-flow-augment", "--instance", path,
+                         "--w", "w")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "commodity" in err
+
+
 def test_cut_unknown_w_exit_1(capsys):
     code, out, err = run(capsys, "cut", "--builtin", "remarks", "--w", "zz")
     assert code == 1 and out == ""

@@ -141,6 +141,15 @@ def test_negative_demand_and_floor_above_ceiling_rejected(demands):
         parse_instance(json.dumps(doc))
 
 
+@pytest.mark.parametrize("key", ["W", "group"])
+def test_empty_designated_list_location(key):
+    doc = {"orientation": "directed", "nodes": ["a", "b"],
+           "edges": [{"tail": "a", "head": "b", "capacity": 1}],
+           "commodities": [], "designated": {key: []}}
+    with pytest.raises(ParseError, match=rf"designated\.{key}: .*nonempty"):
+        parse_instance(json.dumps(doc))
+
+
 def test_not_json_at_all():
     with pytest.raises(ParseError):
         parse_instance("orientation: directed")

@@ -1,12 +1,12 @@
 import random
 
-from nodeflow import (TruncatedFamily, check_disjoint_shortest_paths,
-                      check_max_coverage, check_node_split,
-                      check_two_disjoint_paths, check_unit_path,
-                      max_coverage_brute, max_coverage_gadget,
-                      n_group_max_flow)
+from nodeflow import TruncatedFamily, max_coverage_gadget, n_group_max_flow
 
 from conftest import random_directed
+from reduction_checks import (check_disjoint_shortest_paths,
+                              check_max_coverage, check_node_split,
+                              check_two_disjoint_paths, check_unit_path,
+                              max_coverage_brute)
 
 
 def _sample_distinct(rng, nodes, k):

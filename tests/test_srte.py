@@ -9,7 +9,7 @@ from nodeflow import (FlowNetwork, MalformedNetwork, SrConfig, Tunnel,
                       UnknownNode, acyclic_feasible, build_tunnels, detect_cycles,
                       ecmp_fractions, get_builtin, rat,
                       shortest_path_data, solve_sr_lu, solve_sr_mf,
-                      solve_te_mf, srte, tunnel_bound)
+                      solve_te_mf, srte, te)
 
 from nodeflow.cli import main
 
@@ -168,8 +168,7 @@ def test_tunnel_counts_within_binomial_bound():
         for m in (1, 2):
             cfg = SrConfig(tuple(mids), m)
             tunnels, _ = build_tunnels(net, cfg)
-            bound = tunnel_bound(k, m)
-            assert bound == sum(comb(k, j) for j in range(min(k, m) + 1))
+            bound = sum(comb(k, j) for j in range(min(k, m) + 1))
             for per_com in tunnels:
                 assert len(per_com) <= bound
                 for tun in per_com:
@@ -191,9 +190,13 @@ def test_cycle_instance_flags_shared_edge():
 
 
 def test_cycle_forced_tunnel_doubles_utilization():
+    # The tunnel s -> w -> t alone: both segments cross u1->u2.
     net = get_builtin("cycle-3").network
-    sol, _ = solve_sr_lu(net, SrConfig(("w",), 1, use_all=True))
-    assert sol.theta == 2
+    column = Counter()
+    for u, v in (("s", "w"), ("w", "t")):
+        column.update(ecmp_fractions(net, u, v).fractions)
+    _, _, theta, _ = te.solve_columns(net, [[column]], True)
+    assert theta == 2
 
 
 def test_cycle_direct_tunnel_keeps_utilization_1(capsys):

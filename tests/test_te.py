@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from nodeflow import (FlowNetwork, TruncatedFamily, check_demand_load_duality,
-                      decide_dmf, enumerate_paths, get_builtin,
-                      max_flow_arc_lp, rat, solve_te_lu, solve_te_mf)
+from nodeflow import (FlowNetwork, TruncatedFamily, enumerate_paths,
+                      get_builtin, max_flow_arc_lp, rat, solve_te_lu,
+                      solve_te_mf)
 
-from conftest import brute_max_flow, random_directed, random_undirected
+from conftest import (brute_max_flow, dmf_satisfiable, random_directed,
+                      random_undirected)
 
 
 def _frac(q):
@@ -75,11 +76,8 @@ def test_dmf_iff_theta_le_one():
     for trial in range(60):
         net = random_directed(rng, n_commodities=rng.randint(1, 2),
                               finite_demands=True)
-        report = check_demand_load_duality(net)
-        assert report.consistent, trial
-        dmf = decide_dmf(net)
         theta = solve_te_lu(net).theta
-        assert dmf.satisfiable == (theta is not None and theta <= 1), trial
+        assert dmf_satisfiable(net) == (theta is not None and theta <= 1), trial
 
 
 def test_truncated_family_rejected():

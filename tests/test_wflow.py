@@ -251,6 +251,13 @@ def test_augmenting_can_stall_on_remarks():
     assert result.value == 2  # the direct pick blocks the optimum of 3
 
 
+def test_augmenting_needs_a_commodity():
+    net = FlowNetwork.build("directed", ["s", "w", "t"],
+                            [("s", "w", 1), ("w", "t", 1)])
+    with pytest.raises(MalformedNetwork, match="needs a commodity"):
+        augmenting_w_flow(net, "w")
+
+
 def test_fix_paths_produces_one_valid_walk():
     rng = random.Random(67)
     checked = 0
