@@ -17,8 +17,8 @@ from .network import (Commodity, Edge, EdgeWalk, FlowNetwork, PathConstraint,
                       PathFamily, UNCONSTRAINED, concat_walks,
                       enumerate_paths, enumerate_st_paths, reverse_walk,
                       simple_through, through, through_any, validate_walk)
-from .lp import (Constraint, LinearProgram, LpSolution, EQ, GE, LE,
-                 OPTIMAL, UNBOUNDED, solve)
+from .lp import (Constraint, LinearProgram, LpSolution, EQ, LE, OPTIMAL,
+                 UNBOUNDED, solve)
 from .te import (INFEASIBLE, FlowSolution, default_families, max_flow_arc_lp,
                  solve_te_lu, solve_te_mf)
 from .maxflow import MaxFlowResult, max_flow

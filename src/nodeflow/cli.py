@@ -114,17 +114,21 @@ def _load(args):
     return inst, args.instance
 
 
-def _need(args, inst, key, flag_value=None):
+def _designated(inst, flag_value, *keys):
+    """flag_value, else the instance's value for the first of keys that it
+    designates."""
     if flag_value is not None:
         return flag_value
-    value = inst.designated.get(key)
-    if value is None and key == "W":
-        value = inst.designated.get("group")
-    if value is None:
-        raise MissingDesignation(
-            f"this command needs a designated {key!r} (in the instance file "
-            f"or via the command line)")
-    return value
+    for key in keys:
+        if key in inst.designated:
+            return inst.designated[key]
+    raise MissingDesignation(
+        f"this command needs a designated {' or '.join(map(repr, keys))} "
+        f"(in the instance file or via the command line)")
+
+
+# The instance format's two names for one designated node list.
+_SET_KEYS = ("W", "group")
 
 
 def _nodelist(text):
@@ -154,15 +158,14 @@ def _count(minimum):
 
 
 def _endpoints(args, inst):
-    """--s/--t, else the instance's designated s/t, else the first
-    commodity's endpoints."""
+    """--s/--t, else the first commodity's endpoints."""
     coms = inst.network.commodities
-    s = args.s or inst.designated.get("s") or (coms[0].source if coms else None)
-    t = args.t or inst.designated.get("t") or (coms[0].sink if coms else None)
+    s = args.s or (coms[0].source if coms else None)
+    t = args.t or (coms[0].sink if coms else None)
     if s is None or t is None:
         raise MissingDesignation(
-            "this command needs a source and a sink (--s/--t, designated in "
-            "the instance file, or a commodity)")
+            "this command needs a source and a sink (--s/--t, or a commodity "
+            "in the instance)")
     return s, t
 
 
@@ -203,7 +206,7 @@ def cmd_te(args, inst, rec):
 
 def cmd_w_flow(args, inst, rec):
     net = inst.network
-    w = _need(args, inst, "w", args.w)
+    w = _designated(inst, args.w, "w")
     if net.directed:
         if args.no_repeat:
             raise ParseError("--no-repeat applies to undirected instances")
@@ -217,13 +220,13 @@ def cmd_w_flow(args, inst, rec):
 
 
 def cmd_w_flow_simple(args, inst, rec):
-    w = _need(args, inst, "w", args.w)
+    w = _designated(inst, args.w, "w")
     sol = wflow.max_w_flow_simple(inst.network, w, cap=args.max_paths)
     _emit_flow_solution(rec, sol, inst.network)
 
 
 def cmd_w_flow_augment(args, inst, rec):
-    w = _need(args, inst, "w", args.w)
+    w = _designated(inst, args.w, "w")
     result = wflow.augmenting_w_flow(inst.network, w)
     rec.add("objective", result.value)
     rec.add("rounds", len(result.paths))
@@ -233,7 +236,7 @@ def cmd_w_flow_augment(args, inst, rec):
 
 
 def cmd_set_flow(args, inst, rec):
-    W = _need(args, inst, "W", args.set)
+    W = _designated(inst, args.set, *_SET_KEYS)
     sol = wflow.max_set_flow(inst.network, W, cap=args.max_paths)
     rec.add("designated_set", ",".join(sorted(W)))
     _emit_flow_solution(rec, sol, inst.network)
@@ -242,7 +245,7 @@ def cmd_set_flow(args, inst, rec):
 def cmd_cut(args, inst, rec):
     net = inst.network
     s, t = _endpoints(args, inst)
-    w = _need(args, inst, "w", args.w)
+    w = _designated(inst, args.w, "w")
     result = wflow.min_swt_edge_cut(net, s, w, t)
     rec.add("cut_value", result.value)
     rec.add("exact", result.exact)
@@ -285,7 +288,7 @@ def cmd_acyclic_check(args, inst, rec):
 
 
 def cmd_centrality(args, inst, rec):
-    w = _need(args, inst, "w", args.w)
+    w = _designated(inst, args.w, "w")
     if args.instance_demands:
         report = ctr.commodity_centrality(inst.network, w, cap=args.max_paths)
     else:
@@ -300,7 +303,7 @@ def cmd_centrality(args, inst, rec):
 
 
 def cmd_group_flow(args, inst, rec):
-    group = _need(args, inst, "group", args.group)
+    group = _designated(inst, args.group, *_SET_KEYS)
     result = ctr.group_flow(inst.network, group, cap=args.max_paths)
     rec.add("group", ",".join(result.group))
     rec.add("objective", result.value)
@@ -334,7 +337,7 @@ def cmd_probe(args, inst, rec):
 
 
 def cmd_eq25(args, inst, rec):
-    w = _need(args, inst, "w", args.w)
+    w = _designated(inst, args.w, "w")
     s, t = _endpoints(args, inst)
     report = ctr.check_pair_sum_identity(inst.network, w, s, t, cap=args.max_paths)
     rec.add("lhs", report.lhs)
@@ -357,7 +360,7 @@ def cmd_gadget(args, inst, rec):
     elif args.kind == "node-split":
         gadget = reductions.node_split_gadget(inst.network)
     elif args.kind == "unit-path":
-        w = _need(args, inst, "w", args.w)
+        w = _designated(inst, args.w, "w")
         s, t = _endpoints(args, inst)
         gadget = reductions.unit_path_gadget(inst.network, s, t, w)
     elif args.kind == "max-coverage":

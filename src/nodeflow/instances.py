@@ -51,7 +51,7 @@ def _remarks2():
         "remarks",
         "Three-bottleneck graph: the augmenting heuristic can stall at 2 "
         "while the optimum is 3, and the best s-w-t edge cut is 4.",
-        net, {"w": "w", "s": "s", "t": "t"},
+        net, {"w": "w"},
         "w-flow 3; heuristic 2; min s-w-t cut 4")
 
 
@@ -61,7 +61,7 @@ def _remarks_unit():
         "remarks-unit",
         "Unit-capacity variant: the optimum drops to 3/2, so integral "
         "routings cannot be optimal.",
-        net, {"w": "w", "s": "s", "t": "t"}, "w-flow 3/2")
+        net, {"w": "w"}, "w-flow 3/2")
 
 
 def _wst_undirected():
@@ -105,7 +105,7 @@ def _cycle(n):
         "so the tunnel through w doubles its load there and is cyclic.  With "
         "every tunnel forced through w theta* is 2; the direct tunnel s~t "
         "crosses u1→u2 once and gives 1.",
-        net, {"middlepoints": ("w",), "s": "s", "t": "t"},
+        net, {"middlepoints": ("w",)},
         "SR min utilization 1 (2 when every tunnel must use w); tunnel cycle "
         "on the shared edge u1→u2")
 

@@ -1,11 +1,14 @@
 """Exact rational linear programming via the primal simplex.
 
+A program maximizes c.x over x >= 0 subject to <= rows with right-hand side
+b >= 0, = rows with b = 0 and upper bounds >= 0: the form both program
+builders in te produce.  Anything else raises MalformedProgram when it is
+added.  Minimizing c.x is maximizing -c.x, and a >= row is the <= row with
+coefficients and right-hand side negated; the caller writes them so.
+
 Tableau over exact rationals, Bland's anti-cycling rule throughout, so
 results are deterministic and free of rounding.  Every program starts from
-the origin, so every row must hold there: a <= row needs a right-hand side
-b >= 0, a >= row b <= 0 (it is negated into a <= row), an equality row
-b = 0, and an upper bound must be >= 0.  Anything else raises
-MalformedProgram when it is added.  Each <= row starts with its slack
+the origin, where every row holds.  Each <= row starts with its slack
 basic.  An equality row gets no slack: once the tableau is built, each one,
 in row order, is pivoted on its lowest-index nonzero column.  That pivot
 moves no right-hand side, so the basis stays feasible; a row left with no
@@ -33,11 +36,10 @@ from .rational import ZERO, ONE, rat
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
-LE, GE, EQ = "<=", ">=", "="
+LE, EQ = "<=", "="
 
 
-_HOLDS_AT_ORIGIN = {LE: lambda b: b >= 0, GE: lambda b: b <= 0,
-                    EQ: lambda b: b == 0}
+_HOLDS_AT_ORIGIN = {LE: lambda b: b >= 0, EQ: lambda b: b == 0}
 
 
 def _check_origin(relation, rhs):
@@ -57,27 +59,17 @@ class Constraint:
 
 @dataclass
 class LinearProgram:
-    """A program over named variables, all implicitly >= 0."""
+    """Maximize objective over named variables, all implicitly >= 0.  Built
+    empty, then by add_variable, add_constraint and set_objective."""
 
-    sense: str = "max"
-    variables: list = field(default_factory=list)
-    upper_bounds: dict = field(default_factory=dict)
-    objective: dict = field(default_factory=dict)
-    constraints: list = field(default_factory=list)
+    variables: list = field(default_factory=list, init=False)
+    upper_bounds: dict = field(default_factory=dict, init=False)
+    objective: dict = field(default_factory=dict, init=False)
+    constraints: list = field(default_factory=list, init=False)
     index: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)  # name -> position in variables
 
-    def __post_init__(self):
-        for name in self.variables:
-            if name in self.index:
-                raise MalformedProgram(f"duplicate variable {name!r}")
-            self.index[name] = len(self.index)
-        for con in self.constraints:
-            _check_origin(con.relation, con.rhs)
-        for ub in self.upper_bounds.values():
-            _check_origin(LE, ub)
-
-    def add_variable(self, name, upper=None, objective=None):
+    def add_variable(self, name, upper=None):
         if name in self.index:
             raise MalformedProgram(f"duplicate variable {name!r}")
         if upper is not None:
@@ -86,8 +78,6 @@ class LinearProgram:
             self.upper_bounds[name] = upper
         self.index[name] = len(self.variables)
         self.variables.append(name)
-        if objective is not None:
-            self.objective[name] = rat(objective)
         return name
 
     def add_constraint(self, coeffs, relation, rhs):
@@ -102,13 +92,10 @@ class LinearProgram:
                 cleaned[name] = c
         self.constraints.append(Constraint(cleaned, relation, rhs))
 
-    def set_objective(self, coeffs, sense="max"):
-        if sense not in ("max", "min"):
-            raise MalformedProgram(f"bad sense {sense!r}")
+    def set_objective(self, coeffs):
         for name in coeffs:
             if name not in self.index:
                 raise MalformedProgram(f"objective uses undeclared variable {name!r}")
-        self.sense = sense
         self.objective = {k: rat(v) for k, v in coeffs.items()}
 
 
@@ -214,8 +201,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     index = lp.index
     n = len(names)
 
-    # Declared constraints plus upper bounds as <= rows, each row built once:
-    # a >= row negated into a <= row, and a slack basic in every <= row.
+    # Declared constraints plus upper bounds as <= rows, each row built once
+    # with a slack basic in every <= row.
     specs = [(con.coeffs, con.relation, con.rhs) for con in lp.constraints]
     specs += [({name: ONE}, LE, ub) for name, ub in lp.upper_bounds.items()]
     ncols = n + sum(1 for _, rel, _ in specs if rel != EQ)
@@ -225,10 +212,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     eq_rows = []      # positions of the EQ rows
     for coeffs, rel, rhs in specs:
         row = [ZERO] * (ncols + 1)
-        neg = rel == GE
         for name, c in coeffs.items():
-            row[index[name]] = -c if neg else c
-        row[ncols] = -rhs if neg else rhs
+            row[index[name]] = c
+        row[ncols] = rhs
         if rel == EQ:
             eq_rows.append(len(rows))
             basis.append(-1)
@@ -239,10 +225,9 @@ def solve(lp: LinearProgram) -> LpSolution:
         rows.append(row)
 
     pivots = _pivot_eq_rows(rows, basis, eq_rows)
-    sign = ONE if lp.sense == "max" else -ONE
     cost = [ZERO] * ncols
     for name, c in lp.objective.items():
-        cost[index[name]] = sign * c
+        cost[index[name]] = c
     status, piv, val = _bland_optimize(rows, basis, cost, ncols)
     pivots += piv
     if status == UNBOUNDED:
@@ -252,4 +237,4 @@ def solve(lp: LinearProgram) -> LpSolution:
     for i, b in enumerate(basis):
         if b < n:
             assignment[names[b]] = rows[i][ncols]
-    return LpSolution(OPTIMAL, sign * val, assignment, pivots)
+    return LpSolution(OPTIMAL, val, assignment, pivots)

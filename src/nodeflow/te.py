@@ -171,7 +171,7 @@ def solve_columns(net: FlowNetwork, columns, minimize_load):
         elif com.max_demand is not None:
             lp.add_constraint(dict.fromkeys(row, 1), lpmod.LE, com.max_demand)
     lp.set_objective({lam: 1} if minimize_load
-                     else {name: 1 for row in kept for name in row}, "max")
+                     else {name: 1 for row in kept for name in row})
     sol = lpmod.solve(lp)
     if not minimize_load:
         if sol.status != lpmod.OPTIMAL:
@@ -320,8 +320,7 @@ def solve_arcs(net: FlowNetwork, layers):
         if com.max_demand is not None:
             mine = [out for (c, _, _), out in zip(layers, outs) if c == i]
             lp.add_constraint(dict.fromkeys(mine, ONE), lpmod.LE, com.max_demand)
-    lp.set_objective({out: len(exits) for (_, _, exits), out in zip(layers, outs)},
-                     "max")
+    lp.set_objective({out: len(exits) for (_, _, exits), out in zip(layers, outs)})
     return lpmod.solve(lp)
 
 

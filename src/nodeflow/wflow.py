@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lp as lpmod
-from .errors import MalformedNetwork, NonIntegralCapacity, UnknownNode, WIsEndpoint
+from .errors import (MalformedNetwork, MissingDesignation, NonIntegralCapacity,
+                     UnknownNode, WIsEndpoint)
 from .maxflow import max_flow
 from .network import (DEFAULT_PATH_CAP, FWD, EdgeWalk, FlowNetwork,
                       _iter_walks, concat_walks, enumerate_st_paths,
@@ -70,16 +71,22 @@ class TransformedNetwork:
     sources: tuple
 
 
+def _designated_set(net: FlowNetwork, W):
+    """W as a sorted tuple of distinct nodes.  Raises MissingDesignation
+    when it is empty and UnknownNode for a node not in the network."""
+    W = tuple(sorted(set(W)))
+    if not W:
+        raise MissingDesignation("empty designated set")
+    for w in W:
+        if w not in net.nodes:
+            raise UnknownNode(f"designated node {w!r} not in network")
+    return W
+
+
 def build_transform(net: FlowNetwork, W) -> TransformedNetwork:
     if net.directed:
         raise MalformedNetwork("transform applies to undirected networks")
-    W = tuple(sorted(set(W)))
-    if not W:
-        raise ValueError("empty designated set")
-    for w in W:
-        if w not in net.nodes:
-            raise MalformedNetwork(f"designated node {w!r} not in network")
-    return TransformedNetwork(net, W)
+    return TransformedNetwork(net, _designated_set(net, W))
 
 
 def solve_transform(tr: TransformedNetwork):
@@ -116,8 +123,10 @@ def max_set_flow(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP) -> FlowSolution:
 
     Directed networks go through explicit path families.  Undirected networks
     use the polynomial transform; its solution carries the exact value but no
-    path decomposition.
+    path decomposition.  Either way an empty W raises MissingDesignation and
+    a node of W not in the network UnknownNode.
     """
+    W = _designated_set(net, W)
     if net.directed:
         return max_set_flow_paths(net, W, cap=cap)
     value, sol = solve_transform(build_transform(net, W))

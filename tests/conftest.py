@@ -117,7 +117,7 @@ def min_load_dual(net, columns):
             coeffs = {ys[eid]: -load for eid, load in enumerate(vec)}
             coeffs[u] = 1
             lp.add_constraint(coeffs, LE, 0)
-    lp.set_objective(objective, "max")
+    lp.set_objective(objective)
     sol = solve_lp(lp)
     if sol.status == UNBOUNDED:
         return INFEASIBLE, None

@@ -1,10 +1,12 @@
 import itertools
 import random
 
-from nodeflow import (CentralityReport, Commodity, check_pair_sum_identity,
-                      commodity_centrality, enumerate_st_paths,
-                      flow_centrality, get_builtin, group_flow,
-                      hat_constructions, max_flow_arc_lp,
+import pytest
+
+from nodeflow import (CentralityReport, Commodity, FlowNetwork,
+                      check_pair_sum_identity, commodity_centrality,
+                      enumerate_st_paths, flow_centrality, get_builtin,
+                      group_flow, hat_constructions, max_flow_arc_lp,
                       max_set_flow_paths, n_group_max_flow, pair_max_flow,
                       pair_w_flow, probe_margins, rat, solve_te_mf,
                       submodularity_probe, through_any)
@@ -129,6 +131,30 @@ def test_eq25_zero_residual_random():
         report = check_pair_sum_identity(net, w, com.source, com.sink)
         assert report.residual == 0 and report.consistent, checked
         checked += 1
+
+
+def test_eq25_zero_residual_directed_property():
+    # The seeded loop above with w an inner node, as a property over small
+    # directed networks where w may also be a commodity endpoint.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    nodes = ["n0", "n1", "n2", "n3", "n4"]
+    capacities = st.fractions(min_value=0, max_value=4, max_denominator=2)
+    edge_lists = st.lists(
+        st.tuples(st.sampled_from(nodes), st.sampled_from(nodes), capacities)
+        .filter(lambda e: e[0] != e[1]), max_size=8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(edges=edge_lists, order=st.permutations(nodes),
+           w=st.sampled_from(nodes))
+    def check(edges, order, w):
+        s, t = order[:2]
+        net = FlowNetwork.build("directed", nodes, edges, [(s, t, None)])
+        report = check_pair_sum_identity(net, w, s, t)
+        assert report.residual == 0 and report.consistent
+
+    check()
 
 
 def test_hat_constructions_shapes():

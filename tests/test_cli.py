@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from nodeflow import load_instance
+from nodeflow import catalog, load_instance
 from nodeflow.cli import main
+
+from test_fileio import PINNED_HASHES
 
 
 def run(capsys, *argv):
@@ -325,6 +327,27 @@ def test_empty_designated_list_in_file_exit_2(tmp_path, capsys, command, key):
     code, out, err = run(capsys, command, "--instance", path)
     assert code == 2 and out == ""
     assert f"designated.{key}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["set-flow", "group-flow"])
+@pytest.mark.parametrize("key", ["W", "group"])
+def test_either_designated_set_key_serves_both_commands(tmp_path, capsys,
+                                                        command, key):
+    # The instance format's W and group name one list.
+    path = _write(tmp_path / "net.json", "directed", [("s", "w"), ("w", "t")],
+                  commodities=[{"src": "s", "dst": "t"}],
+                  designated={key: ["w"]})
+    code, out, _ = run(capsys, command, "--instance", path)
+    assert code == 0 and "objective: 1\n" in out
+
+
+def test_builtin_hash_is_the_hash_of_its_file(capsys):
+    # A builtin's stamp is that of the instance file it serializes to.
+    for b in catalog():
+        code, out, _ = run(capsys, "cut", "--builtin", b.name,
+                           "--w", b.network.nodes[1])
+        assert code == 0, b.name
+        assert f"[{PINNED_HASHES[b.name]}]" in out.splitlines()[1], b.name
 
 
 def test_augment_without_commodity_exit_1(tmp_path, capsys):

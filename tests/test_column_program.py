@@ -430,7 +430,7 @@ def _oracle(net, columns, minimize_load):
                 if load:
                     use[eid][names[-1]] = load
         routes.append(names)
-    lp.set_objective({n: 1 for names in routes for n in names}, "max")
+    lp.set_objective({n: 1 for names in routes for n in names})
     for e in net.edges:
         lp.add_constraint(use[e.id], lpmod.LE, e.capacity)
     for names, com in zip(routes, net.commodities):

@@ -4,15 +4,37 @@ from fractions import Fraction
 
 import pytest
 
-from nodeflow import (EQ, GE, LE, OPTIMAL, UNBOUNDED, Constraint,
-                      LinearProgram, MalformedProgram, rat)
+from nodeflow import (EQ, LE, OPTIMAL, UNBOUNDED, LinearProgram,
+                      MalformedProgram, rat)
 from nodeflow import solve as solve_lp
+
+# Some programs below are drawn with >= rows and a min sense, which the
+# solver does not take.  Each is written in the form it solves instead: a
+# >= row as the <= row with coefficients and right-hand side negated, and a
+# min of c.x as the max of -c.x, whose objective is the min negated.
+GE = ">="
+
+
+def _add_row(lp, coeffs, relation, rhs):
+    """Add a drawn row, a >= row negated into a <= row."""
+    if relation == GE:
+        coeffs, relation, rhs = {k: -c for k, c in coeffs.items()}, LE, -rhs
+    lp.add_constraint(coeffs, relation, rhs)
+
+
+def _set_cost(lp, cost, sense):
+    """Set a drawn objective as a max; returns the sign (1 or -1) that turns
+    the solver's objective into the drawn sense's."""
+    sign = 1 if sense == "max" else -1
+    lp.set_objective({k: sign * c for k, c in cost.items()})
+    return sign
 
 
 def test_small_max():
     lp = LinearProgram()
-    lp.add_variable("x", objective=1)
-    lp.add_variable("y", objective=1)
+    lp.add_variable("x")
+    lp.add_variable("y")
+    lp.set_objective({"x": 1, "y": 1})
     lp.add_constraint({"x": 1, "y": 2}, LE, 4)
     lp.add_constraint({"x": 1}, LE, 3)
     sol = solve_lp(lp)
@@ -22,22 +44,24 @@ def test_small_max():
 
 
 def test_min_sense():
-    # -x - y >= -4 is x + y <= 4.
+    # min -x - 2y subject to -x - y >= -4 and y <= 3, solved as
+    # max x + 2y subject to x + y <= 4 and y <= 3.
     lp = LinearProgram()
     lp.add_variable("x")
     lp.add_variable("y")
-    lp.add_constraint({"x": -1, "y": -1}, GE, -4)
+    lp.add_constraint({"x": 1, "y": 1}, LE, 4)
     lp.add_constraint({"y": 1}, LE, 3)
-    lp.set_objective({"x": -1, "y": -2}, sense="min")
+    lp.set_objective({"x": 1, "y": 2})
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
-    assert sol.objective == -7
+    assert -sol.objective == -7
     assert (sol.assignment["x"], sol.assignment["y"]) == (1, 3)
 
 
 def test_unbounded():
     lp = LinearProgram()
-    lp.add_variable("x", objective=1)
+    lp.add_variable("x")
+    lp.set_objective({"x": 1})
     lp.add_constraint({"x": -1}, LE, 1)
     assert solve_lp(lp).status == UNBOUNDED
 
@@ -45,8 +69,9 @@ def test_unbounded():
 def test_equality_and_upper_bound():
     # x = y and x + 2y <= 9 allow x = 3; the upper bound stops it at 5/2.
     lp = LinearProgram()
-    lp.add_variable("x", upper=rat(5, 2), objective=1)
-    lp.add_variable("y", objective=1)
+    lp.add_variable("x", upper=rat(5, 2))
+    lp.add_variable("y")
+    lp.set_objective({"x": 1, "y": 1})
     lp.add_constraint({"x": 1, "y": -1}, EQ, 0)
     lp.add_constraint({"x": 1, "y": 2}, LE, 9)
     sol = solve_lp(lp)
@@ -56,33 +81,36 @@ def test_equality_and_upper_bound():
 
 
 def test_rows_that_fail_at_the_origin_are_rejected():
-    lp = LinearProgram(variables=["x"])
+    lp = LinearProgram()
+    lp.add_variable("x")
     for bad in (lambda: lp.add_constraint({"x": 1}, LE, -1),
-                lambda: lp.add_constraint({"x": 1}, GE, 1),
                 lambda: lp.add_constraint({"x": 1}, EQ, 3),
                 lambda: lp.add_constraint({"x": 1}, "<", 1),
-                lambda: lp.add_variable("y", upper=-1),
-                lambda: LinearProgram(variables=["x"], constraints=[
-                    Constraint({"x": 1}, GE, rat(1, 2))]),
-                lambda: LinearProgram(variables=["x"],
-                                      upper_bounds={"x": rat(-1)})):
+                lambda: lp.add_variable("y", upper=-1)):
         with pytest.raises(MalformedProgram):
             bad()
+    # There are no >= rows, not even ones that hold at the origin.
+    for rhs in (-1, 0, 1):
+        with pytest.raises(MalformedProgram, match="bad relation"):
+            lp.add_constraint({"x": 1}, ">=", rhs)
     assert lp.variables == ["x"] and not lp.constraints
-    # Right-hand side 0 holds at the origin for every relation.
-    lp.add_variable("y", upper=0, objective=1)
-    for relation in (LE, GE, EQ):
-        lp.add_constraint({"x": 1, "y": -1}, relation, 0)
+    # Right-hand side 0 holds at the origin for both relations.
+    lp.add_variable("y", upper=0)
+    lp.set_objective({"y": 1})
+    for coeffs, relation in (({"x": 1, "y": -1}, LE),
+                             ({"x": -1, "y": 1}, LE),
+                             ({"x": 1, "y": -1}, EQ)):
+        lp.add_constraint(coeffs, relation, 0)
     sol = solve_lp(lp)
     assert (sol.status, sol.objective) == (OPTIMAL, 0)
 
 
 def _beale_program():
     lp = LinearProgram()
-    lp.add_variable("x1", objective=rat(3, 4))
-    lp.add_variable("x2", objective=-150)
-    lp.add_variable("x3", objective=rat(1, 50))
-    lp.add_variable("x4", objective=-6)
+    for name in ("x1", "x2", "x3", "x4"):
+        lp.add_variable(name)
+    lp.set_objective({"x1": rat(3, 4), "x2": -150, "x3": rat(1, 50),
+                      "x4": -6})
     lp.add_constraint({"x1": rat(1, 4), "x2": -60, "x3": rat(-1, 25),
                        "x4": 9}, LE, 0)
     lp.add_constraint({"x1": rat(1, 2), "x2": -90, "x3": rat(-1, 50),
@@ -146,9 +174,9 @@ def _solve_square(a, b):
 
 
 def _origin_program_strategy(st):
-    """Programs the solver accepts, as (ncols, rows, upper bounds, cost,
-    sense): rows are (relation, coefficient vector, rhs) with <= rows at
-    b >= 0, >= rows at b <= 0 and = rows at b = 0."""
+    """Programs whose rows hold at the origin, as (ncols, rows, upper
+    bounds, cost, sense): rows are (relation, coefficient vector, rhs) with
+    <= rows at b >= 0, >= rows at b <= 0 and = rows at b = 0."""
     small = st.integers(-3, 3).map(Fraction)
     rhs = {LE: st.integers(0, 6), GE: st.integers(-6, 0), EQ: st.just(0)}
 
@@ -180,10 +208,10 @@ def test_random_lps_match_vertex_enumeration():
         lp = LinearProgram()
         for j in range(ncols):
             lp.add_variable(f"x{j}", upper=uppers[j])
-        lp.set_objective({f"x{j}": cost[j] for j in range(ncols)}, sense)
+        sign = _set_cost(lp, {f"x{j}": cost[j] for j in range(ncols)}, sense)
         for relation, vec, rhs in rows:
-            lp.add_constraint({f"x{j}": vec[j] for j in range(ncols)},
-                              relation, rhs)
+            _add_row(lp, {f"x{j}": vec[j] for j in range(ncols)},
+                     relation, rhs)
         # The oracle takes <= rows only: a >= row negated, a = row as two
         # <= rows, each upper bound as a row, and a box of 10 on every
         # variable so that every optimum is attained.
@@ -200,28 +228,32 @@ def test_random_lps_match_vertex_enumeration():
         for j in range(ncols):
             le.append((unit[j], Fraction(10)))
             lp.add_constraint({f"x{j}": 1}, LE, 10)
-        sign = 1 if sense == "max" else -1
         expect = _oracle_optimum(ncols, le, [sign * c for c in cost])
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
-        assert sol.objective == sign * expect
+        assert sol.objective == expect
         x = [sol.assignment[f"x{j}"] for j in range(ncols)]
         assert all(sum(c * xi for c, xi in zip(vec, x)) <= rhs
                    for vec, rhs in le)
-        assert sum(c * xi for c, xi in zip(cost, x)) == sol.objective
+        assert sum(c * xi for c, xi in zip(cost, x)) == sign * sol.objective
 
     check()
 
 
 def test_names_checked_against_declared_variables():
-    lp = LinearProgram(variables=["x"])
-    lp.add_variable("y", upper=2, objective=1)
+    # A program is built only by its methods, so every name goes through
+    # one check.
+    with pytest.raises(TypeError):
+        LinearProgram(variables=["x", "x"])
+    lp = LinearProgram()
+    lp.add_variable("x")
+    lp.add_variable("y", upper=2)
+    lp.set_objective({"y": 1})
     assert lp.index == {"x": 0, "y": 1}
     for bad in (lambda: lp.add_variable("x"),
                 lambda: lp.add_variable("y"),
                 lambda: lp.add_constraint({"z": 1}, LE, 1),
-                lambda: lp.set_objective({"z": 1}),
-                lambda: LinearProgram(variables=["x", "x"])):
+                lambda: lp.set_objective({"z": 1})):
         with pytest.raises(MalformedProgram):
             bad()
     lp.add_constraint({"x": 1, "y": 1}, LE, 3)
@@ -237,13 +269,14 @@ def test_names_checked_against_declared_variables():
 # with right-hand side 0 no artificial, and PINNED_ORIGIN from the two-phase
 # kernel before phase 1 was removed.
 
-def _path_signature(lp, sol):
-    """status, pivots, objective and every variable's value, in declaration
-    order, as one comparable string."""
+def _path_signature(lp, sol, sign=1):
+    """status, pivots, objective (times sign, the drawn sense's) and every
+    variable's value, in declaration order, as one comparable string."""
     values = " ".join(str(sol.assignment[name]) for name in lp.variables) \
         if sol.status == OPTIMAL else "-"
     assert sol.status != OPTIMAL or len(sol.assignment) == len(lp.variables)
-    return f"{sol.status} {sol.pivots} {sol.objective} | {values}"
+    objective = None if sol.objective is None else sign * sol.objective
+    return f"{sol.status} {sol.pivots} {objective} | {values}"
 
 
 def _pinned_random_programs():
@@ -251,7 +284,8 @@ def _pinned_random_programs():
     coefficients and both senses, each built around a hidden feasible
     point.  Of the 30 drawn, only those in PINNED_RANDOM have every row
     holding at the origin; the others needed phase 1 and are drawn but not
-    built, so that these keep their draws.  Returns {position: program}."""
+    built, so that these keep their draws.  Returns {position: (program,
+    sign)}, sign as from _set_cost."""
     rng = random.Random(1907)
     programs = {}
     for k in range(30):
@@ -280,10 +314,9 @@ def _pinned_random_programs():
         for j, upper in enumerate(uppers):
             lp.add_variable(f"x{j}", upper=upper)
         for coeffs, relation, rhs in rows:
-            lp.add_constraint({f"x{j}": c for j, c in coeffs.items()},
-                              relation, rhs)
-        lp.set_objective(objective, sense)
-        programs[k] = lp
+            _add_row(lp, {f"x{j}": c for j, c in coeffs.items()},
+                     relation, rhs)
+        programs[k] = lp, _set_cost(lp, objective, sense)
     return programs
 
 
@@ -292,7 +325,8 @@ def _origin_programs():
     b >= 0, GE rows with b < 0, EQ rows with b = 0, upper bounds (some 0),
     rational coefficients and both senses.  A GE row with b = 0 took an
     artificial in the two-phase kernel, so there are none here and the
-    pins read the same from both kernels."""
+    pins read the same from both kernels.  Returns (program, sign) pairs,
+    sign as from _set_cost."""
     rng = random.Random(4417)
     programs = []
     for _ in range(30):
@@ -307,10 +341,10 @@ def _origin_programs():
             relation = rng.choice([LE, LE, LE, GE, GE, EQ])
             rhs = {LE: rng.choice([0, 1, 3, rat(5, 2), 6, 8]),
                    GE: -rng.choice([1, 2, rat(7, 3)]), EQ: 0}[relation]
-            lp.add_constraint(coeffs, relation, rhs)
-        lp.set_objective({f"x{j}": rng.randint(-3, 4) for j in range(nvars)},
+            _add_row(lp, coeffs, relation, rhs)
+        sign = _set_cost(lp, {f"x{j}": rng.randint(-3, 4) for j in range(nvars)},
                          rng.choice(["max", "max", "min"]))
-        programs.append(lp)
+        programs.append((lp, sign))
     return programs
 
 
@@ -385,7 +419,7 @@ def _collector_transform_program(net, w):
             coeffs.update({name: -1 for name, tail, _ in arcs if tail == v})
             lp.add_constraint(coeffs, EQ, 0)
     lp.add_constraint({"s0z": 1, "t0z": -1}, EQ, 0)
-    lp.set_objective({"z0z": 1}, "max")
+    lp.set_objective({"z0z": 1})
     return lp
 
 
@@ -396,12 +430,14 @@ def test_bland_path_pinned_on_beale():
 
 def test_bland_path_pinned_on_random_programs():
     programs = _pinned_random_programs()
-    got = {k: _path_signature(lp, solve_lp(lp)) for k, lp in programs.items()}
+    got = {k: _path_signature(lp, solve_lp(lp), sign)
+           for k, (lp, sign) in programs.items()}
     assert got == PINNED_RANDOM
 
 
 def test_bland_path_pinned_on_origin_programs():
-    got = [_path_signature(lp, solve_lp(lp)) for lp in _origin_programs()]
+    got = [_path_signature(lp, solve_lp(lp), sign)
+           for lp, sign in _origin_programs()]
     assert got == PINNED_ORIGIN
 
 
@@ -458,7 +494,7 @@ def _two_route_flow(duplicate):
     if duplicate:
         lp.add_constraint(at_a, EQ, 0)
     lp.add_constraint({"sb": 1, "ab": 1, "bt": -1}, EQ, 0)
-    lp.set_objective({"sa": 1, "sb": 1}, "max")
+    lp.set_objective({"sa": 1, "sb": 1})
     return lp
 
 
@@ -476,7 +512,8 @@ def test_duplicated_zero_rhs_row_is_dropped():
 def _zero_rhs_dense_programs(seed, count):
     """Programs whose rows are mostly EQ rows with right-hand side 0 (some
     of them sums of earlier ones, so redundant), plus a few LE, GE and EQ
-    rows that hold at the origin, upper bounds and both senses."""
+    rows that hold at the origin, upper bounds and both senses, each in the
+    max form the solver takes."""
     rng = random.Random(seed)
     programs = []
     for _ in range(count):
@@ -500,22 +537,22 @@ def _zero_rhs_dense_programs(seed, count):
                       if rng.random() < 0.6}
             relation = rng.choice([LE, LE, GE, EQ])
             rhs = {LE: rng.randint(0, 8), GE: rng.randint(-4, 0), EQ: 0}
-            lp.add_constraint(coeffs, relation, rhs[relation])
-        lp.set_objective({f"x{j}": rng.randint(-3, 3) for j in range(nvars)},
-                         rng.choice(["max", "max", "min"]))
+            _add_row(lp, coeffs, relation, rhs[relation])
+        _set_cost(lp, {f"x{j}": rng.randint(-3, 3) for j in range(nvars)},
+                  rng.choice(["max", "max", "min"]))
         programs.append(lp)
     return programs
 
 
 def _highs(lp):
-    """(status, objective) from scipy's HiGHS, as floats."""
+    """(status, objective) from scipy's HiGHS, as floats.  linprog
+    minimizes, so it is given the negated objective."""
     from scipy.optimize import linprog
 
     col = lp.index
-    sign = -1.0 if lp.sense == "max" else 1.0
     cost = [0.0] * len(lp.variables)
     for name, c in lp.objective.items():
-        cost[col[name]] = sign * float(c)
+        cost[col[name]] = -float(c)
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for con in lp.constraints:
         vec = [0.0] * len(lp.variables)
@@ -524,19 +561,16 @@ def _highs(lp):
         if con.relation == EQ:
             a_eq.append(vec)
             b_eq.append(float(con.rhs))
-        elif con.relation == LE:
+        else:
             a_ub.append(vec)
             b_ub.append(float(con.rhs))
-        else:
-            a_ub.append([-x for x in vec])
-            b_ub.append(-float(con.rhs))
     bounds = [(0, None if lp.upper_bounds.get(name) is None
                else float(lp.upper_bounds[name])) for name in lp.variables]
     res = linprog(cost, A_ub=a_ub or None, b_ub=b_ub or None,
                   A_eq=a_eq or None, b_eq=b_eq or None, bounds=bounds,
                   method="highs")
     status = {0: OPTIMAL, 3: UNBOUNDED}[res.status]
-    return status, (sign * res.fun if status == OPTIMAL else None)
+    return status, (-res.fun if status == OPTIMAL else None)
 
 
 def test_zero_rhs_dense_programs_match_highs():
@@ -554,8 +588,7 @@ def test_zero_rhs_dense_programs_match_highs():
         assert all(x[name] <= ub for name, ub in lp.upper_bounds.items()), trial
         for con in lp.constraints:
             lhs = sum((c * x[name] for name, c in con.coeffs.items()), rat(0))
-            holds = {LE: lhs <= con.rhs, GE: lhs >= con.rhs,
-                     EQ: lhs == con.rhs}[con.relation]
+            holds = {LE: lhs <= con.rhs, EQ: lhs == con.rhs}[con.relation]
             assert holds, trial
         assert sol.objective == sum(
             (c * x[name] for name, c in lp.objective.items()), rat(0)), trial

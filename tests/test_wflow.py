@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from nodeflow import (FlowNetwork, MalformedNetwork, PathConstraint,
-                      augmenting_w_flow, build_transform, enumerate_paths,
+from nodeflow import (FlowNetwork, MalformedNetwork, MissingDesignation,
+                      PathConstraint, UnknownNode, augmenting_w_flow,
+                      build_transform, enumerate_paths,
                       enumerate_st_paths, fix_paths,
                       get_builtin, group_flow, max_set_flow, max_set_flow_paths,
                       max_w_flow_exact, max_w_flow_simple,
@@ -134,6 +135,20 @@ def test_transform_rejects_directed():
     net = get_builtin("remarks").network
     with pytest.raises(MalformedNetwork):
         build_transform(net, ("w",))
+
+
+@pytest.mark.parametrize("name", ["remarks", "wst-undirected"])
+def test_bad_designated_set_raises_the_same_on_both_orientations(name):
+    # Path families (directed) and the transform (undirected) see the same
+    # error for the same bad set.
+    net = get_builtin(name).network
+    with pytest.raises(UnknownNode, match="'zz'"):
+        max_set_flow(net, ("w", "zz"))
+    with pytest.raises(MissingDesignation):
+        max_set_flow(net, ())
+    if not net.directed:
+        with pytest.raises(UnknownNode, match="'zz'"):
+            build_transform(net, ("zz",))
 
 
 def test_cut_upper_bounds_flow_and_verifies():
