@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import MalformedNetwork, UnknownNode
+from .errors import MalformedNetwork, MissingDesignation, UnknownNode
 from .rational import rat
 
 DIRECTED = "directed"
@@ -210,7 +210,7 @@ def through(w, single_use=False) -> PathConstraint:
 def through_any(ws, single_use=False) -> PathConstraint:
     nodes = tuple(sorted(ws))
     if not nodes:
-        raise ValueError("through_any takes a nonempty node set")
+        raise MissingDesignation("through_any takes a nonempty node set")
     return PathConstraint(nodes, single_use=single_use)
 
 

@@ -26,11 +26,12 @@ refused -- the optimum over an incomplete family is not the optimum of the
 instance.
 
 The other program is solve_arcs, one copy of every arc per flow layer and
-no enumeration: one layer per commodity gives the unconstrained maximum
-(max_flow_arc_lp), and one layer per (commodity, designated node) gives the
-undirected node-constrained transform in wflow.  On undirected networks it
-first prunes dead ends and merges series and parallel edges, which changes
-pivots but not status or objective.
+no enumeration: one layer per origin, with one exit variable per commodity.
+Origins at the commodities' sources give the unconstrained maximum
+(max_flow_arc_lp), and origins at the designated nodes give the undirected
+node-constrained transform in wflow.  On undirected networks it first
+prunes dead ends and merges series and parallel edges, which changes pivots
+but not status or objective.
 """
 
 from __future__ import annotations
@@ -260,17 +261,29 @@ def _reduced_graph(net: FlowNetwork, terminals):
 def solve_arcs(net: FlowNetwork, layers):
     """The arc program shared by the undirected transform and the arc LP.
 
-    layers lists (commodity, origin, exits).  Each layer has its own copy of
-    every arc, two opposite arcs per undirected edge, and an edge's arcs
-    share its capacity across all layers.  A layer's flow enters at origin,
-    is conserved at every other node, and leaves through one exit variable
-    that each of its exit nodes draws on once, so every exit node passes the
-    same amount.  The objective weighs each exit variable by its layer's
-    number of exits (the sum of the flow leaving at every exit), and a
-    commodity's finite demand caps the sum of its layers' exit variables.
+    layers lists (commodity, origin, exits); the program has one flow layer
+    per origin (designated node) and one exit variable per entry.  Each
+    layer has its own copy of every arc, two opposite arcs per undirected
+    edge, and an edge's arcs share its capacity across all layers.  A
+    layer's flow enters at its origin, is conserved at every other node, and
+    leaves through the exit variables of the entries with that origin: each
+    exit node of an entry draws on its exit variable once, so every exit
+    node of an entry passes the same amount.  The objective weighs each exit
+    variable by its entry's number of exits (the sum of the flow leaving at
+    every exit), and a commodity's finite demand caps the sum of its exit
+    variables.
+
+    Entries that share an origin share its layer, which is exact.  Summing
+    per-entry flows from one origin gives a flow of that layer with the same
+    exit values and no edge loaded more.  Conversely, once a layer's
+    opposite arcs and cycles are cancelled, its flow splits into
+    origin-to-exit-node paths (Ahuja, Magnanti & Orlin, Network Flows,
+    1993), each exit node receiving what its entries draw there; dealing
+    those paths out to the entries gives each its own flow, and together
+    they load no edge more than the layer did.
 
     An undirected graph is first reduced (_reduced_graph) with every
-    layer's origin and exits as its terminals, the only nodes some layer
+    entry's origin and exits as its terminals, the only nodes some layer
     does not conserve.  Each rule keeps the set of layer flows the capacity
     rows admit.  Flow that enters a dead end can only come back out, so it
     cancels to 0.  At a series node v between a and b, once each layer's
@@ -300,20 +313,27 @@ def solve_arcs(net: FlowNetwork, layers):
         incidence[tail].append((j, -ONE))
 
     lp = lpmod.LinearProgram()
-    flows, outs = [], []
-    for k in range(len(layers)):
-        flows.append([lp.add_variable(f"x{k}_{j}") for j in range(len(arcs))])
+    outs = []         # outs[k]: the exit variable of layers[k]
+    by_origin = {}    # origin -> (its arc variables, [(exits, exit variable)])
+    for k, (_, origin, exits) in enumerate(layers):
+        if origin not in by_origin:
+            g = len(by_origin)
+            row = [lp.add_variable(f"x{g}_{j}") for j in range(len(arcs))]
+            by_origin[origin] = (row, [])
         outs.append(lp.add_variable(f"x{k}_exit"))
+        by_origin[origin][1].append((exits, outs[-1]))
     for arcs_of_edge, (_, _, capacity) in zip(by_edge, edges):
-        lp.add_constraint({row[j]: ONE for row in flows for j in arcs_of_edge},
+        lp.add_constraint({row[j]: ONE for row, _ in by_origin.values()
+                           for j in arcs_of_edge},
                           lpmod.LE, capacity)
-    for (_, origin, exits), row, out in zip(layers, flows, outs):
+    for origin, (row, members) in by_origin.items():
         for v in nodes:
             if v == origin:
                 continue
             coeffs = {row[j]: c for j, c in incidence[v]}
-            if v in exits:
-                coeffs[out] = -ONE
+            for exits, out in members:
+                if v in exits:
+                    coeffs[out] = -ONE
             if coeffs:
                 lp.add_constraint(coeffs, lpmod.EQ, 0)
     for i, com in enumerate(net.commodities):
@@ -328,8 +348,8 @@ def max_flow_arc_lp(net: FlowNetwork) -> FlowSolution:
     """Arc-based maximum multicommodity flow (no node constraints).
 
     Polynomial-size program used for unconstrained flow values where a path
-    family would be overkill: solve_arcs with one layer per commodity, from
-    its source to one exit at its sink.
+    family would be overkill: solve_arcs with one layer per distinct source
+    and one exit variable per commodity, drawn on at its sink.
     """
     sol = solve_arcs(net, [(i, com.source, (com.sink,))
                            for i, com in enumerate(net.commodities)])

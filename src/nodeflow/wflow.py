@@ -49,7 +49,10 @@ def max_set_flow_paths(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
 
     With single_use=True an undirected edge may appear at most once per path
     (the no-repeat variant); by default opposite-direction reuse is allowed.
+    An empty W raises MissingDesignation and a node of W not in the network
+    UnknownNode.
     """
+    W = _designated_set(net, W)
     return solve_te_mf(net, default_families(net, cap,
                                              through_any(W, single_use)))
 
@@ -62,9 +65,9 @@ class TransformedNetwork:
 
     Every undirected edge becomes a pair of opposite arcs sharing the
     original capacity.  solve_transform copies these arcs into one layer
-    per (commodity, designated node) pair with one exit variable, drawn on
-    at the commodity's two endpoints and weighted 2 in the objective; its
-    optimum equals twice the node-constrained flow value.
+    per origin (designated node), with one exit variable per commodity,
+    drawn on at the commodity's two endpoints and weighted 2 in the
+    objective; its optimum equals twice the node-constrained flow value.
     """
 
     original: FlowNetwork
@@ -93,21 +96,24 @@ def solve_transform(tr: TransformedNetwork):
     """Arc program on the transformed graph.  Returns (V, LpSolution); the
     node-constrained flow value is V/2.
 
-    One flow layer per (commodity i, designated node w) pair.  Layer (i, w)
-    has the edge arcs and one exit variable y, drawn on at s_i and at t_i
-    and weighted 2 in the objective.  Flow originates at w, is conserved at
-    every other node, and leaves y at each of s_i and t_i: a walk
-    s_i -> w -> t_i of value f becomes f from w back to s_i and f from w on
-    to t_i, so y = f counts 2f.  A single layer with conservation dropped at
-    every designated node at once would let the program pair a source-side
-    share split at one node with a sink-side share split at another,
-    counting walks that do not exist.
-    Each layer needs at least one exit at a conserved node, and s_i != t_i
+    One flow layer per origin (designated node w), one exit variable per
+    commodity in each.  Layer w has the edge arcs and, for each commodity i,
+    an exit variable y_iw, drawn on at s_i and at t_i and weighted 2 in the
+    objective.  Flow originates at w, is conserved at every other node, and
+    leaves y_iw at each of s_i and t_i: a walk s_i -> w -> t_i of value f
+    becomes f from w back to s_i and f from w on to t_i, so y_iw = f counts
+    2f.  The commodities share layer w, since a flow out of one origin
+    splits into paths from it to the exits (solve_arcs), which can be dealt
+    back to the commodities.  Layers with different origins stay apart: a
+    single layer with conservation dropped at every designated node at once
+    would let the program pair a source-side share split at one node with a
+    sink-side share split at another, counting walks that do not exist.
+    Each y_iw needs at least one exit at a conserved node, and s_i != t_i
     gives it one, so the exit needs no capacity of its own even when w is
     an endpoint.
 
     Finite demand ceilings cap the sum of commodity i's exit variables over
-    its layers.
+    the layers.
     """
     net = tr.original
     sol = solve_arcs(net, [(i, w, (com.source, com.sink))
@@ -126,7 +132,6 @@ def max_set_flow(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP) -> FlowSolution:
     path decomposition.  Either way an empty W raises MissingDesignation and
     a node of W not in the network UnknownNode.
     """
-    W = _designated_set(net, W)
     if net.directed:
         return max_set_flow_paths(net, W, cap=cap)
     value, sol = solve_transform(build_transform(net, W))

@@ -6,15 +6,18 @@ of its program, so max_set_flow's status, pivot count and objective are
 pinned on every undirected builtin and on a seeded random set.  The statuses
 and objectives were recorded from the transform's earlier builder of its
 own, the pivot counts from the program on the reduced graph (dead ends
-pruned, series and parallel edges merged).
+pruned, series and parallel edges merged) with one layer per origin.
 The arc LP's program changed shape with the move, so it is checked by value
 against the path program instead.
 """
 
 import random
 
-from nodeflow import (FlowNetwork, catalog, max_flow_arc_lp, max_set_flow,
-                      max_set_flow_paths, solve_te_mf)
+import pytest
+
+from nodeflow import (FlowNetwork, catalog, get_builtin, max_flow_arc_lp,
+                      max_set_flow, max_set_flow_paths, solve_te_mf)
+from nodeflow import lp as lpmod
 from nodeflow.te import _reduced_graph
 
 from conftest import random_directed, random_undirected
@@ -63,17 +66,17 @@ PINNED_BUILTINS = {
     "augmenting-undirected w": "optimal 9 3",
     "augmenting-undirected x": "optimal 8 8",
     "augmenting-undirected t": "optimal 8 9",
-    "fig8-undirected s1": "optimal 28 2",
-    "fig8-undirected s2": "optimal 29 2",
-    "fig8-undirected s3": "optimal 37 3",
-    "fig8-undirected t1": "optimal 40 2",
-    "fig8-undirected t2": "optimal 39 3",
-    "fig8-undirected t3": "optimal 40 2",
-    "fig8-undirected v1": "optimal 29 2",
-    "fig8-undirected v2": "optimal 35 3",
-    "fig8-undirected v3": "optimal 37 3",
-    "fig8-undirected v4": "optimal 38 2",
-    "fig8-undirected s1,s2,s3": "optimal 88 3",
+    "fig8-undirected s1": "optimal 10 2",
+    "fig8-undirected s2": "optimal 11 2",
+    "fig8-undirected s3": "optimal 17 3",
+    "fig8-undirected t1": "optimal 17 2",
+    "fig8-undirected t2": "optimal 18 3",
+    "fig8-undirected t3": "optimal 17 2",
+    "fig8-undirected v1": "optimal 11 2",
+    "fig8-undirected v2": "optimal 16 3",
+    "fig8-undirected v3": "optimal 17 3",
+    "fig8-undirected v4": "optimal 16 2",
+    "fig8-undirected s1,s2,s3": "optimal 33 3",
     "wst-undirected w": "optimal 3 1/2",
     "wst-undirected s": "optimal 2 1",
     "wst-undirected t": "optimal 3 1",
@@ -81,43 +84,43 @@ PINNED_BUILTINS = {
 
 PINNED_RANDOM = {
     "0 n2,n3": "optimal 11 2",
-    "1 n3,n5": "optimal 14 2",
+    "1 n3,n5": "optimal 10 2",
     "2 n0": "optimal 6 2",
-    "3 n0": "optimal 6 4",
-    "4 n2": "optimal 16 5",
+    "3 n0": "optimal 4 4",
+    "4 n2": "optimal 8 5",
     "5 n1": "optimal 3 1",
     "6 n2,n0": "optimal 8 2",
     "7 n1": "optimal 5 2",
     "8 n1": "optimal 2 1",
     "9 n3,n1": "optimal 13 7",
     "10 n3": "optimal 2 2",
-    "11 n3": "optimal 18 7",
-    "12 n3,n4": "optimal 28 3",
+    "11 n3": "optimal 8 7",
+    "12 n3,n4": "optimal 10 3",
     "13 n3,n1": "optimal 11 1",
-    "14 n3": "optimal 8 1",
-    "15 n1,n3": "optimal 32 4",
-    "16 n3": "optimal 17 7/2",
-    "17 n1,n0": "optimal 22 6",
+    "14 n3": "optimal 5 1",
+    "15 n1,n3": "optimal 13 4",
+    "16 n3": "optimal 11 7/2",
+    "17 n1,n0": "optimal 10 6",
     "18 n3": "optimal 8 2",
-    "19 n1": "optimal 18 6",
-    "20 n3": "optimal 19 2",
-    "21 n1": "optimal 7 2",
-    "22 n2,n3": "optimal 13 3",
+    "19 n1": "optimal 11 6",
+    "20 n3": "optimal 9 2",
+    "21 n1": "optimal 4 2",
+    "22 n2,n3": "optimal 8 3",
     "23 n2": "optimal 8 6",
     "24 n3": "optimal 4 1",
-    "25 n0": "optimal 4 5",
-    "26 n1": "optimal 12 3",
+    "25 n0": "optimal 3 5",
+    "26 n1": "optimal 7 3",
     "27 n2": "optimal 2 6",
     "28 n1": "optimal 5 2",
-    "29 n3,n0": "optimal 24 10",
+    "29 n3,n0": "optimal 15 10",
     "30 n2,n0": "optimal 10 4",
     "31 n2,n1": "optimal 8 4",
-    "32 n2": "optimal 11 5",
+    "32 n2": "optimal 7 5",
     "33 n1,n0": "optimal 4 0",
-    "34 n2": "optimal 10 2",
-    "35 n2": "optimal 9 0",
-    "36 n3": "optimal 33 15/2",
-    "37 n1,n0": "optimal 34 9",
+    "34 n2": "optimal 6 2",
+    "35 n2": "optimal 3 0",
+    "36 n3": "optimal 14 15/2",
+    "37 n1,n0": "optimal 17 9",
     "38 n4,n1": "optimal 4 3",
     "39 n0": "optimal 2 3",
 }
@@ -129,6 +132,30 @@ def test_transform_pinned_on_undirected_builtins():
 
 def test_transform_pinned_on_random_instances():
     assert _random_signatures() == PINNED_RANDOM
+
+
+@pytest.mark.parametrize("W, shape", [
+    (("s1",), (21, 21, 10)),
+    (("s1", "s2", "s3"), (63, 39, 33)),
+])
+def test_commodities_share_the_layer_of_their_origin(monkeypatch, W, shape):
+    # fig8-undirected has three commodities and 18 arcs after the
+    # reduction.  One layer per origin holds |W| * 18 arc variables and an
+    # exit variable per (commodity, origin); a layer per (commodity,
+    # origin) would hold three times the arc variables.
+    programs = []
+    solve = lpmod.solve
+
+    def spy(lp):
+        sol = solve(lp)
+        programs.append((len(lp.variables), len(lp.constraints), sol.pivots))
+        return sol
+
+    monkeypatch.setattr(lpmod, "solve", spy)
+    net = get_builtin("fig8-undirected").network
+    assert len(net.commodities) == 3
+    max_set_flow(net, W)
+    assert programs == [shape]
 
 
 def test_arc_lp_matches_path_lp_on_multicommodity_instances():

@@ -6,6 +6,9 @@ edges and zero-capacity edges added, and commodity endpoints and designated
 nodes drawn from every node, so terminals also sit inside chains and trees.
 The transform is checked against the path LP over the through-W walks, and
 the arc LP against the Dinic kernel; neither oracle builds an arc program.
+Commodities that share an origin share one arc layer, so 2-3 commodities
+that share the designated node, or the source, are checked the same way,
+the arc LP against the path LP over full families on both orientations.
 """
 
 from fractions import Fraction
@@ -16,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nodeflow import (FlowNetwork, max_flow_arc_lp, max_set_flow,  # noqa: E402
-                      max_set_flow_paths)
+                      max_set_flow_paths, solve_te_mf)
 from nodeflow.maxflow import max_flow  # noqa: E402
 
 CORE = ["c0", "c1", "c2"]
@@ -81,3 +84,59 @@ def test_single_commodity_arc_lp_equals_dinic(graph, data):
     value = max_flow(net, s, t).value
     expected = value if demand is None else min(value, demand)
     assert max_flow_arc_lp(net).objective == expected
+
+
+def _shared_commodities(draw, nodes, source=None):
+    """Two or three commodities, each with a demand of None or 0-3.  Each
+    either repeats an earlier commodity's endpoints or draws its own, from
+    source when one is given."""
+    coms = []
+    for _ in range(draw(st.integers(2, 3))):
+        if coms and draw(st.booleans()):
+            s, t = draw(st.sampled_from(coms))[:2]
+        else:
+            s = draw(st.sampled_from(nodes)) if source is None else source
+            t = draw(st.sampled_from([v for v in nodes if v != s]))
+        coms.append((s, t, draw(st.none() | st.integers(0, 3))))
+    return coms
+
+
+@st.composite
+def shared_designated_node(draw):
+    """An undirected network, its commodities and one designated node, an
+    endpoint of the first commodity on about half the draws."""
+    nodes, edges = draw(reducible_networks())
+    coms = _shared_commodities(draw, nodes)
+    w = draw(st.sampled_from(coms[0][:2]) | st.sampled_from(nodes))
+    return FlowNetwork.build("undirected", nodes, edges, coms), (w,)
+
+
+@st.composite
+def shared_source(draw):
+    """A network of either orientation, directed edges drawn either way
+    round, and commodities that all leave one source."""
+    nodes, edges = draw(reducible_networks())
+    orientation = draw(st.sampled_from(["directed", "undirected"]))
+    if orientation == "directed":
+        edges = [(b, a, c) if draw(st.booleans()) else (a, b, c)
+                 for a, b, c in edges]
+    source = draw(st.sampled_from(nodes))
+    return FlowNetwork.build(orientation, nodes, edges,
+                             _shared_commodities(draw, nodes, source))
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=shared_designated_node())
+def test_transform_with_a_shared_designated_node_equals_path_lp(instance):
+    net, W = instance
+    sol = max_set_flow(net, W)
+    assert sol.status == "optimal"
+    assert sol.objective == max_set_flow_paths(net, W).objective
+
+
+@settings(max_examples=80, deadline=None)
+@given(net=shared_source())
+def test_arc_lp_with_a_shared_source_equals_path_lp(net):
+    arc = max_flow_arc_lp(net)
+    assert arc.status == "optimal"
+    assert arc.objective == solve_te_mf(net).objective

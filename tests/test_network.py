@@ -4,7 +4,7 @@ import random
 import pytest
 
 from nodeflow import (UNCONSTRAINED, FlowNetwork, MalformedNetwork,
-                      PathConstraint, UnknownNode, catalog, concat_walks,
+                      MissingDesignation, PathConstraint, UnknownNode, catalog, concat_walks,
                       enumerate_st_paths, get_builtin, reverse_walk,
                       simple_through, through, through_any, validate_walk)
 from nodeflow.network import EdgeWalk, _iter_walks
@@ -67,7 +67,7 @@ def test_constraint_factories_build_one_value():
         PathConstraint(("w",), single_use=True)
     assert through_any(["b", "a"]) == PathConstraint(("a", "b"))
     assert simple_through("w") == PathConstraint(("w",), simple=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(MissingDesignation):
         through_any([])
 
 

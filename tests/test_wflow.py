@@ -146,6 +146,11 @@ def test_bad_designated_set_raises_the_same_on_both_orientations(name):
         max_set_flow(net, ("w", "zz"))
     with pytest.raises(MissingDesignation):
         max_set_flow(net, ())
+    # The path-family solver, exported on its own, checks W the same way.
+    with pytest.raises(UnknownNode, match="'zz'"):
+        max_set_flow_paths(net, ("w", "zz"))
+    with pytest.raises(MissingDesignation):
+        max_set_flow_paths(net, ())
     if not net.directed:
         with pytest.raises(UnknownNode, match="'zz'"):
             build_transform(net, ("zz",))
