@@ -22,19 +22,17 @@ from .lp import (Constraint, LinearProgram, LpSolution, EQ, LE, OPTIMAL,
 from .te import (INFEASIBLE, FlowSolution, default_families, max_flow_arc_lp,
                  solve_te_lu, solve_te_mf)
 from .maxflow import MaxFlowResult, max_flow
-from .wflow import (AugmentingResult, CutResult, TransformedNetwork,
-                    augmenting_w_flow, build_transform, fix_paths,
-                    max_set_flow, max_set_flow_paths, max_w_flow_exact,
-                    max_w_flow_simple, max_w_flow_undirected,
-                    max_w_flow_undirected_norepeat, min_swt_edge_cut,
-                    solve_transform, verify_cut)
+from .wflow import (AugmentingResult, CutResult, augmenting_w_flow,
+                    build_transform, fix_paths, max_set_flow,
+                    max_set_flow_paths, max_w_flow_exact, max_w_flow_simple,
+                    min_swt_edge_cut, solve_transform, verify_cut)
 from .srte import (FeasibilityResult, SegmentFractions, SrConfig, SrSolution,
                    Tunnel, acyclic_feasible, build_tunnels, detect_cycles,
                    ecmp_fractions, shortest_path_data,
                    solve_sr_lu, solve_sr_mf)
 from .centrality import (CentralityReport, Eq25Report, GroupFlowResult,
                          HatConstructions, ProbeReport, check_pair_sum_identity,
-                         commodity_centrality, flow_centrality, group_flow,
+                         commodity_centrality, flow_centrality,
                          hat_constructions, n_group_max_flow,
                          node_flow_sum, pair_max_flow, pair_w_flow,
                          probe_margins, submodularity_probe)

@@ -93,13 +93,8 @@ def commodity_centrality(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP) -> Centralit
 class GroupFlowResult:
     group: tuple
     value: object
-    method: str = "exact"
+    method: str            # "brute" or "greedy"
     trajectory: list = field(default_factory=list)  # greedy: (node, value) per round
-
-
-def group_flow(net: FlowNetwork, group, cap=DEFAULT_PATH_CAP) -> GroupFlowResult:
-    value = max_set_flow(net, tuple(group), cap=cap).objective
-    return GroupFlowResult(tuple(sorted(group)), value)
 
 
 class _GroupFlowCache:

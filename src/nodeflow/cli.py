@@ -213,10 +213,11 @@ def cmd_w_flow(args, inst, rec):
         sol = wflow.max_w_flow_exact(net, w, cap=args.max_paths)
         _emit_flow_solution(rec, sol, net)
     elif args.no_repeat:
-        sol = wflow.max_w_flow_undirected_norepeat(net, w, cap=args.max_paths)
+        sol = wflow.max_set_flow_paths(net, (w,), cap=args.max_paths,
+                                       single_use=True)
         _emit_flow_solution(rec, sol, net)
     else:
-        rec.add("objective", wflow.max_w_flow_undirected(net, w))
+        rec.add("objective", wflow.max_set_flow(net, (w,)).objective)
 
 
 def cmd_w_flow_simple(args, inst, rec):
@@ -235,10 +236,16 @@ def cmd_w_flow_augment(args, inst, rec):
                   for p, a in result.decomposition])
 
 
+def _node_set(inst, flag_value):
+    """The designated set (flag_value, else the instance's W or group) as
+    the solver reads it: sorted distinct nodes."""
+    return tuple(sorted(set(_designated(inst, flag_value, *_SET_KEYS))))
+
+
 def cmd_set_flow(args, inst, rec):
-    W = _designated(inst, args.set, *_SET_KEYS)
+    W = _node_set(inst, args.set)
     sol = wflow.max_set_flow(inst.network, W, cap=args.max_paths)
-    rec.add("designated_set", ",".join(sorted(W)))
+    rec.add("designated_set", ",".join(W))
     _emit_flow_solution(rec, sol, inst.network)
 
 
@@ -303,10 +310,10 @@ def cmd_centrality(args, inst, rec):
 
 
 def cmd_group_flow(args, inst, rec):
-    group = _designated(inst, args.group, *_SET_KEYS)
-    result = ctr.group_flow(inst.network, group, cap=args.max_paths)
-    rec.add("group", ",".join(result.group))
-    rec.add("objective", result.value)
+    group = _node_set(inst, args.group)
+    sol = wflow.max_set_flow(inst.network, group, cap=args.max_paths)
+    rec.add("group", ",".join(group))
+    rec.add("objective", sol.objective)
 
 
 def cmd_ngroup(args, inst, rec):

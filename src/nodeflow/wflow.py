@@ -32,10 +32,10 @@ AUGMENT_MAX_ROUNDS = 10_000  # augmenting_w_flow: rounds at most
 
 def max_w_flow_exact(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP) -> FlowSolution:
     """Exact node-constrained max flow via a through-w path family per
-    commodity.  When w coincides with a commodity endpoint the through-w
-    family is simply that commodity's unconstrained family, so no special
-    handling is needed."""
-    return solve_te_mf(net, default_families(net, cap, through(w)))
+    commodity: max_set_flow_paths with W = {w}.  When w coincides with a
+    commodity endpoint the through-w family is simply that commodity's
+    unconstrained family, so no special handling is needed."""
+    return max_set_flow_paths(net, (w,), cap)
 
 
 def max_w_flow_simple(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP) -> FlowSolution:
@@ -48,7 +48,9 @@ def max_set_flow_paths(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
     """Group flow by explicit enumeration of through-any-of-W families.
 
     With single_use=True an undirected edge may appear at most once per path
-    (the no-repeat variant); by default opposite-direction reuse is allowed.
+    (the no-repeat variant, for which no polynomial algorithm is known; on a
+    directed network it changes nothing); by default opposite-direction
+    reuse is allowed.
     An empty W raises MissingDesignation and a node of W not in the network
     UnknownNode.
     """
@@ -58,21 +60,6 @@ def max_set_flow_paths(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
 
 
 # -- undirected: polynomial transform -----------------------------------------
-
-@dataclass
-class TransformedNetwork:
-    """Undirected node-constrained flow as an arc program.
-
-    Every undirected edge becomes a pair of opposite arcs sharing the
-    original capacity.  solve_transform copies these arcs into one layer
-    per origin (designated node), with one exit variable per commodity,
-    drawn on at the commodity's two endpoints and weighted 2 in the
-    objective; its optimum equals twice the node-constrained flow value.
-    """
-
-    original: FlowNetwork
-    sources: tuple
-
 
 def _designated_set(net: FlowNetwork, W):
     """W as a sorted tuple of distinct nodes.  Raises MissingDesignation
@@ -86,15 +73,27 @@ def _designated_set(net: FlowNetwork, W):
     return W
 
 
-def build_transform(net: FlowNetwork, W) -> TransformedNetwork:
+def build_transform(net: FlowNetwork, W):
+    """Undirected node-constrained flow through W as an arc program: the
+    (commodity, origin, exits) entries that solve_arcs takes, one per
+    commodity i and designated node w, with exits (s_i, t_i).
+
+    solve_arcs turns every undirected edge into a pair of opposite arcs
+    sharing the original capacity, copies them into one layer per origin
+    (designated node) and gives each entry an exit variable drawn on at the
+    commodity's two endpoints and weighted 2 in the objective; the
+    program's optimum equals twice the node-constrained flow value.
+    """
     if net.directed:
         raise MalformedNetwork("transform applies to undirected networks")
-    return TransformedNetwork(net, _designated_set(net, W))
+    return [(i, w, (com.source, com.sink))
+            for i, com in enumerate(net.commodities)
+            for w in _designated_set(net, W)]
 
 
-def solve_transform(tr: TransformedNetwork):
-    """Arc program on the transformed graph.  Returns (V, LpSolution); the
-    node-constrained flow value is V/2.
+def solve_transform(net: FlowNetwork, entries):
+    """Arc program on the transformed graph.  Returns the LpSolution; the
+    node-constrained flow value is half its objective.
 
     One flow layer per origin (designated node w), one exit variable per
     commodity in each.  Layer w has the edge arcs and, for each commodity i,
@@ -115,13 +114,10 @@ def solve_transform(tr: TransformedNetwork):
     Finite demand ceilings cap the sum of commodity i's exit variables over
     the layers.
     """
-    net = tr.original
-    sol = solve_arcs(net, [(i, w, (com.source, com.sink))
-                           for i, com in enumerate(net.commodities)
-                           for w in tr.sources])
+    sol = solve_arcs(net, entries)
     if sol.status != lpmod.OPTIMAL:
         raise MalformedNetwork(f"transform program unexpectedly {sol.status}")
-    return sol.objective, sol
+    return sol
 
 
 def max_set_flow(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP) -> FlowSolution:
@@ -134,27 +130,8 @@ def max_set_flow(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP) -> FlowSolution:
     """
     if net.directed:
         return max_set_flow_paths(net, W, cap=cap)
-    value, sol = solve_transform(build_transform(net, W))
-    return FlowSolution(lpmod.OPTIMAL, value / 2, {}, pivots=sol.pivots)
-
-
-def max_w_flow_undirected_norepeat(net: FlowNetwork, w,
-                                   cap=DEFAULT_PATH_CAP) -> FlowSolution:
-    """No-repeat variant: each undirected edge at most once per path.  Brute
-    force over the enumerated family; no polynomial algorithm is known for
-    this variant."""
-    if net.directed:
-        raise MalformedNetwork("the no-repeat variant applies to undirected "
-                               "networks")
-    return solve_te_mf(net, default_families(net, cap,
-                                             through(w, single_use=True)))
-
-
-def max_w_flow_undirected(net: FlowNetwork, w):
-    """Exact node-constrained flow value on an undirected network, in
-    polynomial time.  Returns the rational value.  w may be a commodity
-    endpoint: the transform counts that commodity's unconstrained flow."""
-    return max_set_flow(net, (w,)).objective
+    sol = solve_transform(net, build_transform(net, W))
+    return FlowSolution(lpmod.OPTIMAL, sol.objective / 2, {}, pivots=sol.pivots)
 
 
 # -- s-w-t edge cuts ----------------------------------------------------------
@@ -396,20 +373,12 @@ def fix_paths(net: FlowNetwork, leg_sw: EdgeWalk, leg_wt: EdgeWalk) -> EdgeWalk:
         b = EdgeWalk(p1.nodes[i + 1:], p1.steps[i + 1:])       # v .. w
         c = EdgeWalk(p2.nodes[: j + 1], p2.steps[:j])          # w .. u
         d = EdgeWalk(p2.nodes[j + 1:], p2.steps[j + 1:])       # v .. t
-        p1 = _join(a, reverse_walk(c))
-        p2 = _join(reverse_walk(b), d)
+        p1 = concat_walks(a, reverse_walk(c))
+        p2 = concat_walks(reverse_walk(b), d)
         changed = True
 
-    result = _join(p1, p2)
+    result = concat_walks(p1, p2)
     check = validate_walk(net, result)
     if not check.valid:
         raise MalformedNetwork(f"fix_paths produced an invalid walk: {check.reason}")
     return result
-
-
-def _join(a: EdgeWalk, b: EdgeWalk) -> EdgeWalk:
-    if not a.steps:
-        return b
-    if not b.steps:
-        return a
-    return concat_walks(a, b)

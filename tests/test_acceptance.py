@@ -11,9 +11,9 @@ from math import comb
 from nodeflow import (SrConfig, Tunnel, acyclic_feasible, augmenting_w_flow,
                       build_tunnels, catalog, check_pair_sum_identity,
                       detect_cycles, ecmp_fractions, enumerate_paths,
-                      get_builtin, max_coverage_gadget, max_w_flow_exact,
-                      max_w_flow_simple, max_w_flow_undirected,
-                      max_w_flow_undirected_norepeat, min_swt_edge_cut,
+                      get_builtin, max_coverage_gadget, max_set_flow,
+                      max_set_flow_paths, max_w_flow_exact,
+                      max_w_flow_simple, min_swt_edge_cut,
                       n_group_max_flow, probe_margins, rat, solve_te_lu,
                       solve_te_mf, submodularity_probe, through)
 
@@ -60,8 +60,8 @@ def test_criterion_02_figadd_suite():
 def test_criterion_03_undirected_transform_equivalence():
     start = time.monotonic()
     rng = random.Random(2003)
-    ok = max_w_flow_undirected(get_builtin("wst-undirected").network,
-                               "w") == rat(1, 2)
+    ok = max_set_flow(get_builtin("wst-undirected").network,
+                      ("w",)).objective == rat(1, 2)
     checked = 0
     while checked < 200:
         net = random_undirected(rng, n_nodes=rng.randint(3, 6),
@@ -73,7 +73,7 @@ def test_criterion_03_undirected_transform_equivalence():
         brute = solve_te_mf(
             net, [enumerate_paths(net, i, through(w))
                   for i in range(len(net.commodities))]).objective
-        if max_w_flow_undirected(net, w) != brute:
+        if max_set_flow(net, (w,)).objective != brute:
             ok = False
             break
         checked += 1
@@ -112,7 +112,7 @@ def test_criterion_05_cut_bounds_corpus():
         if b.network.directed:
             flow = max_w_flow_exact(b.network, w).objective
         else:
-            flow = max_w_flow_undirected(b.network, w)
+            flow = max_set_flow(b.network, (w,)).objective
         if flow > cut.value:
             ok = False
             break
@@ -231,7 +231,7 @@ def test_criterion_09_segment_routing():
 
 def test_criterion_10_augmenting_undirected():
     net = get_builtin("augmenting-undirected").network
-    ok = max_w_flow_undirected_norepeat(net, "w").objective == 3
+    ok = max_set_flow_paths(net, ("w",), single_use=True).objective == 3
     # Greedy saturation, shortest no-repeat path first: the first pick is
     # s,v,w,t, which blocks both other routes through w.
     fam = enumerate_paths(net, 0, through("w", single_use=True))

@@ -6,7 +6,7 @@ import pytest
 from nodeflow import (CentralityReport, Commodity, FlowNetwork,
                       check_pair_sum_identity, commodity_centrality,
                       enumerate_st_paths, flow_centrality, get_builtin,
-                      group_flow, hat_constructions, max_flow_arc_lp,
+                      hat_constructions, max_flow_arc_lp, max_set_flow,
                       max_set_flow_paths, n_group_max_flow, pair_max_flow,
                       pair_w_flow, probe_margins, rat, solve_te_mf,
                       submodularity_probe, through_any)
@@ -68,9 +68,9 @@ def test_commodity_centrality_fig8():
 
 def test_group_flow_fig8_pins():
     net = get_builtin("fig8").network
-    assert group_flow(net, ("s1",)).value == 2
-    assert group_flow(net, ("s1", "s2")).value == 2
-    assert group_flow(net, ("s1", "s2", "s3")).value == 3
+    assert max_set_flow(net, ("s1",)).objective == 2
+    assert max_set_flow(net, ("s1", "s2")).objective == 2
+    assert max_set_flow(net, ("s1", "s2", "s3")).objective == 3
     assert n_group_max_flow(net, 1, "brute").value == 2
     assert n_group_max_flow(net, 3, "brute").value == 3
 
@@ -82,7 +82,7 @@ def test_group_flow_matches_path_lp():
         net = random_directed(rng, n_commodities=rng.randint(1, 2))
         nodes = sorted(net.nodes)
         group = tuple(rng.sample(nodes, rng.randint(1, 2)))
-        value = group_flow(net, group).value
+        value = max_set_flow(net, group).objective
         fams = [enumerate_st_paths(net, c.source, c.sink, through_any(group))
                 for c in net.commodities]
         assert value == solve_te_mf(net, fams).objective, checked
@@ -114,9 +114,9 @@ def test_probe_finds_violation_and_stays_monotone():
 
 def test_marginal_gain_nonnegative():
     net = get_builtin("fig8").network
-    base = group_flow(net, ("s1",)).value
+    base = max_set_flow(net, ("s1",)).objective
     for v in net.nodes:
-        assert group_flow(net, sorted({"s1", v})).value >= base, v
+        assert max_set_flow(net, sorted({"s1", v})).objective >= base, v
 
 
 def test_eq25_zero_residual_random():

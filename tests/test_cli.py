@@ -35,6 +35,18 @@ def test_group_flow_fig8(capsys):
     assert "objective: 3\n" in out
 
 
+@pytest.mark.parametrize("command,flag,key", [
+    ("set-flow", "--set", "designated_set"),
+    ("group-flow", "--group", "group"),
+])
+def test_designated_set_echo_is_sorted_and_distinct(capsys, command, flag, key):
+    # The solver reads W as a set; the echo shows the set it solved for.
+    code, out, _ = run(capsys, command, "--builtin", "fig8", flag, "s2,s1,s1")
+    assert code == 0
+    assert f"\n{key}: s1,s2\n" in out
+    assert "objective: 2\n" in out
+
+
 def test_catalog_contents(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

@@ -467,8 +467,8 @@ def test_transform_program_has_only_rows_that_can_bind(monkeypatch):
         return solve_lp(lp)
 
     monkeypatch.setattr(lpmod, "solve", capture)
-    tr = build_transform(get_builtin("augmenting-undirected").network, ("w",))
-    value, _ = solve_transform(tr)
+    net = get_builtin("augmenting-undirected").network
+    value = solve_transform(net, build_transform(net, ("w",))).objective
     (lp,) = built
     # 10 arc variables on the 5 edges left and one exit; 5 edge capacity
     # rows and conservation at s, x and t.

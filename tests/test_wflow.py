@@ -6,11 +6,9 @@ from nodeflow import (FlowNetwork, MalformedNetwork, MissingDesignation,
                       PathConstraint, UnknownNode, augmenting_w_flow,
                       build_transform, enumerate_paths,
                       enumerate_st_paths, fix_paths,
-                      get_builtin, group_flow, max_set_flow, max_set_flow_paths,
-                      max_w_flow_exact, max_w_flow_simple,
-                      max_w_flow_undirected, max_w_flow_undirected_norepeat,
-                      min_swt_edge_cut, rat, solve_te_mf, through,
-                      validate_walk, verify_cut)
+                      get_builtin, max_set_flow, max_set_flow_paths,
+                      max_w_flow_exact, max_w_flow_simple, min_swt_edge_cut,
+                      rat, solve_te_mf, through, validate_walk, verify_cut)
 
 from conftest import (oracle_walks, pick_inner_node, random_directed,
                       random_undirected)
@@ -47,7 +45,7 @@ def test_undirected_transform_matches_brute_lp():
         brute = solve_te_mf(
             net, [enumerate_paths(net, i, through(w))
                   for i in range(len(net.commodities))]).objective
-        assert max_w_flow_undirected(net, w) == brute, checked
+        assert max_set_flow(net, (w,)).objective == brute, checked
         checked += 1
 
 
@@ -55,7 +53,8 @@ def test_undirected_w_flow_at_an_endpoint_matches_brute_lp():
     # At w = s or w = t every s-t walk passes w: the value is the plain
     # maximum flow, here 1 on the w-s-t chain.
     net = get_builtin("wst-undirected").network
-    assert max_w_flow_undirected(net, "s") == max_w_flow_undirected(net, "t") == 1
+    assert max_set_flow(net, ("s",)).objective == \
+        max_set_flow(net, ("t",)).objective == 1
     rng = random.Random(61)
     for trial in range(40):
         net = random_undirected(rng, n_nodes=rng.randint(3, 5),
@@ -63,14 +62,29 @@ def test_undirected_w_flow_at_an_endpoint_matches_brute_lp():
                                 n_commodities=rng.randint(1, 2))
         com = net.commodities[rng.randrange(len(net.commodities))]
         for w in (com.source, com.sink):
-            assert max_w_flow_undirected(net, w) == \
+            assert max_set_flow(net, (w,)).objective == \
                 max_set_flow_paths(net, (w,)).objective, (trial, w)
 
 
 def test_undirected_chain_half():
     net = get_builtin("wst-undirected").network
-    assert max_w_flow_undirected(net, "w") == rat(1, 2)
-    assert max_w_flow_undirected_norepeat(net, "w").objective == 0
+    assert max_set_flow(net, ("w",)).objective == rat(1, 2)
+    assert max_set_flow_paths(net, ("w",), single_use=True).objective == 0
+
+
+def test_single_use_changes_nothing_on_directed_networks():
+    # A directed edge has one step, so a walk cannot reuse it either way:
+    # the no-repeat family is the plain through-W family.
+    rng = random.Random(59)
+    nets = [get_builtin(name).network for name in ("remarks", "figadd", "fig8")]
+    nets += [random_directed(rng, n_commodities=rng.randint(1, 2))
+             for _ in range(20)]
+    for trial, net in enumerate(nets):
+        W = tuple(rng.sample(sorted(net.nodes), rng.randint(1, 2)))
+        plain = max_set_flow_paths(net, W)
+        single = max_set_flow_paths(net, W, single_use=True)
+        assert (single.objective, single.flows) == \
+            (plain.objective, plain.flows), (trial, W)
 
 
 def test_set_flow_transform_matches_brute_lp():
@@ -109,7 +123,6 @@ def test_transform_counts_flow_at_a_designated_endpoint():
     # and reported 5/2.
     net = FlowNetwork.build("undirected", ["s", "t"], [("s", "t", 4)],
                             [("s", "t", None)])
-    assert group_flow(net, ("s",)).value == 4
     assert max_set_flow(net, ("s",)).objective == 4
     assert max_set_flow(net, ("s", "t")).objective == 4
 
@@ -303,4 +316,4 @@ def test_fix_paths_produces_one_valid_walk():
 
 def test_norepeat_brute_on_augmenting_instance():
     net = get_builtin("augmenting-undirected").network
-    assert max_w_flow_undirected_norepeat(net, "w").objective == 3
+    assert max_set_flow_paths(net, ("w",), single_use=True).objective == 3
