@@ -16,12 +16,17 @@ nonzero entry is redundant and dropped.  There are no artificial columns
 and no phase 1, so a solve is either optimal or unbounded.
 
 Rows are stored as full lists, but a pivot touches only what can change: it
-scales the pivot row on its nonzeros, then updates in place only the rows
-(and the reduced-cost row) with a nonzero in the entering column, and in
-those only the columns where the pivot row is nonzero.  The generated
-programs are mostly slack columns and 0/+-1 incidence rows, so that is a
-small share of the tableau.  This is meant for the small and mid-size
-programs this package generates, not as a general-purpose LP code.
+scales the pivot row on its nonzeros (negates it when the pivot element is
+-1, leaves it when it is 1), then updates in place only the rows (and the
+reduced-cost row) with a nonzero in the entering column, and in those only
+the columns where the pivot row is nonzero.  A row whose multiplier is +1
+subtracts the pivot row and one whose multiplier is -1 adds it, with no
+product formed; only other multipliers multiply.  The ratio test divides
+only by an entering entry other than 1.  The generated programs are mostly
+slack columns and 0/+-1 incidence rows, so that is a small share of the
+tableau and most updates take the unit paths.  This is meant for the small
+and mid-size programs this package generates, not as a general-purpose LP
+code.
 
 Unbounded is a status on the returned solution, never an exception.
 """
@@ -115,28 +120,37 @@ def _pivot(rows, basis, r, c, z=None):
     row and from the reduced-cost row z when given."""
     prow = rows[r]
     piv = prow[c]
-    if piv != 1:
+    if piv == -1:
+        for j, x in enumerate(prow):
+            if x:
+                prow[j] = -x
+    elif piv != 1:
         inv = ONE / piv
         for j, x in enumerate(prow):
             if x:
                 prow[j] = x * inv
     nz = [(j, x) for j, x in enumerate(prow) if x]
-    neg = [(j, -x) for j, x in nz]
     for row in rows if z is None else (*rows, z):
         f = row[c]
         if not f or row is prow:
             continue
         # Most multipliers are +-1 (incidence rows) and about half the
-        # targets are 0; both cases skip a rational multiply or subtract.
+        # targets are 0.  Multiplier +1 subtracts the pivot row and -1 adds
+        # it, with no product; a zero target under -1 takes the pivot-row
+        # entry itself (Fractions are immutable, so sharing it is safe).
         if f == 1:
-            upd = nz
+            for j, x in nz:
+                v = row[j]
+                row[j] = v - x if v else -x
         elif f == -1:
-            upd = neg
+            for j, x in nz:
+                v = row[j]
+                row[j] = v + x if v else x
         else:
-            upd = [(j, f * x) for j, x in nz]
-        for j, d in upd:
-            v = row[j]
-            row[j] = v - d if v else -d
+            for j, x in nz:
+                d = f * x
+                v = row[j]
+                row[j] = v - d if v else -d
     basis[r] = c
 
 
@@ -163,7 +177,7 @@ def _bland_optimize(rows, basis, cost, ncols):
         for i, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = row[ncols] / a
+                ratio = row[ncols] if a == 1 else row[ncols] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i

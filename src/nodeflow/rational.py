@@ -21,13 +21,16 @@ _DISPLAY = decimal.Context(prec=6, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 def rat(value, den=None):
     """Coerce value to an exact rational.
 
-    Accepts ints, Fractions, and strings of the form "p" or "p/q".
+    Accepts ints, Fractions, and strings of the form "p" or "p/q".  A
+    Fraction is returned as it is, not copied: Fractions are immutable.
     Floats are rejected deliberately: a float capacity is almost always a
     formatting accident and silently snapping it to a nearby rational would
     defeat the point of an exact solver.
     """
     if den is not None:
         return rat(value) / rat(den)
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
     if isinstance(value, (int, Fraction)):

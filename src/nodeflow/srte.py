@@ -125,13 +125,16 @@ def build_tunnels(net: FlowNetwork, cfg: SrConfig):
     skipped, as are tunnels with an unreachable segment.  One shortest-path
     search per segment source serves both the reachability test and the
     tables.  A middlepoint list with a repeat is refused, since two of its
-    subsequences could be one tunnel.
+    subsequences could be one tunnel, and so is a negative max_segments,
+    which would leave not even the direct tunnel.
     """
     for w in cfg.middlepoints:
         if w not in net.nodes:
             raise UnknownNode(f"middlepoint {w!r} not in network")
     if len(set(cfg.middlepoints)) != len(cfg.middlepoints):
         raise MalformedNetwork("middlepoints must be distinct")
+    if cfg.max_segments < 0:
+        raise MalformedNetwork(f"max_segments {cfg.max_segments} is negative")
     searches = {}
 
     def reach(u, v):

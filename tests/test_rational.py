@@ -21,11 +21,27 @@ def test_fraction_passthrough():
     assert rat(Fraction(22, 7)) == Fraction(22, 7)
 
 
+def test_fraction_is_returned_not_copied():
+    q = Fraction(22, 7)
+    assert rat(q) is q
+    # Everything else still converts to a new Fraction.
+    for value, want in ((3, 3), ("-3/6", Fraction(-1, 2)), (" 4 ", 4)):
+        got = rat(value)
+        assert type(got) is Fraction and got == want
+
+
 def test_floats_rejected():
     with pytest.raises(TypeError):
         rat(0.5)
     with pytest.raises(TypeError):
         rat(3.0)
+
+
+def test_bools_rejected():
+    with pytest.raises(TypeError, match="bool"):
+        rat(True)
+    with pytest.raises(TypeError, match="bool"):
+        rat(False)
 
 
 def test_exactness():

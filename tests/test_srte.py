@@ -211,6 +211,17 @@ def test_repeated_middlepoint_refused():
         build_tunnels(net, SrConfig(("w", "w"), 2))
 
 
+def test_negative_max_segments_refused():
+    # M = -1 used to build no tunnel, not even the direct one, so sr-mf
+    # answered 0 and sr-lu infeasible on a network where M = 0 routes 1.
+    net = get_builtin("cycle-3").network
+    cfg = SrConfig(("w",), -1)
+    for solver in (build_tunnels, solve_sr_mf, solve_sr_lu):
+        with pytest.raises(MalformedNetwork, match="negative"):
+            solver(net, cfg)
+    assert solve_sr_mf(net, SrConfig(("w",), 0))[0].objective == 1
+
+
 def test_sr_solutions_respect_capacity_and_demand():
     rng = random.Random(83)
     checked = 0
