@@ -289,7 +289,7 @@ def cmd_acyclic_check(args, inst, rec):
     result = srte.acyclic_feasible(inst.network, s, t,
                                    _middlepoints(args, inst), mode=args.mode)
     rec.add("feasible", result.feasible)
-    rec.add("combos_tried", result.combos_tried)
+    rec.add("steps_tried", result.steps_tried)
     if result.witness is not None:
         rec.add("witness", _walk_str(result.witness))
 
@@ -307,13 +307,6 @@ def cmd_centrality(args, inst, rec):
         rec.add("centrality", "undefined (no pair carries flow)")
     else:
         rec.add("centrality", report.ratio)
-
-
-def cmd_group_flow(args, inst, rec):
-    group = _node_set(inst, args.group)
-    sol = wflow.max_set_flow(inst.network, group, cap=args.max_paths)
-    rec.add("group", ",".join(group))
-    rec.add("objective", sol.objective)
 
 
 def cmd_ngroup(args, inst, rec):
@@ -462,9 +455,6 @@ COMMANDS = {
         _W, _flag("--instance-demands", action="store_true",
                   help="restrict to the instance's commodity pairs, "
                        "weighted by demand"),
-    ), DIRECTED),
-    "group-flow": Command(cmd_group_flow, "flow through a node group", (
-        _flag("--group", type=_nodelist, help="comma-separated node group"),
     ), DIRECTED),
     "ngroup": Command(cmd_ngroup, "best group of at most N nodes", (
         _flag("-n", type=_count(1), required=True),

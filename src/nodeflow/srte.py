@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 from . import lp as lpmod
 from .errors import CapExceeded, MalformedNetwork, UnknownNode
-from .network import EdgeWalk, FlowNetwork, concat_walks, validate_walk
+from .network import FWD, REV, EdgeWalk, FlowNetwork
 from .rational import ONE, ZERO
 from .te import solve_columns
 
-COMBO_CAP = 10_000  # shortest paths per segment, and their combinations
+STEP_CAP = 10_000  # acyclic_feasible: prefix extensions searched at most
 
 
 def shortest_path_data(net: FlowNetwork, source):
@@ -238,29 +238,7 @@ def detect_cycles(net: FlowNetwork, tunnel: Tunnel):
 class FeasibilityResult:
     feasible: bool
     witness: object = None  # EdgeWalk when feasible
-    combos_tried: int = 0
-
-
-def _shortest_path_walks(net, u, v):
-    """All shortest u->v paths as EdgeWalks (via the predecessor DAG)."""
-    dist, count, preds = shortest_path_data(net, u)
-    if v not in dist:
-        return []
-    if count[v] > COMBO_CAP:
-        raise CapExceeded(f"{count[v]} shortest paths for segment ({u},{v})")
-    walks = []
-
-    def back(node, nodes, steps):
-        if node == u:
-            walks.append(EdgeWalk(tuple(reversed(nodes)), tuple(reversed(steps))))
-            return
-        for prev, eid in preds[node]:
-            direction = 1 if net.edges[eid].tail == prev else -1
-            back(prev, nodes + [prev], steps + [(eid, direction)])
-
-    back(v, [v], [])
-    walks.sort(key=lambda wk: wk.steps)
-    return walks
+    steps_tried: int = 0
 
 
 def acyclic_feasible(net: FlowNetwork, source, sink, middlepoints,
@@ -268,9 +246,12 @@ def acyclic_feasible(net: FlowNetwork, source, sink, middlepoints,
     """Is there a choice of one shortest path per segment whose concatenation
     is a path (mode="path") or a simple path (mode="simple_path")?
 
-    Exhaustive over the cartesian product of per-segment shortest paths; more
-    than COMBO_CAP (10,000) paths for a segment, or combinations in all,
-    raise CapExceeded.
+    One depth-first search over the segments' shortest-path arcs, each
+    node's arcs in step order, so the witness is the first in lexicographic
+    step order.  A prefix is dropped at its first reused step (an undirected
+    edge may be crossed once each way) or, in simple_path mode, its first
+    repeated node.  The problem is NP-hard: a search that takes more than
+    STEP_CAP (10,000) steps raises CapExceeded.
     """
     if mode not in ("path", "simple_path"):
         raise ValueError(f"bad mode {mode!r}")
@@ -280,27 +261,45 @@ def acyclic_feasible(net: FlowNetwork, source, sink, middlepoints,
             raise UnknownNode(f"node {x!r} not in network")
     if len(set(chain)) != len(chain):
         raise MalformedNetwork("source, middlepoints and sink must be distinct")
-    segs = list(zip(chain, chain[1:]))
-    options = []
-    total = 1
-    for u, v in segs:
-        walks = _shortest_path_walks(net, u, v)
-        if not walks:
+    segs = []  # per segment u -> v: node -> its (step, next node) arcs
+    for u, v in zip(chain, chain[1:]):
+        dist, _count, preds = shortest_path_data(net, u)
+        if v not in dist:
             return FeasibilityResult(False)
-        options.append(walks)
-        total *= len(walks)
-        if total > COMBO_CAP:
-            raise CapExceeded(f"{total} segment-path combinations exceed cap {COMBO_CAP}")
+        arcs, todo = {}, [v]  # backward from v: the arcs that lead on to v
+        while todo:
+            b = todo.pop()
+            for a, eid in preds[b]:
+                if a not in arcs:
+                    todo.append(a)
+                step = (eid, FWD if net.edges[eid].tail == a else REV)
+                arcs.setdefault(a, []).append((step, b))
+        segs.append({a: sorted(out) for a, out in arcs.items()})
+    simple = mode == "simple_path"
+    nodes, steps = [source], []
+    used = {source} if simple else set()  # nodes visited, or steps taken
+    stack = [(0, iter(segs[0][source]))]
     tried = 0
-    for combo in itertools.product(*options):
+    while stack:
+        k, out = stack[-1]
+        for step, nxt in out:
+            if (nxt if simple else step) not in used:
+                break
+        else:  # every arc from here is spent: back up one step
+            stack.pop()
+            if steps:
+                used.discard(nodes[-1] if simple else steps[-1])
+                del nodes[-1], steps[-1]
+            continue
         tried += 1
-        walk = combo[0]
-        for nxt in combo[1:]:
-            walk = concat_walks(walk, nxt)
-        if mode == "simple_path":
-            ok = walk.is_simple()
-        else:
-            ok = validate_walk(net, walk).valid
-        if ok:
-            return FeasibilityResult(True, walk, tried)
+        if tried > STEP_CAP:
+            raise CapExceeded(f"acyclic search passed {STEP_CAP} steps")
+        used.add(nxt if simple else step)
+        nodes.append(nxt)
+        steps.append(step)
+        if nxt == chain[k + 1]:
+            k += 1
+            if k == len(segs):
+                return FeasibilityResult(True, EdgeWalk(tuple(nodes), tuple(steps)), tried)
+        stack.append((k, iter(segs[k][nxt])))
     return FeasibilityResult(False, None, tried)

@@ -23,7 +23,7 @@ from .network import (DEFAULT_PATH_CAP, FWD, EdgeWalk, FlowNetwork,
 from .rational import ZERO, rat
 from .te import FlowSolution, default_families, solve_arcs, solve_te_mf
 
-EXACT_CUT_EDGES = 20         # min_swt_edge_cut is exact up to this many edges
+EXACT_CUT_EDGES = 20         # directed min_swt_edge_cut is exact up to this many edges
 AUGMENT_SEARCH_CAP = 5000    # augmenting_w_flow: walks searched per round
 AUGMENT_MAX_ROUNDS = 10_000  # augmenting_w_flow: rounds at most
 
@@ -146,15 +146,19 @@ class CutResult:
 def min_swt_edge_cut(net: FlowNetwork, s, w, t) -> CutResult:
     """Minimum-capacity edge set whose removal leaves no s-w-t path.
 
-    Exact branch-and-bound up to EXACT_CUT_EDGES (20) edges.  Beyond that, an
-    upper bound labeled as inexact: the cheapest of the minimum s-t, s-w and
-    w-t cuts.  An s-w cut is one only when w != s (a walk that starts at w
-    need not reach it again), a w-t cut only when w != t.
+    Undirected: exact by max flow at any size.  An edge may be crossed once
+    each way, so an s-w-t walk exists exactly when s, w and t share a
+    component, and the minimum is min(lambda(s,w), lambda(w,t)), or
+    lambda(s,t) when w is s or t.  Directed: branch and bound up to
+    EXACT_CUT_EDGES (20) edges; beyond that, an upper bound labeled as
+    inexact, the cheapest of the same max-flow cuts.  An s-w cut is one only
+    when w != s (a walk that starts at w need not reach it again), a w-t cut
+    only when w != t.
     """
     for x in (s, w, t):
         if x not in net.nodes:
             raise UnknownNode(f"node {x!r} not in network")
-    if len(net.edges) > EXACT_CUT_EDGES:
+    if not net.directed or len(net.edges) > EXACT_CUT_EDGES:
         pairs = [(a, b) for a, b, valid in ((s, t, s != t), (s, w, w != s), (w, t, w != t))
                  if valid]
         if pairs:
@@ -165,8 +169,8 @@ def min_swt_edge_cut(net: FlowNetwork, s, w, t) -> CutResult:
             ids = tuple(e.id for e in net.edges
                         if e.tail == s or (not net.directed and e.head == s))
             value = sum((net.edges[i].capacity for i in ids), ZERO)
-        assert verify_cut(net, s, w, t, ids), "fallback cut leaves an s-w-t walk"
-        return CutResult(tuple(sorted(ids)), value, False)
+        assert verify_cut(net, s, w, t, ids), "max-flow cut leaves an s-w-t walk"
+        return CutResult(tuple(sorted(ids)), value, not net.directed)
 
     adj = net.adjacency()
     best = {"edges": tuple(e.id for e in net.edges), "value": net.total_capacity()}

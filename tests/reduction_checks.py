@@ -11,16 +11,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from nodeflow.errors import TruncatedFamily
-from nodeflow.network import (DEFAULT_PATH_CAP, FlowNetwork, PathConstraint,
-                              UNCONSTRAINED, enumerate_st_paths, simple_through,
-                              through)
+from nodeflow.errors import CapExceeded, TruncatedFamily
+from nodeflow.network import (DEFAULT_PATH_CAP, EdgeWalk, FlowNetwork,
+                              PathConstraint, UNCONSTRAINED, concat_walks,
+                              enumerate_st_paths, simple_through, through,
+                              validate_walk)
 from nodeflow.reductions import (disjoint_shortest_paths_gadget,
                                  max_coverage_gadget, node_split_gadget,
                                  two_disjoint_paths_gadget, unit_path_gadget)
 from nodeflow.centrality import n_group_max_flow
-from nodeflow.srte import acyclic_feasible, _shortest_path_walks
+from nodeflow.srte import FeasibilityResult, acyclic_feasible, shortest_path_data
 from nodeflow.wflow import max_w_flow_exact
+
+PRODUCT_CAP = 10_000  # shortest paths per segment, and their combinations
 
 
 @dataclass
@@ -125,13 +128,63 @@ def check_max_coverage(items, sets, n, cap=DEFAULT_PATH_CAP) -> CheckResult:
     return CheckResult(direct, res.value, direct == res.value)
 
 
+def shortest_path_walks(net, u, v):
+    """All shortest u->v paths as EdgeWalks (via the predecessor DAG), in
+    step order.  More than PRODUCT_CAP (10,000) of them raise CapExceeded."""
+    dist, count, preds = shortest_path_data(net, u)
+    if v not in dist:
+        return []
+    if count[v] > PRODUCT_CAP:
+        raise CapExceeded(f"{count[v]} shortest paths for segment ({u},{v})")
+    walks = []
+
+    def back(node, nodes, steps):
+        if node == u:
+            walks.append(EdgeWalk(tuple(reversed(nodes)), tuple(reversed(steps))))
+            return
+        for prev, eid in preds[node]:
+            direction = 1 if net.edges[eid].tail == prev else -1
+            back(prev, nodes + [prev], steps + [(eid, direction)])
+
+    back(v, [v], [])
+    walks.sort(key=lambda wk: wk.steps)
+    return walks
+
+
+def acyclic_feasible_product(net: FlowNetwork, source, sink, middlepoints,
+                             mode="path") -> FeasibilityResult:
+    """acyclic_feasible by exhaustion: the cartesian product of per-segment
+    shortest paths in step order, each combination concatenated and checked
+    whole (validate_walk in path mode, no repeated node in simple_path
+    mode).  More than PRODUCT_CAP (10,000) combinations raise CapExceeded;
+    steps_tried counts the combinations tried."""
+    chain = (source,) + tuple(middlepoints) + (sink,)
+    options = []
+    total = 1
+    for u, v in zip(chain, chain[1:]):
+        walks = shortest_path_walks(net, u, v)
+        if not walks:
+            return FeasibilityResult(False)
+        options.append(walks)
+        total *= len(walks)
+        if total > PRODUCT_CAP:
+            raise CapExceeded(f"{total} segment-path combinations exceed cap {PRODUCT_CAP}")
+    for tried, combo in enumerate(itertools.product(*options), 1):
+        walk = combo[0]
+        for nxt in combo[1:]:
+            walk = concat_walks(walk, nxt)
+        if walk.is_simple() if mode == "simple_path" else validate_walk(net, walk).valid:
+            return FeasibilityResult(True, walk, tried)
+    return FeasibilityResult(False, None, total)
+
+
 def disjoint_shortest_paths_brute(net: FlowNetwork, pairs):
     """Do the pairs admit pairwise node-disjoint shortest paths?  Exhaustive
-    over per-pair shortest paths; a pair with more than COMBO_CAP (10,000)
+    over per-pair shortest paths; a pair with more than PRODUCT_CAP (10,000)
     of them raises CapExceeded."""
     options = []
     for u, v in pairs:
-        walks = _shortest_path_walks(net, u, v)
+        walks = shortest_path_walks(net, u, v)
         if not walks:
             return False
         options.append(walks)
@@ -149,8 +202,9 @@ def disjoint_shortest_paths_brute(net: FlowNetwork, pairs):
 
 def check_disjoint_shortest_paths(net: FlowNetwork, pairs) -> CheckResult:
     """Node-disjoint shortest paths versus acyclic (simple-path) feasibility
-    of the middlepoint chain on the gadget; both sides enumerate at most
-    COMBO_CAP (10,000) shortest paths per segment."""
+    of the middlepoint chain on the gadget.  The direct side enumerates at
+    most PRODUCT_CAP (10,000) shortest paths per pair; the gadget side
+    searches at most STEP_CAP (10,000) steps."""
     direct = disjoint_shortest_paths_brute(net, pairs)
     gadget = disjoint_shortest_paths_gadget(net, pairs)
     d = gadget.designated

@@ -29,15 +29,16 @@ def test_w_flow_remarks_unit(capsys):
 
 
 def test_group_flow_fig8(capsys):
-    code, out, _ = run(capsys, "group-flow", "--builtin", "fig8",
-                       "--group", "s1,s2,s3")
-    assert code == 0
-    assert "objective: 3\n" in out
+    # GF({s1,s2,s3}) = 3 by path enumeration and by the undirected transform.
+    for name in ("fig8", "fig8-undirected"):
+        code, out, _ = run(capsys, "set-flow", "--builtin", name,
+                           "--set", "s1,s2,s3")
+        assert code == 0, name
+        assert "objective: 3\n" in out, name
 
 
 @pytest.mark.parametrize("command,flag,key", [
     ("set-flow", "--set", "designated_set"),
-    ("group-flow", "--group", "group"),
 ])
 def test_designated_set_echo_is_sorted_and_distinct(capsys, command, flag, key):
     # The solver reads W as a set; the echo shows the set it solved for.
@@ -90,9 +91,27 @@ def test_node_guard_exit_3(capsys):
 
 
 def test_missing_designation_exit_4(capsys):
-    code, _, err = run(capsys, "group-flow", "--builtin", "remarks")
+    code, _, err = run(capsys, "set-flow", "--builtin", "remarks")
     assert code == 4
     assert "designated" in err
+
+
+def test_acyclic_check_decides_a_unit_grid(tmp_path, capsys):
+    # 8 x 8 grid: 3,432 shortest paths out to v7_7 and 1,716 back, too
+    # many to pair up, but the search's first path back fits.
+    n = 8
+    edges = [(f"v{i}_{j}", f"v{i}_{j + 1}") for i in range(n) for j in range(n - 1)]
+    edges += [(f"v{i}_{j}", f"v{i + 1}_{j}") for i in range(n - 1) for j in range(n)]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({
+        "orientation": "undirected",
+        "nodes": [f"v{i}_{j}" for i in range(n) for j in range(n)],
+        "edges": [{"tail": a, "head": b, "capacity": 1} for a, b in edges],
+        "commodities": [{"src": "v0_0", "dst": "v0_1"}],
+        "middlepoints": ["v7_7"]}))
+    code, out, err = run(capsys, "acyclic-check", "--instance", str(path))
+    assert code == 0, err
+    assert {"feasible: True", "steps_tried: 27"} <= set(out.splitlines())
 
 
 def test_infeasible_is_still_exit_0(capsys):
@@ -284,7 +303,7 @@ def test_node_guard_on_group_solvers_exit_3(tmp_path, capsys):
             "commodities": [{"src": "v0", "dst": "v11"}]}))
         guarded = [("probe-submodularity", "--trials", "1")]
         if orientation == "directed":
-            guarded += [("group-flow", "--group", "v5"), ("ngroup", "-n", "1")]
+            guarded.append(("ngroup", "-n", "1"))
         for argv in guarded:
             code, _, err = run(capsys, *argv, "--instance", str(path),
                                "--max-nodes-exact", "5")
@@ -294,10 +313,9 @@ def test_node_guard_on_group_solvers_exit_3(tmp_path, capsys):
                              "--max-nodes-exact", "12")
             assert code == 0, (orientation, argv)
     # Group flow on an undirected network is the polynomial transform.
-    for argv in (("group-flow", "--group", "v5"), ("ngroup", "-n", "1")):
-        code, _, _ = run(capsys, *argv, "--instance", str(path),
-                         "--max-nodes-exact", "5")
-        assert code == 0, argv
+    code, _, _ = run(capsys, "ngroup", "-n", "1", "--instance", str(path),
+                     "--max-nodes-exact", "5")
+    assert code == 0
 
 
 def _write(path, orientation, edges, **extra):
@@ -314,7 +332,6 @@ UNKNOWN_NODE = {
     "w-flow": ("directed", ("w-flow", "--w", "zz")),
     "w-flow-simple": ("directed", ("w-flow-simple", "--w", "zz")),
     "set-flow": ("directed", ("set-flow", "--set", "zz,w")),
-    "group-flow": ("directed", ("group-flow", "--group", "zz")),
     "centrality-instance-demands": (
         "directed", ("centrality", "--w", "zz", "--instance-demands")),
     "centrality-undirected": ("undirected", ("centrality", "--w", "zz")),
@@ -332,7 +349,7 @@ def test_unknown_designated_node_exit_1(tmp_path, capsys, orientation, argv):
 
 
 @pytest.mark.parametrize("command, key", [("set-flow", "W"),
-                                          ("group-flow", "group")])
+                                          ("set-flow", "group")])
 def test_empty_designated_list_in_file_exit_2(tmp_path, capsys, command, key):
     path = _write(tmp_path / "net.json", "directed", [("s", "w"), ("w", "t")],
                   designated={key: []})
@@ -341,11 +358,11 @@ def test_empty_designated_list_in_file_exit_2(tmp_path, capsys, command, key):
     assert f"designated.{key}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["set-flow", "group-flow"])
+@pytest.mark.parametrize("command", ["set-flow"])
 @pytest.mark.parametrize("key", ["W", "group"])
 def test_either_designated_set_key_serves_both_commands(tmp_path, capsys,
                                                         command, key):
-    # The instance format's W and group name one list.
+    # The instance format's W and group name one list; set-flow reads either.
     path = _write(tmp_path / "net.json", "directed", [("s", "w"), ("w", "t")],
                   commodities=[{"src": "s", "dst": "t"}],
                   designated={key: ["w"]})
@@ -445,7 +462,6 @@ EVERY_SUBCOMMAND = [
     (("sr-mf", "--builtin", "cycle-3"), "objective: 1"),
     (("acyclic-check", "--builtin", "cycle-3"), "feasible: False"),
     (("centrality", "--builtin", "remarks", "--w", "w"), "centrality: 22/35"),
-    (("group-flow", "--builtin", "fig8", "--group", "s1,s2"), "objective: 2"),
     (("ngroup", "--builtin", "fig8", "-n", "1"), "objective: 2"),
     (("probe-submodularity", "--builtin", "fig8"),
      "monotone: not refuted (100 samples)"),
@@ -504,8 +520,6 @@ PARSER_REJECTS = {
                    "argument -n: must be at least 1"),
     "empty-set": (("set-flow", "--builtin", "fig8", "--set", ","),
                   "argument --set: no node named"),
-    "empty-group": (("group-flow", "--builtin", "fig8", "--group", ","),
-                    "argument --group: no node named"),
     "negative-max-segments": (("sr-lu", "--builtin", "cycle-3",
                                "--middlepoints", "w", "--max-segments", "-1"),
                               "argument --max-segments: must be at least 0"),

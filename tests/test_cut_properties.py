@@ -1,0 +1,54 @@
+"""Property test for the undirected minimum s-w-t cut (skipped without
+hypothesis).
+
+On an undirected network min_swt_edge_cut answers by max flow and labels
+the answer exact.  The oracle tries every edge subset in order of capacity
+and keeps the first that verify_cut accepts.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from nodeflow import FlowNetwork, min_swt_edge_cut, verify_cut  # noqa: E402
+
+NODES = ["a", "b", "c", "d", "e", "f", "g"]
+capacities = st.sampled_from([0, Fraction(1, 2), 1, 2, 3])
+
+
+def cheapest_cut_value(net, s, w, t):
+    """The least capacity of an edge subset that leaves no s-w-t walk."""
+    ids = range(len(net.edges))
+    subsets = [c for k in range(len(net.edges) + 1)
+               for c in itertools.combinations(ids, k)]
+    value = {c: sum((net.edges[i].capacity for i in c), Fraction(0)) for c in subsets}
+    return next(value[c] for c in sorted(subsets, key=value.__getitem__)
+                if verify_cut(net, s, w, t, c))
+
+
+@st.composite
+def undirected_cases(draw):
+    """(net, s, w, t): 3-7 nodes, up to 9 edges (parallel ones allowed),
+    capacities 0, 1/2 and 1-3; s, w and t may coincide."""
+    nodes = NODES[:draw(st.integers(3, 7))]
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    ends = draw(st.lists(st.sampled_from(pairs), max_size=9))
+    net = FlowNetwork.build("undirected", nodes,
+                            [(a, b, draw(capacities)) for a, b in ends])
+    s, w, t = (draw(st.sampled_from(nodes)) for _ in range(3))
+    return net, s, w, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=undirected_cases())
+def test_undirected_cut_is_the_cheapest_edge_subset(case):
+    net, s, w, t = case
+    cut = min_swt_edge_cut(net, s, w, t)
+    assert cut.exact
+    assert cut.value == cheapest_cut_value(net, s, w, t)
+    assert cut.value == sum((net.edges[i].capacity for i in cut.edges), Fraction(0))
+    assert verify_cut(net, s, w, t, cut.edges)

@@ -5,11 +5,11 @@ from math import comb
 
 import pytest
 
-from nodeflow import (FlowNetwork, MalformedNetwork, SrConfig, Tunnel,
+from nodeflow import (CapExceeded, FlowNetwork, MalformedNetwork, SrConfig, Tunnel,
                       UnknownNode, acyclic_feasible, build_tunnels, detect_cycles,
                       ecmp_fractions, get_builtin, rat,
                       shortest_path_data, solve_sr_lu, solve_sr_mf,
-                      solve_te_mf, srte, te)
+                      solve_te_mf, srte, te, validate_walk)
 
 from nodeflow.cli import main
 
@@ -253,6 +253,36 @@ def test_acyclic_feasible_finds_witness():
     assert result.feasible
     assert result.witness.nodes[0] == "s"
     assert "w" in result.witness.nodes
+
+
+def _unit_grid(n):
+    """Undirected n x n grid v{row}_{col}, unit capacities and lengths."""
+    nodes = [f"v{i}_{j}" for i in range(n) for j in range(n)]
+    edges = [(f"v{i}_{j}", f"v{i}_{j + 1}", 1) for i in range(n) for j in range(n - 1)]
+    edges += [(f"v{i}_{j}", f"v{i + 1}_{j}", 1) for i in range(n - 1) for j in range(n)]
+    return FlowNetwork.build("undirected", nodes, edges)
+
+
+def test_acyclic_feasible_on_a_unit_grid_past_the_product():
+    # The corner-to-corner segment has C(14,7) = 3,432 shortest paths and
+    # the way back C(13,6) = 1,716, so the product of the two has 5,889,312
+    # combinations.  The search takes the first path out and one back
+    # that only crosses its edges the other way.
+    net = _unit_grid(8)
+    result = acyclic_feasible(net, "v0_0", "v0_1", ("v7_7",), mode="path")
+    assert result.feasible and result.steps_tried == 27
+    assert validate_walk(net, result.witness).valid
+    assert result.witness.nodes[14] == "v7_7" and result.witness.sink == "v0_1"
+
+
+def test_acyclic_search_past_its_step_cap_raises():
+    # The same chain as a simple path is feasible (down the left column and
+    # back along the top row), but the paths out that come first in step
+    # order start along edge 0, through the sink v0_1.  The search needs
+    # 682,016 steps to leave them, so it stops at the cap.
+    with pytest.raises(CapExceeded, match="10000 steps"):
+        acyclic_feasible(_unit_grid(8), "v0_0", "v0_1", ("v7_7",),
+                         mode="simple_path")
 
 
 def test_segment_tables_cover_all_segments():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -211,20 +212,37 @@ def test_cut_fallback_with_w_at_an_endpoint():
 
 
 def test_cut_fallback_on_undirected_grid():
-    # 4 x 4 grid, 24 edges.  The fallback's cheapest cut is the corner
-    # v00's two edges; w's own four edges are no cheaper.  Checking a cut by
-    # walk search alone explores every edge-distinct trail from s and runs
-    # for more than 30 s on a 2.1 GHz Xeon; verify_cut must settle it by
-    # reachability instead.
+    # 4 x 4 grid, 24 edges.  The cheapest max-flow cut is the corner v00's
+    # two edges, exact on an undirected network; w's own four edges are no
+    # cheaper.  Checking a cut by walk search alone explores every
+    # edge-distinct trail from s and runs for more than 30 s on a 2.1 GHz
+    # Xeon; verify_cut must settle it by reachability instead.
     n = 4
     nodes = [f"v{i}{j}" for i in range(n) for j in range(n)]
     edges = [(f"v{i}{j}", f"v{i}{j + 1}", 1) for i in range(n) for j in range(n - 1)]
     edges += [(f"v{i}{j}", f"v{i + 1}{j}", 1) for i in range(n - 1) for j in range(n)]
     net = FlowNetwork.build("undirected", nodes, edges, [("v00", "v33", None)])
     cut = min_swt_edge_cut(net, "v00", "v11", "v33")
-    assert not cut.exact and cut.value == 2
+    assert cut.exact and cut.value == 2
     assert cut.value <= _incident_cut_value(net, "v00", "v11", "v33") == 4
     assert verify_cut(net, "v00", "v11", "v33", cut.edges)
+
+
+def test_undirected_cut_in_its_exact_range_answers_at_once():
+    # 8 nodes, 18 edges: a branch and bound over edge sets gave no answer
+    # within 15 s on a 2.0 GHz Xeon.  The minimum is lambda(n0, n4) = 5:
+    # n4's three edges, which also cut n5 from n4.  lambda(n5, n0) is 8.
+    edges = [("n4", "n6", 1), ("n5", "n7", 1), ("n1", "n6", 1), ("n1", "n5", 4),
+             ("n4", "n5", 2), ("n0", "n2", 4), ("n0", "n6", 1), ("n6", "n7", 2),
+             ("n3", "n5", 4), ("n2", "n3", 4), ("n1", "n4", 2), ("n2", "n7", 3),
+             ("n2", "n6", 2), ("n0", "n1", 2), ("n1", "n2", 4), ("n3", "n7", 3),
+             ("n0", "n7", 1), ("n1", "n7", 4)]
+    net = FlowNetwork.build("undirected", [f"n{i}" for i in range(8)], edges)
+    start = time.perf_counter()
+    cut = min_swt_edge_cut(net, "n5", "n0", "n4")
+    assert time.perf_counter() - start < 1
+    assert cut.exact and cut.value == 5 and cut.edges == (0, 4, 10)
+    assert verify_cut(net, "n5", "n0", "n4", cut.edges)
 
 
 def test_verify_cut_agrees_with_walk_search():
