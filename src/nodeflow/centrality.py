@@ -14,7 +14,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .errors import UnknownNode
 from .maxflow import max_flow
 from .network import DEFAULT_PATH_CAP, Commodity, FlowNetwork, fresh_name
 from .rational import ZERO
@@ -46,8 +45,7 @@ def flow_centrality(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP) -> CentralityRepo
     flow values over all ordered pairs not involving w, the denominator the
     corresponding unconstrained maxima.  Unguarded, and exponential on
     directed networks."""
-    if w not in net.nodes:
-        raise UnknownNode(f"node {w!r} not in network")
+    net.require(w)
     pairs = [(s, t, forced, free)
              for (s, t), (forced, free) in _pair_values(net, w, cap).items()]
     num = sum((forced for _, _, forced, _ in pairs), ZERO)
@@ -289,9 +287,7 @@ def check_pair_sum_identity(net: FlowNetwork, w, s, t,
     Evaluates both sides exactly and reports the residual.  Unguarded, and
     exponential on directed networks.
     """
-    for x in (w, s, t):
-        if x not in net.nodes:
-            raise UnknownNode(f"node {x!r} not in network")
+    net.require(w, s, t)
     hats = hat_constructions(net, s, t)
     lhs = pair_w_flow(net, w, s, t, cap=cap)
     terms = {

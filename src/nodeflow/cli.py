@@ -25,7 +25,7 @@ from . import centrality as ctr
 from . import fileio, instances, reductions, srte, te, wflow
 from .errors import (CapExceeded, LimitExceeded, MissingDesignation,
                      NodeflowError, ParseError, TruncatedFamily)
-from .network import DEFAULT_PATH_CAP
+from .network import DEFAULT_PATH_CAP, through_any
 from .rational import as_decimal, format_rational
 
 EXIT_OK = 0
@@ -127,10 +127,6 @@ def _designated(inst, flag_value, *keys):
         f"(in the instance file or via the command line)")
 
 
-# The instance format's two names for one designated node list.
-_SET_KEYS = ("W", "group")
-
-
 def _nodelist(text):
     """argparse type: a nonempty comma-separated node list."""
     nodes = tuple(x for x in text.split(",") if x)
@@ -204,22 +200,6 @@ def cmd_te(args, inst, rec):
     _emit_flow_solution(rec, sol, inst.network)
 
 
-def cmd_w_flow(args, inst, rec):
-    net = inst.network
-    w = _designated(inst, args.w, "w")
-    if net.directed:
-        if args.no_repeat:
-            raise ParseError("--no-repeat applies to undirected instances")
-        sol = wflow.max_w_flow_exact(net, w, cap=args.max_paths)
-        _emit_flow_solution(rec, sol, net)
-    elif args.no_repeat:
-        sol = wflow.max_set_flow_paths(net, (w,), cap=args.max_paths,
-                                       single_use=True)
-        _emit_flow_solution(rec, sol, net)
-    else:
-        rec.add("objective", wflow.max_set_flow(net, (w,)).objective)
-
-
 def cmd_w_flow_simple(args, inst, rec):
     w = _designated(inst, args.w, "w")
     sol = wflow.max_w_flow_simple(inst.network, w, cap=args.max_paths)
@@ -236,17 +216,19 @@ def cmd_w_flow_augment(args, inst, rec):
                   for p, a in result.decomposition])
 
 
-def _node_set(inst, flag_value):
-    """The designated set (flag_value, else the instance's W or group) as
-    the solver reads it: sorted distinct nodes."""
-    return tuple(sorted(set(_designated(inst, flag_value, *_SET_KEYS))))
-
-
 def cmd_set_flow(args, inst, rec):
-    W = _node_set(inst, args.set)
-    sol = wflow.max_set_flow(inst.network, W, cap=args.max_paths)
+    net = inst.network
+    W = _designated(inst, args.set, "W", "group", "w")
+    W = through_any((W,) if isinstance(W, str) else W).nodes
+    if args.no_repeat:
+        if net.directed:
+            raise ParseError("--no-repeat applies to undirected instances")
+        sol = wflow.max_set_flow_paths(net, W, cap=args.max_paths,
+                                       single_use=True)
+    else:
+        sol = wflow.max_set_flow(net, W, cap=args.max_paths)
     rec.add("designated_set", ",".join(W))
-    _emit_flow_solution(rec, sol, inst.network)
+    _emit_flow_solution(rec, sol, net)
 
 
 def cmd_cut(args, inst, rec):
@@ -430,17 +412,15 @@ class Command:
 COMMANDS = {
     "te-mf": Command(cmd_te, "maximum multicommodity flow", (), WALKS),
     "te-lu": Command(cmd_te, "minimum worst-edge utilization", (), WALKS),
-    "w-flow": Command(cmd_w_flow, "node-constrained maximum flow", (
-        _W, _flag("--no-repeat", action="store_true",
-                  help="undirected: forbid edge reuse within a path"),
-    ), lambda args: WALKS if args.no_repeat else DIRECTED),
     "w-flow-simple": Command(cmd_w_flow_simple,
                              "node-constrained flow over simple paths", (_W,), WALKS),
     "w-flow-augment": Command(cmd_w_flow_augment,
                               "greedy augmenting heuristic (directed)", (_W,)),
     "set-flow": Command(cmd_set_flow, "flow through a designated node set", (
         _flag("--set", type=_nodelist, help="comma-separated designated set"),
-    ), DIRECTED),
+        _flag("--no-repeat", action="store_true",
+              help="undirected: forbid edge reuse within a path"),
+    ), lambda args: WALKS if args.no_repeat else DIRECTED),
     "cut": Command(cmd_cut, "minimum s-w-t edge cut", (_W, _S, _T)),
     "sr-lu": Command(cmd_sr, "segment-routing minimum utilization",
                      (_MIDDLEPOINTS, _MAX_SEGMENTS)),

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MalformedNetwork, UnknownNode
+from .errors import MalformedNetwork
 from .network import FlowNetwork
 
 
@@ -29,8 +29,7 @@ def max_flow(net: FlowNetwork, s, t) -> MaxFlowResult:
     cut: removing the edges in ``cut`` leaves no s-t walk, and their
     capacities sum to the value.  Zero-capacity edges that cross are part of
     the cut, since they still carry walks."""
-    if s not in net.nodes or t not in net.nodes:
-        raise UnknownNode(f"no such node pair ({s!r}, {t!r})")
+    net.require(s, t)
     if s == t:
         raise MalformedNetwork("max flow needs distinct endpoints")
     index = {v: i for i, v in enumerate(net.nodes)}

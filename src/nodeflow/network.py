@@ -124,6 +124,12 @@ class FlowNetwork:
     def directed(self) -> bool:
         return self.orientation == DIRECTED
 
+    def require(self, *nodes):
+        """Raise UnknownNode for the first of nodes not in the network."""
+        for v in nodes:
+            if v not in self.nodes:
+                raise UnknownNode(f"node {v!r} not in network")
+
     def edge(self, eid: int) -> Edge:
         return self.edges[eid]
 
@@ -208,9 +214,12 @@ def through(w, single_use=False) -> PathConstraint:
 
 
 def through_any(ws, single_use=False) -> PathConstraint:
-    nodes = tuple(sorted(ws))
+    """Walks through any node of the designated set ws, held sorted and
+    distinct, the one form every solver reads it in.  An empty set raises
+    MissingDesignation."""
+    nodes = tuple(sorted(set(ws)))
     if not nodes:
-        raise MissingDesignation("through_any takes a nonempty node set")
+        raise MissingDesignation("empty designated set")
     return PathConstraint(nodes, single_use=single_use)
 
 
@@ -267,26 +276,26 @@ def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
     steps = []
     used = set()  # keys of the arcs on the walk
     on_path = {source}  # only consulted in simple mode
-
-    def extend(node):
-        if node == sink and steps:
+    stack = [iter(arcs[source])]  # per walk node, its arcs not yet tried
+    while stack:
+        for key, nxt, step in stack[-1]:
+            if key not in used and not (simple and nxt in on_path):
+                break
+        else:  # every arc from here is spent: back up one step
+            stack.pop()
+            if steps:
+                used.discard(steps[-1][0] if single_use else steps[-1])
+                on_path.discard(node_seq.pop())
+                steps.pop()
+            continue
+        used.add(key)
+        node_seq.append(nxt)
+        steps.append(step)
+        if simple:
+            on_path.add(nxt)
+        if nxt == sink:
             yield EdgeWalk(tuple(node_seq), tuple(steps))
-        for key, nxt, step in arcs[node]:
-            if key in used or (simple and nxt in on_path):
-                continue
-            used.add(key)
-            node_seq.append(nxt)
-            steps.append(step)
-            if simple:
-                on_path.add(nxt)
-            yield from extend(nxt)
-            if simple:
-                on_path.discard(nxt)
-            steps.pop()
-            node_seq.pop()
-            used.discard(key)
-
-    yield from extend(source)
+        stack.append(iter(arcs[nxt]))
 
 
 def enumerate_st_paths(
@@ -301,13 +310,9 @@ def enumerate_st_paths(
     The search itself honours constraint.simple and constraint.single_use;
     only the designated set is checked per walk.
     """
-    if source not in net.nodes or sink not in net.nodes:
-        raise UnknownNode(f"no such node pair ({source!r}, {sink!r})")
+    net.require(source, sink, *constraint.nodes)
     if source == sink:
         raise MalformedNetwork("path enumeration needs distinct endpoints")
-    for w in constraint.nodes:
-        if w not in net.nodes:
-            raise UnknownNode(f"constraint node {w!r} not in network")
     W = frozenset(constraint.nodes)
     found = []
     truncated = False

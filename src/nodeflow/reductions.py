@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import MalformedNetwork, UnknownNode
+from .errors import MalformedNetwork
 from .network import FlowNetwork, fresh_name
 
 
@@ -29,9 +29,7 @@ def two_disjoint_paths_gadget(net: FlowNetwork, u1, u2, v1, v2) -> GadgetInstanc
     disjoint paths and vice versa."""
     if not net.directed:
         raise MalformedNetwork("construction is for directed networks")
-    for x in (u1, u2, v1, v2):
-        if x not in net.nodes:
-            raise UnknownNode(f"{x!r}")
+    net.require(u1, u2, v1, v2)
     if len({u1, u2, v1, v2}) != 4:
         raise MalformedNetwork("terminals must be distinct")
     taken = set(net.nodes)
@@ -65,9 +63,7 @@ def unit_path_gadget(net: FlowNetwork, s, t, w) -> GadgetInstance:
     flow reaches 1."""
     if not net.directed:
         raise MalformedNetwork("construction is for directed networks")
-    for x in (s, t, w):
-        if x not in net.nodes:
-            raise UnknownNode(f"{x!r}")
+    net.require(s, t, w)
     edges = [(e.tail, e.head, 1) for e in net.edges]
     g = FlowNetwork.build("directed", net.nodes, edges, [(s, t, 1)])
     return GadgetInstance(g, {"w": w, "s": s, "t": t}, "unit-path")
@@ -122,9 +118,8 @@ def disjoint_shortest_paths_gadget(net: FlowNetwork, pairs) -> GadgetInstance:
         raise MalformedNetwork("need at least one pair")
     seen = set()
     for u, v in pairs:
+        net.require(u, v)
         for x in (u, v):
-            if x not in net.nodes:
-                raise UnknownNode(f"{x!r}")
             if x in seen:
                 raise MalformedNetwork("terminals must be distinct")
             seen.add(x)

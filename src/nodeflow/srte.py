@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import lp as lpmod
-from .errors import CapExceeded, MalformedNetwork, UnknownNode
+from .errors import CapExceeded, MalformedNetwork
 from .network import FWD, REV, EdgeWalk, FlowNetwork
 from .rational import ONE, ZERO
 from .te import solve_columns
@@ -30,8 +30,7 @@ def shortest_path_data(net: FlowNetwork, source):
     distinct shortest paths (exact big integers), and for each node the list
     of (predecessor, edge id) pairs lying on shortest paths.
     """
-    if source not in net.nodes:
-        raise UnknownNode(f"node {source!r} not in network")
+    net.require(source)
     adj = {v: [] for v in net.nodes}
     for e in net.edges:
         adj[e.tail].append((e.head, e.id, e.length))
@@ -76,8 +75,7 @@ def ecmp_fractions(net: FlowNetwork, u, v) -> SegmentFractions:
     """Exact per-edge load fractions for segment (u, v): an edge e = (a, b)
     on a shortest u-v path carries sigma(u,a) * sigma(b,v) / sigma(u,v) of
     the segment's traffic, where sigma counts shortest paths."""
-    if v not in net.nodes:
-        raise UnknownNode(f"node {v!r} not in network")
+    net.require(v)
     return _split(u, v, shortest_path_data(net, u))
 
 
@@ -128,9 +126,7 @@ def build_tunnels(net: FlowNetwork, cfg: SrConfig):
     subsequences could be one tunnel, and so is a negative max_segments,
     which would leave not even the direct tunnel.
     """
-    for w in cfg.middlepoints:
-        if w not in net.nodes:
-            raise UnknownNode(f"middlepoint {w!r} not in network")
+    net.require(*cfg.middlepoints)
     if len(set(cfg.middlepoints)) != len(cfg.middlepoints):
         raise MalformedNetwork("middlepoints must be distinct")
     if cfg.max_segments < 0:
@@ -250,15 +246,14 @@ def acyclic_feasible(net: FlowNetwork, source, sink, middlepoints,
     node's arcs in step order, so the witness is the first in lexicographic
     step order.  A prefix is dropped at its first reused step (an undirected
     edge may be crossed once each way) or, in simple_path mode, its first
-    repeated node.  The problem is NP-hard: a search that takes more than
-    STEP_CAP (10,000) steps raises CapExceeded.
+    repeated node or its first entry into a later chain node, which it would
+    have to enter again.  The problem is NP-hard: a search that takes more
+    than STEP_CAP (10,000) steps raises CapExceeded.
     """
     if mode not in ("path", "simple_path"):
         raise ValueError(f"bad mode {mode!r}")
     chain = (source,) + tuple(middlepoints) + (sink,)
-    for x in chain:
-        if x not in net.nodes:
-            raise UnknownNode(f"node {x!r} not in network")
+    net.require(*chain)
     if len(set(chain)) != len(chain):
         raise MalformedNetwork("source, middlepoints and sink must be distinct")
     segs = []  # per segment u -> v: node -> its (step, next node) arcs
@@ -278,12 +273,14 @@ def acyclic_feasible(net: FlowNetwork, source, sink, middlepoints,
     simple = mode == "simple_path"
     nodes, steps = [source], []
     used = {source} if simple else set()  # nodes visited, or steps taken
+    # Segment k of a simple path skips the later chain nodes, chain[k + 2:].
+    ahead = [frozenset(chain[k + 2:] if simple else ()) for k in range(len(segs))]
     stack = [(0, iter(segs[0][source]))]
     tried = 0
     while stack:
         k, out = stack[-1]
         for step, nxt in out:
-            if (nxt if simple else step) not in used:
+            if (nxt if simple else step) not in used and nxt not in ahead[k]:
                 break
         else:  # every arc from here is spent: back up one step
             stack.pop()

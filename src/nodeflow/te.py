@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import lp as lpmod
-from .errors import InfiniteDemand, TruncatedFamily, UnknownNode
+from .errors import InfiniteDemand, TruncatedFamily
 from .network import DEFAULT_PATH_CAP, UNCONSTRAINED, FlowNetwork, enumerate_paths
 from .rational import ONE, ZERO
 
@@ -73,9 +73,7 @@ class FlowSolution:
 def default_families(net: FlowNetwork, cap=DEFAULT_PATH_CAP, constraint=UNCONSTRAINED):
     """One family per commodity.  A constraint node not in the network is
     refused even when there is no commodity to enumerate for."""
-    for w in constraint.nodes:
-        if w not in net.nodes:
-            raise UnknownNode(f"constraint node {w!r} not in network")
+    net.require(*constraint.nodes)
     return [enumerate_paths(net, i, constraint, cap)
             for i in range(len(net.commodities))]
 

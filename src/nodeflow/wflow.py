@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lp as lpmod
-from .errors import (MalformedNetwork, MissingDesignation, NonIntegralCapacity,
-                     UnknownNode, WIsEndpoint)
+from .errors import MalformedNetwork, NonIntegralCapacity, WIsEndpoint
 from .maxflow import max_flow
 from .network import (DEFAULT_PATH_CAP, FWD, EdgeWalk, FlowNetwork,
                       _iter_walks, concat_walks, enumerate_st_paths,
@@ -54,23 +53,11 @@ def max_set_flow_paths(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
     An empty W raises MissingDesignation and a node of W not in the network
     UnknownNode.
     """
-    W = _designated_set(net, W)
     return solve_te_mf(net, default_families(net, cap,
                                              through_any(W, single_use)))
 
 
 # -- undirected: polynomial transform -----------------------------------------
-
-def _designated_set(net: FlowNetwork, W):
-    """W as a sorted tuple of distinct nodes.  Raises MissingDesignation
-    when it is empty and UnknownNode for a node not in the network."""
-    W = tuple(sorted(set(W)))
-    if not W:
-        raise MissingDesignation("empty designated set")
-    for w in W:
-        if w not in net.nodes:
-            raise UnknownNode(f"designated node {w!r} not in network")
-    return W
 
 
 def build_transform(net: FlowNetwork, W):
@@ -86,9 +73,10 @@ def build_transform(net: FlowNetwork, W):
     """
     if net.directed:
         raise MalformedNetwork("transform applies to undirected networks")
+    W = through_any(W).nodes
+    net.require(*W)
     return [(i, w, (com.source, com.sink))
-            for i, com in enumerate(net.commodities)
-            for w in _designated_set(net, W)]
+            for i, com in enumerate(net.commodities) for w in W]
 
 
 def solve_transform(net: FlowNetwork, entries):
@@ -155,9 +143,7 @@ def min_swt_edge_cut(net: FlowNetwork, s, w, t) -> CutResult:
     when w != s (a walk that starts at w need not reach it again), a w-t cut
     only when w != t.
     """
-    for x in (s, w, t):
-        if x not in net.nodes:
-            raise UnknownNode(f"node {x!r} not in network")
+    net.require(s, w, t)
     if not net.directed or len(net.edges) > EXACT_CUT_EDGES:
         pairs = [(a, b) for a, b, valid in ((s, t, s != t), (s, w, w != s), (w, t, w != t))
                  if valid]
@@ -199,9 +185,7 @@ def _swt_walk(net, adj, removed, s, w, t):
 
 
 def verify_cut(net: FlowNetwork, s, w, t, edge_ids) -> bool:
-    for x in (s, w, t):
-        if x not in net.nodes:
-            raise UnknownNode(f"node {x!r} not in network")
+    net.require(s, w, t)
     adj = net.adjacency()
     removed = frozenset(edge_ids)
     # Plain reachability settles the common case in linear time; only when

@@ -17,13 +17,14 @@ def run(capsys, *argv):
 
 
 def test_w_flow_remarks(capsys):
-    code, out, _ = run(capsys, "w-flow", "--builtin", "remarks")
+    # set-flow reads the instance's designated w as the set {w}.
+    code, out, _ = run(capsys, "set-flow", "--builtin", "remarks")
     assert code == 0
     assert "objective: 3\n" in out
 
 
 def test_w_flow_remarks_unit(capsys):
-    code, out, _ = run(capsys, "w-flow", "--builtin", "remarks-unit")
+    code, out, _ = run(capsys, "set-flow", "--builtin", "remarks-unit")
     assert code == 0
     assert "objective: 3/2" in out
 
@@ -60,7 +61,7 @@ def test_catalog_contents(capsys):
 
 
 def test_unknown_builtin_exit_2(capsys):
-    code, _, err = run(capsys, "w-flow", "--builtin", "no-such-instance")
+    code, _, err = run(capsys, "set-flow", "--builtin", "no-such-instance")
     assert code == 2
     assert "no builtin instance" in err
 
@@ -91,7 +92,8 @@ def test_node_guard_exit_3(capsys):
 
 
 def test_missing_designation_exit_4(capsys):
-    code, _, err = run(capsys, "set-flow", "--builtin", "remarks")
+    # cycle-3 designates middlepoints only: no W, group or w.
+    code, _, err = run(capsys, "set-flow", "--builtin", "cycle-3")
     assert code == 4
     assert "designated" in err
 
@@ -121,17 +123,17 @@ def test_infeasible_is_still_exit_0(capsys):
 
 
 def test_csv_format(capsys):
-    code, out, _ = run(capsys, "w-flow", "--builtin", "remarks",
+    code, out, _ = run(capsys, "set-flow", "--builtin", "remarks",
                        "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     table = {r[0]: r[1] for r in rows if len(r) == 2}
     assert table["objective"] == "3"
-    assert table["command"] == "w-flow"
+    assert table["command"] == "set-flow"
 
 
 def test_structured_format(capsys):
-    code, out, _ = run(capsys, "w-flow", "--builtin", "remarks",
+    code, out, _ = run(capsys, "set-flow", "--builtin", "remarks",
                        "--format", "structured")
     assert code == 0
     doc = json.loads(out)
@@ -140,7 +142,7 @@ def test_structured_format(capsys):
 
 
 def test_hash_present_in_table(capsys):
-    _, out, _ = run(capsys, "w-flow", "--builtin", "remarks")
+    _, out, _ = run(capsys, "set-flow", "--builtin", "remarks")
     header = out.splitlines()[1]
     assert header.startswith("instance:") and "[" in header
 
@@ -152,24 +154,63 @@ def test_gadget_output_round_trips(tmp_path, capsys):
     assert code == 0
     inst = load_instance(path)
     assert inst.designated.get("w") == "w"
-    code, out, _ = run(capsys, "w-flow", "--instance", str(path))
+    code, out, _ = run(capsys, "set-flow", "--instance", str(path))
     assert code == 0
     assert "objective: 1\n" in out
 
 
 def test_undirected_w_flow_at_an_endpoint(capsys):
     for w in ("s", "t"):
-        code, out, _ = run(capsys, "w-flow", "--builtin", "wst-undirected",
-                           "--w", w)
+        code, out, _ = run(capsys, "set-flow", "--builtin", "wst-undirected",
+                           "--set", w)
         assert code == 0, w
         assert "objective: 1\n" in out
 
 
 def test_no_repeat_flag(capsys):
-    code, out, _ = run(capsys, "w-flow", "--builtin",
+    code, out, _ = run(capsys, "set-flow", "--builtin",
                        "augmenting-undirected", "--no-repeat")
     assert code == 0
     assert "objective: 3\n" in out
+
+
+def test_set_flow_reads_w_on_the_w_s_t_chain(capsys):
+    # The transform and the no-repeat family through the designated w.
+    for flags, line in (((), "objective: 1/2"), (("--no-repeat",), "objective: 0")):
+        code, out, err = run(capsys, "set-flow", "--builtin", "wst-undirected",
+                             *flags)
+        assert code == 0, err
+        assert {"designated_set: w", line} <= set(out.splitlines()), flags
+
+
+def test_no_repeat_on_a_directed_instance_exit_2(capsys):
+    code, out, err = run(capsys, "set-flow", "--builtin", "remarks",
+                         "--no-repeat")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and "undirected" in err
+
+
+def test_augment_with_w_an_endpoint_exit_1(capsys):
+    code, out, err = run(capsys, "w-flow-augment", "--builtin", "remarks",
+                         "--w", "s")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "endpoint" in err
+
+
+def test_augment_on_a_long_directed_chain(tmp_path, capsys):
+    # One walk through a chain longer than the interpreter's recursion
+    # limit: the walk search keeps its own stack.
+    nodes = [f"v{i}" for i in range(1200)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "orientation": "directed", "nodes": nodes,
+        "edges": [{"tail": a, "head": b, "capacity": 1}
+                  for a, b in zip(nodes, nodes[1:])],
+        "commodities": [{"src": "v0", "dst": "v1199"}]}))
+    code, out, err = run(capsys, "w-flow-augment", "--instance", str(path),
+                         "--w", "v600")
+    assert code == 0, err
+    assert "objective: 1" in out.splitlines()
 
 
 def test_sr_lu_cycle(capsys):
@@ -207,8 +248,8 @@ def test_negative_demand_is_a_parse_error_exit_2(tmp_path, capsys):
         "edges": [{"tail": "s", "head": "w", "capacity": 1},
                   {"tail": "w", "head": "t", "capacity": 1}],
         "commodities": [{"src": "s", "dst": "t", "demand": -1}]}))
-    for argv in (["te-lu"], ["te-mf"], ["w-flow", "--w", "w"],
-                 ["set-flow", "--set", "w"]):
+    for argv in (["te-lu"], ["te-mf"], ["set-flow", "--set", "w"],
+                 ["set-flow", "--set", "w", "--no-repeat"]):
         code, _, err = run(capsys, *argv, "--instance", str(path))
         assert code == 2, argv
         assert "0 <= min_demand <= demand" in err, argv
@@ -229,8 +270,7 @@ def test_node_guard_on_directed_path_solvers_exit_3(tmp_path, capsys):
         "edges": [{"tail": a, "head": b, "capacity": 1}
                   for a, b in zip(nodes, nodes[1:])],
         "commodities": [{"src": "v0", "dst": "v11"}]}))
-    for argv, line in ((("w-flow", "--w", "v5"), "objective: 1"),
-                       (("w-flow-simple", "--w", "v5"), "objective: 1"),
+    for argv, line in ((("w-flow-simple", "--w", "v5"), "objective: 1"),
                        (("set-flow", "--set", "v5"), "objective: 1"),
                        (("eq25", "--w", "v5"), "consistent: True"),
                        (("centrality", "--w", "v5", "--instance-demands"),
@@ -254,7 +294,7 @@ def test_node_guard_on_undirected_walk_enumerators_exit_3(tmp_path, capsys):
                   for a, b in zip(nodes, nodes[1:])],
         "commodities": [{"src": "v0", "dst": "v11"}]}))
     for argv in (("w-flow-simple", "--w", "v5"),
-                 ("w-flow", "--w", "v5", "--no-repeat")):
+                 ("set-flow", "--set", "v5", "--no-repeat")):
         code, _, err = run(capsys, *argv, "--instance", str(path),
                            "--max-nodes-exact", "5")
         assert code == 3, argv
@@ -264,8 +304,7 @@ def test_node_guard_on_undirected_walk_enumerators_exit_3(tmp_path, capsys):
         assert code == 0, argv
         assert "objective: 1\n" in out
     # The polynomial undirected solvers stay unguarded.
-    for argv in (("w-flow", "--w", "v5"), ("set-flow", "--set", "v5"),
-                 ("centrality", "--w", "v5")):
+    for argv in (("set-flow", "--set", "v5"), ("centrality", "--w", "v5")):
         code, _, _ = run(capsys, *argv, "--instance", str(path),
                          "--max-nodes-exact", "5")
         assert code == 0, argv
@@ -326,23 +365,27 @@ def _write(path, orientation, edges, **extra):
     return str(path)
 
 
-# An unknown designated node on instances where no commodity or pair would
-# reach it: every command still names it.
+# An unknown designated node, on the command line or in the file, on
+# instances where no commodity or pair would reach it: every command still
+# names it.
 UNKNOWN_NODE = {
-    "w-flow": ("directed", ("w-flow", "--w", "zz")),
-    "w-flow-simple": ("directed", ("w-flow-simple", "--w", "zz")),
-    "set-flow": ("directed", ("set-flow", "--set", "zz,w")),
+    "set-flow-one": ("directed", ("set-flow", "--set", "zz"), {}),
+    "set-flow-file-w": ("directed", ("set-flow",), {"w": "zz"}),
+    "w-flow-simple": ("directed", ("w-flow-simple", "--w", "zz"), {}),
+    "set-flow": ("directed", ("set-flow", "--set", "zz,w"), {}),
     "centrality-instance-demands": (
-        "directed", ("centrality", "--w", "zz", "--instance-demands")),
-    "centrality-undirected": ("undirected", ("centrality", "--w", "zz")),
+        "directed", ("centrality", "--w", "zz", "--instance-demands"), {}),
+    "centrality-undirected": ("undirected", ("centrality", "--w", "zz"), {}),
 }
 
 
-@pytest.mark.parametrize("orientation, argv", UNKNOWN_NODE.values(),
+@pytest.mark.parametrize("orientation, argv, designated", UNKNOWN_NODE.values(),
                          ids=UNKNOWN_NODE.keys())
-def test_unknown_designated_node_exit_1(tmp_path, capsys, orientation, argv):
+def test_unknown_designated_node_exit_1(tmp_path, capsys, orientation, argv,
+                                        designated):
     edges = [("s", "w"), ("w", "t")] if orientation == "directed" else []
-    path = _write(tmp_path / "net.json", orientation, edges)
+    path = _write(tmp_path / "net.json", orientation, edges,
+                  designated=designated)
     code, out, err = run(capsys, *argv, "--instance", path)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "'zz'" in err
@@ -450,10 +493,10 @@ def test_centrality_honours_max_paths_exit_3(capsys):
 # catalog's headline where it states one (remarks: w-flow 3, heuristic 2,
 # cut 4; figadd: no simple path through w; cycle-3: SR utilization 1; fig8:
 # GF({s1,s2,s3}) = 3, GF({s1,s2}) = 2, best single group 2).
+# test_w_flow_remarks pins set-flow's w-flow 3 on remarks.
 EVERY_SUBCOMMAND = [
     (("te-mf", "--builtin", "remarks"), "objective: 4"),
     (("te-lu", "--builtin", "cycle-3"), "theta: 1"),
-    (("w-flow", "--builtin", "remarks"), "objective: 3"),
     (("w-flow-simple", "--builtin", "figadd"), "objective: 0"),
     (("w-flow-augment", "--builtin", "remarks"), "objective: 2"),
     (("set-flow", "--builtin", "fig8", "--set", "s1,s2,s3"), "objective: 3"),
@@ -507,8 +550,8 @@ def test_values_beyond_float_range(tmp_path, capsys):
             "edges": [{"tail": "s", "head": "w", "capacity": capacity},
                       {"tail": "w", "head": "t", "capacity": capacity}],
             "commodities": [{"src": "s", "dst": "t"}]}))
-        code, out, err = run(capsys, "w-flow", "--instance", str(path),
-                             "--w", "w")
+        code, out, err = run(capsys, "set-flow", "--instance", str(path),
+                             "--set", "w")
         assert code == 0, err
         assert f"objective: {capacity}" in out.splitlines()
         assert f"objective_decimal: {decimal}" in out.splitlines()

@@ -65,10 +65,28 @@ def test_constraint_factories_build_one_value():
     assert through("w") == through_any(["w"]) == PathConstraint(("w",))
     assert through("w", single_use=True) == \
         PathConstraint(("w",), single_use=True)
-    assert through_any(["b", "a"]) == PathConstraint(("a", "b"))
+    assert through_any(["b", "a", "b"]) == PathConstraint(("a", "b"))
     assert simple_through("w") == PathConstraint(("w",), simple=True)
     with pytest.raises(MissingDesignation):
         through_any([])
+
+
+def test_require_names_the_first_unknown_node():
+    net = get_builtin("remarks").network
+    net.require()
+    net.require("s", "w", "t")
+    with pytest.raises(UnknownNode, match="^node 'zz' not in network$"):
+        net.require("s", "zz", "yy")
+
+
+def test_walk_search_outruns_the_recursion_limit():
+    # A directed chain longer than the interpreter's recursion limit has
+    # exactly one walk end to end.
+    nodes = [f"v{i}" for i in range(1200)]
+    net = FlowNetwork.build("directed", nodes,
+                            [(a, b, 1) for a, b in zip(nodes, nodes[1:])])
+    fam = enumerate_st_paths(net, "v0", "v1199", through("v600"))
+    assert len(fam) == 1 and fam.paths[0].nodes == tuple(nodes)
 
 
 def test_walks_may_revisit_nodes_but_not_edges():

@@ -275,14 +275,31 @@ def test_acyclic_feasible_on_a_unit_grid_past_the_product():
     assert result.witness.nodes[14] == "v7_7" and result.witness.sink == "v0_1"
 
 
+def test_acyclic_simple_path_skips_the_later_chain_nodes():
+    # The same chain as a simple path is feasible (along row 1, down column
+    # 6 to v7_7, up column 7 and back along row 0).  The paths out that come
+    # first in step order start along edge 0, through the sink v0_1;
+    # skipping them at that step decides the chain in 4,806 steps, not the
+    # 682,016 it takes to search beneath them.
+    net = _unit_grid(8)
+    result = acyclic_feasible(net, "v0_0", "v0_1", ("v7_7",),
+                              mode="simple_path")
+    assert result.feasible and result.steps_tried == 4806
+    assert validate_walk(net, result.witness).valid and result.witness.is_simple()
+    assert result.witness.nodes[1:3] == ("v1_0", "v1_1")
+
+
 def test_acyclic_search_past_its_step_cap_raises():
-    # The same chain as a simple path is feasible (down the left column and
-    # back along the top row), but the paths out that come first in step
-    # order start along edge 0, through the sink v0_1.  The search needs
-    # 682,016 steps to leave them, so it stops at the cap.
+    # Corner to opposite corner, then along the bottom row and back up
+    # across the grid: each segment's shortest paths cross those of the
+    # others.  The 6 x 6 version decides infeasible in 4,191 steps; on the
+    # 7 x 7 grid the search passes its cap.
     with pytest.raises(CapExceeded, match="10000 steps"):
-        acyclic_feasible(_unit_grid(8), "v0_0", "v0_1", ("v7_7",),
+        acyclic_feasible(_unit_grid(7), "v0_0", "v0_6", ("v6_6", "v6_0"),
                          mode="simple_path")
+    result = acyclic_feasible(_unit_grid(6), "v0_0", "v0_5", ("v5_5", "v5_0"),
+                              mode="simple_path")
+    assert not result.feasible and result.steps_tried == 4191
 
 
 def test_segment_tables_cover_all_segments():

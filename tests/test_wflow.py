@@ -4,7 +4,8 @@ import time
 import pytest
 
 from nodeflow import (FlowNetwork, MalformedNetwork, MissingDesignation,
-                      PathConstraint, UnknownNode, augmenting_w_flow,
+                      NonIntegralCapacity, PathConstraint, UnknownNode,
+                      WIsEndpoint, augmenting_w_flow,
                       build_transform, enumerate_paths,
                       enumerate_st_paths, fix_paths,
                       get_builtin, max_set_flow, max_set_flow_paths,
@@ -306,6 +307,20 @@ def test_augmenting_needs_a_commodity():
     net = FlowNetwork.build("directed", ["s", "w", "t"],
                             [("s", "w", 1), ("w", "t", 1)])
     with pytest.raises(MalformedNetwork, match="needs a commodity"):
+        augmenting_w_flow(net, "w")
+
+
+def test_augmenting_refuses_w_at_an_endpoint():
+    net = get_builtin("remarks").network
+    for w in ("s", "t"):
+        with pytest.raises(WIsEndpoint, match=f"'{w}'"):
+            augmenting_w_flow(net, w)
+
+
+def test_augmenting_refuses_a_fractional_capacity():
+    net = FlowNetwork.build("directed", ["s", "w", "t"],
+                            [("s", "w", 1), ("w", "t", "1/2")], [("s", "t")])
+    with pytest.raises(NonIntegralCapacity, match="edge 1"):
         augmenting_w_flow(net, "w")
 
 
