@@ -16,7 +16,7 @@ from .rational import as_decimal, format_rational, rat
 from .network import (Commodity, Edge, EdgeWalk, FlowNetwork, PathConstraint,
                       PathFamily, UNCONSTRAINED, concat_walks,
                       enumerate_paths, enumerate_st_paths, reverse_walk,
-                      simple_through, through, through_any, validate_walk)
+                      simple_through, through_any, validate_walk)
 from .lp import (Constraint, LinearProgram, LpSolution, EQ, LE, OPTIMAL,
                  UNBOUNDED, solve)
 from .te import (INFEASIBLE, FlowSolution, default_families, max_flow_arc_lp,

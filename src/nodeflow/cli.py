@@ -103,13 +103,10 @@ def _walk_str(walk):
 def _load(args):
     if args.builtin:
         try:
-            b = instances.get_builtin(args.builtin)
-        except KeyError as exc:
+            inst = instances.get_builtin(args.builtin)
+        except KeyError:
             raise ParseError(f"no builtin instance named {args.builtin!r}") from None
-        designated = dict(b.designated)
-        middlepoints = designated.pop("middlepoints", None)
-        inst = fileio.Instance(b.network, middlepoints, designated)
-        return inst, f"builtin:{b.name}"
+        return inst, f"builtin:{args.builtin}"
     inst = fileio.load_instance(args.instance)
     return inst, args.instance
 
@@ -347,11 +344,10 @@ def cmd_gadget(args, inst, rec):
         gadget = reductions.unit_path_gadget(inst.network, s, t, w)
     elif args.kind == "max-coverage":
         if not args.sets:
-            raise ParseError("max-coverage needs --sets a|b,c|d style "
-                             "and -n")
+            raise ParseError("max-coverage needs --sets a,b|c,d")
         sets = args.sets
         items = sorted({x for part in sets for x in part})
-        gadget = reductions.max_coverage_gadget(items, sets, args.n)
+        gadget = reductions.max_coverage_gadget(items, sets)
     else:  # disjoint-shortest-paths
         pair_nodes = args.nodes or ()
         if not pair_nodes or len(pair_nodes) % 2:
@@ -359,11 +355,7 @@ def cmd_gadget(args, inst, rec):
                              "u1,v1,u2,v2,...")
         pairs = list(zip(pair_nodes[::2], pair_nodes[1::2]))
         gadget = reductions.disjoint_shortest_paths_gadget(inst.network, pairs)
-    out = fileio.Instance(gadget.network,
-                          gadget.designated.get("middlepoints"),
-                          {k: v for k, v in gadget.designated.items()
-                           if k in ("w", "W", "group")})
-    fileio.save_instance(out, args.output)
+    fileio.save_instance(gadget, args.output)
     rec.add("kind", args.kind)
     rec.add("output", args.output)
     rec.add("nodes", len(gadget.network.nodes))
@@ -452,8 +444,6 @@ COMMANDS = {
         _flag("--output", required=True),
         _flag("--nodes", type=_nodelist, help="gadget-specific node list"),
         _flag("--sets", type=_setlist, help="max-coverage: sets as a,b|c,d"),
-        _flag("-n", type=_count(1), default=1,
-              help="max-coverage: number of sets to pick"),
     )),
 }
 

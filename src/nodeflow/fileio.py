@@ -8,6 +8,7 @@ of "inf" means unbounded.  Unknown keys are rejected to catch typos early.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .network import FlowNetwork
@@ -20,19 +21,14 @@ _COM_KEYS = {"src", "dst", "demand", "min_demand"}
 _DESIGNATED_KEYS = {"w", "W", "group"}
 
 
+@dataclass
 class Instance:
-    """A parsed instance: the network plus optional designations."""
+    """A network plus its designations: an ordered middlepoint list (None
+    when there is none) and the designated keys "w", "W" and "group"."""
 
-    def __init__(self, network: FlowNetwork, middlepoints=None, designated=None):
-        self.network = network
-        self.middlepoints = tuple(middlepoints) if middlepoints else None
-        self.designated = dict(designated) if designated else {}
-
-    def __eq__(self, other):
-        return (isinstance(other, Instance)
-                and self.network == other.network
-                and self.middlepoints == other.middlepoints
-                and self.designated == other.designated)
+    network: FlowNetwork
+    middlepoints: tuple = None
+    designated: dict = field(default_factory=dict)
 
 
 def _reject_float(text):
@@ -122,7 +118,8 @@ def parse_instance(text: str) -> Instance:
 
     middlepoints = None
     if "middlepoints" in doc:
-        middlepoints = _string_list(doc["middlepoints"], "middlepoints")
+        middlepoints = tuple(_string_list(doc["middlepoints"],
+                                          "middlepoints")) or None
     designated = {}
     if "designated" in doc:
         _check_keys(doc["designated"], _DESIGNATED_KEYS, "designated")

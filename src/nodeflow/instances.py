@@ -9,18 +9,19 @@ pins all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .fileio import Instance
 from .network import FlowNetwork
 
 
-@dataclass
-class BuiltinInstance:
+@dataclass(kw_only=True)
+class BuiltinInstance(Instance):
+    """An instance of the catalog, with its name, description and headline."""
+
     name: str
     description: str
-    network: FlowNetwork
-    designated: dict = field(default_factory=dict)
-    headline: str = ""
+    headline: str
 
 
 def _figadd():
@@ -29,10 +30,10 @@ def _figadd():
         [("s", "w", 1), ("w", "s", 1), ("s", "t", 1)],
         [("s", "t", 1)])
     return BuiltinInstance(
-        "figadd",
-        "A node-constrained flow of 1 exists (via the walk s,w,s,t) although "
-        "no simple path visits w.",
-        net, {"w": "w"}, "w-flow 1; no simple path through w")
+        net, designated={"w": "w"}, name="figadd",
+        description="A node-constrained flow of 1 exists (via the walk "
+        "s,w,s,t) although no simple path visits w.",
+        headline="w-flow 1; no simple path through w")
 
 
 def _remarks(cap):
@@ -48,20 +49,19 @@ def _remarks(cap):
 def _remarks2():
     net = _remarks(2)
     return BuiltinInstance(
-        "remarks",
-        "Three-bottleneck graph: the augmenting heuristic can stall at 2 "
-        "while the optimum is 3, and the best s-w-t edge cut is 4.",
-        net, {"w": "w"},
-        "w-flow 3; heuristic 2; min s-w-t cut 4")
+        net, designated={"w": "w"}, name="remarks",
+        description="Three-bottleneck graph: the augmenting heuristic can "
+        "stall at 2 while the optimum is 3, and the best s-w-t edge cut is 4.",
+        headline="w-flow 3; heuristic 2; min s-w-t cut 4")
 
 
 def _remarks_unit():
     net = _remarks(1)
     return BuiltinInstance(
-        "remarks-unit",
-        "Unit-capacity variant: the optimum drops to 3/2, so integral "
-        "routings cannot be optimal.",
-        net, {"w": "w"}, "w-flow 3/2")
+        net, designated={"w": "w"}, name="remarks-unit",
+        description="Unit-capacity variant: the optimum drops to 3/2, so "
+        "integral routings cannot be optimal.",
+        headline="w-flow 3/2")
 
 
 def _wst_undirected():
@@ -70,10 +70,10 @@ def _wst_undirected():
         [("w", "s", 1), ("s", "t", 1)],
         [("s", "t", None)])
     return BuiltinInstance(
-        "wst-undirected",
-        "Undirected chain w-s-t: the only way through w doubles back over "
-        "the w-s edge, halving the flow to 1/2.",
-        net, {"w": "w"}, "w-flow 1/2")
+        net, designated={"w": "w"}, name="wst-undirected",
+        description="Undirected chain w-s-t: the only way through w doubles "
+        "back over the w-s edge, halving the flow to 1/2.",
+        headline="w-flow 1/2")
 
 
 def _augmenting_undirected():
@@ -84,10 +84,10 @@ def _augmenting_undirected():
          ("s", "u", big), ("u", "v", big), ("w", "t", 2), ("s", "x", big)],
         [("s", "t", None)])
     return BuiltinInstance(
-        "augmenting-undirected",
-        "Undirected instance where greedy augmentation stalls at 2; three "
-        "mutually overlapping unit paths reach the optimum of 3.",
-        net, {"w": "w"}, "w-flow 3; greedy 2")
+        net, designated={"w": "w"}, name="augmenting-undirected",
+        description="Undirected instance where greedy augmentation stalls at "
+        "2; three mutually overlapping unit paths reach the optimum of 3.",
+        headline="w-flow 3; greedy 2")
 
 
 def _cycle(n):
@@ -100,14 +100,13 @@ def _cycle(n):
     net = FlowNetwork.build("directed", ["s"] + mids + ["w", "t"], edges,
                             [("s", "t", 1)])
     return BuiltinInstance(
-        f"cycle-{n}",
-        "Unique shortest paths s~w and w~t overlap on the shared edge u1→u2, "
-        "so the tunnel through w doubles its load there and is cyclic.  With "
-        "every tunnel forced through w theta* is 2; the direct tunnel s~t "
-        "crosses u1→u2 once and gives 1.",
-        net, {"middlepoints": ("w",)},
-        "SR min utilization 1 (2 when every tunnel must use w); tunnel cycle "
-        "on the shared edge u1→u2")
+        net, middlepoints=("w",), name=f"cycle-{n}",
+        description="Unique shortest paths s~w and w~t overlap on the shared "
+        "edge u1→u2, so the tunnel through w doubles its load there and is "
+        "cyclic.  With every tunnel forced through w theta* is 2; the direct "
+        "tunnel s~t crosses u1→u2 once and gives 1.",
+        headline="SR min utilization 1 (2 when every tunnel must use w); "
+        "tunnel cycle on the shared edge u1→u2")
 
 
 def _fig8(orientation):
@@ -121,12 +120,13 @@ def _fig8(orientation):
         [("s1", "t1", 2), ("s2", "t2", 1), ("s3", "t3", 1)])
     suffix = "" if orientation == "directed" else "-undirected"
     return BuiltinInstance(
-        f"fig8{suffix}",
-        "Three commodities over two capacity-2 bottlenecks: the standard "
-        "non-submodularity counterexample for group flow.  No single node "
-        "intercepts more than 2 of the 3 units the network can carry.",
-        net, {"group": ("s1", "s2", "s3")},
-        "GF({s1})=2, GF({s1,s2})=2, GF({s1,s2,s3})=3; best single group 2")
+        net, designated={"group": ("s1", "s2", "s3")}, name=f"fig8{suffix}",
+        description="Three commodities over two capacity-2 bottlenecks: the "
+        "standard non-submodularity counterexample for group flow.  No "
+        "single node intercepts more than 2 of the 3 units the network can "
+        "carry.",
+        headline="GF({s1})=2, GF({s1,s2})=2, GF({s1,s2,s3})=3; best single "
+        "group 2")
 
 
 _BUILDERS = {

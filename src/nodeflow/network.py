@@ -137,14 +137,13 @@ class FlowNetwork:
         return sum((e.capacity for e in self.edges), rat(0))
 
     def adjacency(self):
-        """node -> list of (edge, direction), deterministic order."""
+        """node -> list of (edge, direction), in edge-id order (an edge has
+        no self-loop, so it is listed at most once at a node)."""
         adj = {v: [] for v in self.nodes}
         for e in self.edges:
             adj[e.tail].append((e, FWD))
             if not self.directed:
                 adj[e.head].append((e, REV))
-        for lst in adj.values():
-            lst.sort(key=lambda pair: (pair[0].id, -pair[1]))
         return adj
 
     def with_commodities(self, commodities):
@@ -207,10 +206,6 @@ class PathConstraint:
 
 
 UNCONSTRAINED = PathConstraint()
-
-
-def through(w, single_use=False) -> PathConstraint:
-    return through_any((w,), single_use)
 
 
 def through_any(ws, single_use=False) -> PathConstraint:

@@ -1,9 +1,10 @@
 """Gadget constructions connecting node-constrained flow to classic problems.
 
-Each builder returns a GadgetInstance: the constructed network, the
-designated nodes the surrounding argument talks about, a provenance tag, and
-a mapping from source-problem objects to gadget nodes.  The matching
-brute-force equivalence checkers are test oracles, in tests/reduction_checks.py.
+Each builder returns a GadgetInstance: an Instance (the constructed
+network, with its designated w or its relays as middlepoints) plus a mapping
+from source-problem objects to gadget nodes.  A gadget's source and sink are
+its first commodity's endpoints.  The matching brute-force equivalence
+checkers are test oracles, in tests/reduction_checks.py.
 """
 
 from __future__ import annotations
@@ -11,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import MalformedNetwork
+from .fileio import Instance
 from .network import FlowNetwork, fresh_name
 
 
-@dataclass
-class GadgetInstance:
-    network: FlowNetwork
-    designated: dict = field(default_factory=dict)
-    provenance: str = ""
+@dataclass(kw_only=True)
+class GadgetInstance(Instance):
+    """A gadget, with its mapping from source-problem objects to its nodes."""
+
     mapping: dict = field(default_factory=dict)
 
 
@@ -38,9 +39,9 @@ def two_disjoint_paths_gadget(net: FlowNetwork, u1, u2, v1, v2) -> GadgetInstanc
     edges += [(u2, w, 1), (w, v1, 1)]
     g = FlowNetwork.build("directed", list(net.nodes) + [w], edges,
                           [(u1, v2, 1)])
-    return GadgetInstance(g, {"w": w, "s": u1, "t": v2},
-                          "two-disjoint-paths",
-                          {"u1": u1, "u2": u2, "v1": v1, "v2": v2, "w": w})
+    return GadgetInstance(g, designated={"w": w},
+                          mapping={"u1": u1, "u2": u2, "v1": v1, "v2": v2,
+                                   "w": w})
 
 
 def node_split_gadget(net: FlowNetwork) -> GadgetInstance:
@@ -54,7 +55,7 @@ def node_split_gadget(net: FlowNetwork) -> GadgetInstance:
     edges = [(mapping[v][0], mapping[v][1], 1) for v in sorted(net.nodes)]
     edges += [(mapping[e.tail][1], mapping[e.head][0], 1) for e in net.edges]
     g = FlowNetwork.build("directed", nodes, edges)
-    return GadgetInstance(g, {}, "node-split", mapping)
+    return GadgetInstance(g, mapping=mapping)
 
 
 def unit_path_gadget(net: FlowNetwork, s, t, w) -> GadgetInstance:
@@ -66,17 +67,18 @@ def unit_path_gadget(net: FlowNetwork, s, t, w) -> GadgetInstance:
     net.require(s, t, w)
     edges = [(e.tail, e.head, 1) for e in net.edges]
     g = FlowNetwork.build("directed", net.nodes, edges, [(s, t, 1)])
-    return GadgetInstance(g, {"w": w, "s": s, "t": t}, "unit-path")
+    return GadgetInstance(g, designated={"w": w})
 
 
-def max_coverage_gadget(items, sets, n) -> GadgetInstance:
+def max_coverage_gadget(items, sets) -> GadgetInstance:
     """Maximum coverage as an N-group flow instance.
 
     Per item j: nodes z_j -> u_j (capacity 1).  Per set k: node v_k, with a
     unit edge (u_j, v_k) and a commodity (z_j, v_k) whenever item j belongs
     to set k.  Each commodity has exactly one path, of value at most 1, and
-    it crosses v_k; the best group of at most n of the v_k nodes therefore
-    routes exactly as much flow as the best n sets cover items.
+    it crosses v_k; for every n the best group of at most n of the v_k
+    nodes therefore routes exactly as much flow as the best n sets cover
+    items.
     """
     items = list(items)
     sets = [frozenset(sk) for sk in sets]
@@ -96,10 +98,9 @@ def max_coverage_gadget(items, sets, n) -> GadgetInstance:
                 edges.append((u[j], v[k], 1))
                 commodities.append((z[j], v[k], None))
     g = FlowNetwork.build("directed", nodes, edges, commodities)
-    return GadgetInstance(g, {"n": n, "set_nodes": tuple(v.values())},
-                          "max-coverage",
-                          {"items": {items[j]: u[j] for j in range(len(items))},
-                           "sets": {k: v[k] for k in range(len(sets))}})
+    return GadgetInstance(g, mapping={
+        "items": {items[j]: u[j] for j in range(len(items))},
+        "sets": {k: v[k] for k in range(len(sets))}})
 
 
 def disjoint_shortest_paths_gadget(net: FlowNetwork, pairs) -> GadgetInstance:
@@ -135,7 +136,5 @@ def disjoint_shortest_paths_gadget(net: FlowNetwork, pairs) -> GadgetInstance:
         edges.append((m, pairs[i + 1][0], 1, heavy))
     g = FlowNetwork.build("directed", nodes, edges,
                           [(pairs[0][0], pairs[-1][1], 1)])
-    return GadgetInstance(g, {"source": pairs[0][0], "sink": pairs[-1][1],
-                              "middlepoints": tuple(relays)},
-                          "disjoint-shortest-paths",
-                          {"pairs": pairs, "relays": relays})
+    return GadgetInstance(g, middlepoints=tuple(relays) or None,
+                          mapping={"pairs": pairs, "relays": relays})

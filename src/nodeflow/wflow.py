@@ -11,14 +11,14 @@ toolbox.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import lp as lpmod
 from .errors import MalformedNetwork, NonIntegralCapacity, WIsEndpoint
 from .maxflow import max_flow
-from .network import (DEFAULT_PATH_CAP, FWD, EdgeWalk, FlowNetwork,
-                      _iter_walks, concat_walks, enumerate_st_paths,
-                      reverse_walk, simple_through, through, through_any,
-                      validate_walk)
+from .network import (DEFAULT_PATH_CAP, FWD, REV, EdgeWalk, FlowNetwork,
+                      _iter_walks, concat_walks, reverse_walk, simple_through,
+                      through_any, validate_walk)
 from .rational import ZERO, rat
 from .te import FlowSolution, default_families, solve_arcs, solve_te_mf
 
@@ -239,50 +239,46 @@ def augmenting_w_flow(net: FlowNetwork, w) -> AugmentingResult:
     s, t = com.source, com.sink
     if w in (s, t):
         raise WIsEndpoint(f"{w!r} is an endpoint of commodity 0")
+    net.require(w)
 
     flow = {e.id: ZERO for e in net.edges}
-
-    def residual_net():
-        # arcs: forward with c-f, backward with f; materialized as a directed
-        # network with bookkeeping of which original edge each arc is
-        edges = []
-        origin = []
-        for e in net.edges:
-            r = e.capacity - flow[e.id]
-            if r > 0:
-                edges.append((e.tail, e.head, r))
-                origin.append((e.id, +1))
-            if flow[e.id] > 0:
-                edges.append((e.head, e.tail, flow[e.id]))
-                origin.append((e.id, -1))
-        rnet = FlowNetwork.build("directed", net.nodes, edges)
-        return rnet, origin
 
     def inflow_w():
         return sum((flow[e.id] for e in net.edges if e.head == w), ZERO)
 
     accepted = []
     for _ in range(AUGMENT_MAX_ROUNDS):
-        rnet, origin = residual_net()
-        fam = enumerate_st_paths(rnet, s, t, through(w), cap=AUGMENT_SEARCH_CAP)
-        candidates = sorted(fam.paths, key=lambda p: (len(p.steps), p.steps))
+        # The residual arcs, searched in place: an edge forward with room
+        # c - f, backward with room f, each node's in edge-id order.
+        adj = {v: [] for v in net.nodes}
+        room = {}
+        for e in net.edges:
+            r = e.capacity - flow[e.id]
+            if r > 0:
+                adj[e.tail].append((e, FWD))
+                room[e.id, FWD] = r
+            if flow[e.id] > 0:
+                adj[e.head].append((e, REV))
+                room[e.id, REV] = flow[e.id]
+        walks = (walk for walk in _iter_walks(net, s, t, False, False, adj)
+                 if w in walk.nodes)
+        candidates = sorted(islice(walks, AUGMENT_SEARCH_CAP),
+                            key=lambda p: (len(p.steps), p.steps))
         before = inflow_w()
         chosen = None
         for walk in candidates:
-            delta = min(rnet.edges[eid].capacity for eid, _ in walk.steps)
+            delta = min(room[step] for step in walk.steps)
             trial = dict(flow)
-            for eid, _ in walk.steps:
-                oid, sign = origin[eid]
-                trial[oid] += sign * delta
+            for eid, d in walk.steps:
+                trial[eid] += d * delta
             gain = sum((trial[e.id] for e in net.edges if e.head == w), ZERO)
             if gain > before:
-                chosen = (walk, delta, trial)
+                chosen = (walk, trial)
                 break
         if chosen is None:
             break
-        walk, delta, trial = chosen
-        flow = trial
-        accepted.append(EdgeWalk(walk.nodes, tuple(origin[eid] for eid, _ in walk.steps)))
+        walk, flow = chosen
+        accepted.append(walk)
     value = sum((flow[e.id] for e in net.edges if e.tail == s), ZERO) - \
         sum((flow[e.id] for e in net.edges if e.head == s), ZERO)
     decomposition = _decompose(net, dict(flow), s, w, t)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from nodeflow.errors import CapExceeded, TruncatedFamily
 from nodeflow.network import (DEFAULT_PATH_CAP, EdgeWalk, FlowNetwork,
                               PathConstraint, UNCONSTRAINED, concat_walks,
-                              enumerate_st_paths, simple_through, through,
+                              enumerate_st_paths, simple_through, through_any,
                               validate_walk)
 from nodeflow.reductions import (disjoint_shortest_paths_gadget,
                                  max_coverage_gadget, node_split_gadget,
@@ -102,7 +102,7 @@ def check_node_split(net: FlowNetwork, s, w, t, cap=DEFAULT_PATH_CAP) -> CheckRe
 def check_unit_path(net: FlowNetwork, s, t, w, cap=DEFAULT_PATH_CAP) -> CheckResult:
     """An s-w-t path exists iff the unit-capacity node-constrained max flow
     is at least 1."""
-    direct = len(_paths(net, s, t, through(w), cap)) > 0
+    direct = len(_paths(net, s, t, through_any([w]), cap)) > 0
     gadget = unit_path_gadget(net, s, t, w)
     sol = max_w_flow_exact(gadget.network, w, cap=cap)
     via = sol.objective is not None and sol.objective >= 1
@@ -123,7 +123,7 @@ def max_coverage_brute(items, sets, n):
 def check_max_coverage(items, sets, n, cap=DEFAULT_PATH_CAP) -> CheckResult:
     """Optimal coverage versus the optimal N-group flow on the gadget."""
     direct = max_coverage_brute(items, sets, n)
-    gadget = max_coverage_gadget(items, sets, n)
+    gadget = max_coverage_gadget(items, sets)
     res = n_group_max_flow(gadget.network, n, method="brute", cap=cap)
     return CheckResult(direct, res.value, direct == res.value)
 
@@ -207,7 +207,7 @@ def check_disjoint_shortest_paths(net: FlowNetwork, pairs) -> CheckResult:
     searches at most STEP_CAP (10,000) steps."""
     direct = disjoint_shortest_paths_brute(net, pairs)
     gadget = disjoint_shortest_paths_gadget(net, pairs)
-    d = gadget.designated
-    res = acyclic_feasible(gadget.network, d["source"], d["sink"],
-                           d["middlepoints"], mode="simple_path")
+    com = gadget.network.commodities[0]
+    res = acyclic_feasible(gadget.network, com.source, com.sink,
+                           gadget.middlepoints or (), mode="simple_path")
     return CheckResult(direct, res.feasible, direct == res.feasible)

@@ -15,7 +15,7 @@ from nodeflow import (SrConfig, Tunnel, acyclic_feasible, augmenting_w_flow,
                       max_set_flow_paths, max_w_flow_exact,
                       max_w_flow_simple, min_swt_edge_cut,
                       n_group_max_flow, probe_margins, rat, solve_te_lu,
-                      solve_te_mf, submodularity_probe, through)
+                      solve_te_mf, submodularity_probe, through_any)
 
 from conftest import (dmf_satisfiable, pick_inner_node, random_directed,
                       random_undirected)
@@ -71,7 +71,7 @@ def test_criterion_03_undirected_transform_equivalence():
         if w is None:
             continue
         brute = solve_te_mf(
-            net, [enumerate_paths(net, i, through(w))
+            net, [enumerate_paths(net, i, through_any([w]))
                   for i in range(len(net.commodities))]).objective
         if max_set_flow(net, (w,)).objective != brute:
             ok = False
@@ -101,8 +101,8 @@ def test_criterion_05_cut_bounds_corpus():
     ok = True
     for b in catalog():
         w = b.designated.get("w")
-        if w is None and b.designated.get("middlepoints"):
-            w = b.designated["middlepoints"][0]
+        if w is None and b.middlepoints:
+            w = b.middlepoints[0]
         if w is None or not b.network.commodities:
             continue
         com = b.network.commodities[0]
@@ -154,7 +154,7 @@ def test_criterion_07_n_group():
         sets = [tuple(rng.sample(items, rng.randint(1, n_items)))
                 for _ in range(rng.randint(1, 4))]
         n = rng.randint(1, len(sets))
-        gadget = max_coverage_gadget(items, sets, n)
+        gadget = max_coverage_gadget(items, sets)
         if n_group_max_flow(gadget.network, n, "brute").value != \
                 max_coverage_brute(items, sets, n):
             ok = False
@@ -234,7 +234,7 @@ def test_criterion_10_augmenting_undirected():
     ok = max_set_flow_paths(net, ("w",), single_use=True).objective == 3
     # Greedy saturation, shortest no-repeat path first: the first pick is
     # s,v,w,t, which blocks both other routes through w.
-    fam = enumerate_paths(net, 0, through("w", single_use=True))
+    fam = enumerate_paths(net, 0, through_any(["w"], single_use=True))
     order = sorted(fam.paths, key=lambda p: (len(p.steps), p.nodes))
     ok = ok and order[0].nodes == ("s", "v", "w", "t")
     residual = {e.id: e.capacity for e in net.edges}

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from nodeflow import catalog, load_instance
+from nodeflow import (catalog, disjoint_shortest_paths_gadget, get_builtin,
+                      load_instance, max_coverage_gadget, node_split_gadget,
+                      two_disjoint_paths_gadget, unit_path_gadget)
 from nodeflow.cli import main
 
 from test_fileio import PINNED_HASHES
@@ -195,6 +197,13 @@ def test_augment_with_w_an_endpoint_exit_1(capsys):
                          "--w", "s")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "endpoint" in err
+
+
+def test_augment_with_an_unknown_w_exit_1(capsys):
+    code, out, err = run(capsys, "w-flow-augment", "--builtin", "remarks",
+                         "--w", "zz")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "'zz'" in err
 
 
 def test_augment_on_a_long_directed_chain(tmp_path, capsys):
@@ -511,13 +520,22 @@ EVERY_SUBCOMMAND = [
     (("catalog",), "headline: w-flow 3; heuristic 2; min s-w-t cut 4"),
 ]
 
+# Each gadget kind's flags, and the same gadget built by the library.
 GADGETS = [
-    ("two-disjoint-paths", ("--builtin", "fig8", "--nodes", "s1,t1,s2,t2")),
-    ("node-split", ("--builtin", "remarks")),
-    ("unit-path", ("--builtin", "remarks")),
-    ("max-coverage", ("--builtin", "remarks", "--sets", "a,b|b,c|c", "-n", "2")),
+    ("two-disjoint-paths", ("--builtin", "fig8", "--nodes", "s1,t1,s2,t2"),
+     lambda: two_disjoint_paths_gadget(get_builtin("fig8").network,
+                                       "s1", "t1", "s2", "t2")),
+    ("node-split", ("--builtin", "remarks"),
+     lambda: node_split_gadget(get_builtin("remarks").network)),
+    ("unit-path", ("--builtin", "remarks"),
+     lambda: unit_path_gadget(get_builtin("remarks").network, "s", "t", "w")),
+    ("max-coverage", ("--builtin", "remarks", "--sets", "a,b|b,c|c"),
+     lambda: max_coverage_gadget(["a", "b", "c"],
+                                 [("a", "b"), ("b", "c"), ("c",)])),
     ("disjoint-shortest-paths", ("--builtin", "fig8", "--nodes",
-                                 "s1,t1,s2,t2")),
+                                 "s1,t1,s2,t2"),
+     lambda: disjoint_shortest_paths_gadget(get_builtin("fig8").network,
+                                            [("s1", "t1"), ("s2", "t2")])),
 ]
 
 
@@ -535,15 +553,32 @@ def test_every_subcommand_on_a_builtin(capsys, argv, line):
     assert line in [text.strip() for text in out.splitlines()]
 
 
-@pytest.mark.parametrize("kind, argv", GADGETS, ids=[k for k, _ in GADGETS])
-def test_every_gadget_kind_loads_back(tmp_path, capsys, kind, argv):
+@pytest.mark.parametrize("kind, argv, build", GADGETS,
+                         ids=[k for k, _, _ in GADGETS])
+def test_every_gadget_kind_loads_back(tmp_path, capsys, kind, argv, build):
     path = tmp_path / f"{kind}.json"
     code, out, err = run(capsys, "gadget", "--kind", kind,
                          "--output", str(path), *argv)
     assert code == 0, err
-    net = load_instance(path).network
-    assert f"nodes: {len(net.nodes)}" in out.splitlines()
-    assert f"edges: {len(net.edges)}" in out.splitlines()
+    loaded, gadget = load_instance(path), build()
+    assert (loaded.network, loaded.middlepoints, loaded.designated) == \
+        (gadget.network, gadget.middlepoints, gadget.designated)
+    assert f"nodes: {len(gadget.network.nodes)}" in out.splitlines()
+    assert f"edges: {len(gadget.network.edges)}" in out.splitlines()
+
+
+@pytest.mark.parametrize("pairs, feasible", [("s2,t2,s3,t3", "True"),
+                                             ("s1,t1,s2,t2", "False")])
+def test_relay_gadget_feeds_acyclic_check(tmp_path, capsys, pairs, feasible):
+    # The relays are the file's middlepoints and the first commodity its
+    # ends; fig8's shortest s1-t1 and s2-t2 paths share v1.
+    path = str(tmp_path / "relays.json")
+    run(capsys, "gadget", "--builtin", "fig8", "--kind",
+        "disjoint-shortest-paths", "--nodes", pairs, "--output", path)
+    code, out, err = run(capsys, "acyclic-check", "--instance", path,
+                         "--mode", "simple_path")
+    assert code == 0, err
+    assert f"feasible: {feasible}" in out.splitlines()
 
 
 def test_values_beyond_float_range(tmp_path, capsys):

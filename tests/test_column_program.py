@@ -18,7 +18,7 @@ import pytest
 
 from nodeflow import (INFEASIBLE, FlowNetwork, InfiniteDemand, SrConfig,
                       catalog, enumerate_paths, rat, solve_sr_lu,
-                      solve_sr_mf, solve_te_lu, solve_te_mf, through)
+                      solve_sr_mf, solve_te_lu, solve_te_mf, through_any)
 from nodeflow import lp as lpmod
 from nodeflow.srte import _tunnel_column, build_tunnels
 from nodeflow.te import solve_columns
@@ -69,7 +69,7 @@ def _signatures(name, net, mids):
 def _builtin_signatures():
     out = {}
     for b in catalog():
-        mids = b.designated.get("middlepoints") or _inner_nodes(b.network)
+        mids = b.middlepoints or _inner_nodes(b.network)
         out.update(_signatures(b.name, b.network, mids))
     return out
 
@@ -494,7 +494,7 @@ def _assert_pruning_is_exact(net, columns, minimize_load, monkeypatch):
 
 def _walk_columns(net, w):
     return [[walk.edge_multiplicity()
-             for walk in enumerate_paths(net, i, through(w)).paths]
+             for walk in enumerate_paths(net, i, through_any([w])).paths]
             for i in range(len(net.commodities))]
 
 

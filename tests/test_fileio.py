@@ -10,28 +10,24 @@ from nodeflow import (Instance, ParseError, catalog, instance_hash,
                       serialize_instance)
 
 
-def _instances():
-    for b in catalog():
-        designated = dict(b.designated)
-        middlepoints = designated.pop("middlepoints", None)
-        designated = {k: v for k, v in designated.items()
-                      if k in ("w", "W", "group")}
-        yield b.name, Instance(b.network, middlepoints, designated)
+def _file_fields(inst):
+    """What an instance file holds of an instance."""
+    return inst.network, inst.middlepoints, inst.designated
 
 
 def test_round_trip_all_builtins():
-    for name, inst in _instances():
-        again = parse_instance(serialize_instance(inst))
-        assert again == inst, name
-        assert again.network == inst.network, name
+    for b in catalog():
+        again = parse_instance(serialize_instance(b))
+        assert type(again) is Instance, b.name
+        assert _file_fields(again) == _file_fields(b), b.name
 
 
 def test_hash_stable_and_distinct():
     hashes = {}
-    for name, inst in _instances():
-        h = instance_hash(inst)
-        assert h == instance_hash(parse_instance(serialize_instance(inst)))
-        hashes[name] = h
+    for b in catalog():
+        h = instance_hash(b)
+        assert h == instance_hash(parse_instance(serialize_instance(b)))
+        hashes[b.name] = h
     # fig8 and fig8-undirected differ only in orientation but must not collide
     assert hashes["fig8"] != hashes["fig8-undirected"]
 
@@ -52,8 +48,7 @@ PINNED_HASHES = {
 
 
 def test_hash_pinned_on_builtins():
-    assert {name: instance_hash(inst) for name, inst in _instances()} \
-        == PINNED_HASHES
+    assert {b.name: instance_hash(b) for b in catalog()} == PINNED_HASHES
 
 
 def test_import_does_not_load_openssl():
@@ -68,10 +63,12 @@ def test_import_does_not_load_openssl():
 
 
 def test_save_and_load(tmp_path):
-    name, inst = next(iter(_instances()))
+    b = catalog()[0]
     path = tmp_path / "inst.json"
-    save_instance(inst, path)
-    assert load_instance(path) == inst
+    save_instance(b, path)
+    loaded = load_instance(path)
+    assert _file_fields(loaded) == _file_fields(b)
+    assert loaded == parse_instance(serialize_instance(b))
 
 
 def test_unknown_top_level_key():
@@ -120,6 +117,14 @@ def test_fraction_strings_accepted():
     inst = parse_instance(json.dumps(doc))
     assert inst.network.edges[0].capacity == rat(3, 2)
     assert inst.network.commodities[0].max_demand is None
+
+
+def test_middlepoints_parse_to_a_tuple_or_none():
+    doc = {"orientation": "directed", "nodes": ["a", "b"], "edges": [],
+           "commodities": []}
+    for listed, held in (([], None), (["b", "a"], ("b", "a"))):
+        inst = parse_instance(json.dumps({**doc, "middlepoints": listed}))
+        assert inst.middlepoints == held
 
 
 def test_malformed_network_wrapped():

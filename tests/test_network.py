@@ -6,7 +6,7 @@ import pytest
 from nodeflow import (UNCONSTRAINED, FlowNetwork, MalformedNetwork,
                       MissingDesignation, PathConstraint, UnknownNode, catalog, concat_walks,
                       enumerate_st_paths, get_builtin, reverse_walk,
-                      simple_through, through, through_any, validate_walk)
+                      simple_through, through_any, validate_walk)
 from nodeflow.network import EdgeWalk, _iter_walks
 
 from conftest import oracle_walks, random_directed, random_undirected
@@ -62,8 +62,8 @@ def test_enumeration_matches_oracle_directed():
 
 def test_constraint_factories_build_one_value():
     assert UNCONSTRAINED == PathConstraint()
-    assert through("w") == through_any(["w"]) == PathConstraint(("w",))
-    assert through("w", single_use=True) == \
+    assert through_any(["w"]) == PathConstraint(("w",))
+    assert through_any(["w"], single_use=True) == \
         PathConstraint(("w",), single_use=True)
     assert through_any(["b", "a", "b"]) == PathConstraint(("a", "b"))
     assert simple_through("w") == PathConstraint(("w",), simple=True)
@@ -85,13 +85,13 @@ def test_walk_search_outruns_the_recursion_limit():
     nodes = [f"v{i}" for i in range(1200)]
     net = FlowNetwork.build("directed", nodes,
                             [(a, b, 1) for a, b in zip(nodes, nodes[1:])])
-    fam = enumerate_st_paths(net, "v0", "v1199", through("v600"))
+    fam = enumerate_st_paths(net, "v0", "v1199", through_any(["v600"]))
     assert len(fam) == 1 and fam.paths[0].nodes == tuple(nodes)
 
 
 def test_walks_may_revisit_nodes_but_not_edges():
     net = get_builtin("figadd").network
-    fam = enumerate_st_paths(net, "s", "t", through("w"))
+    fam = enumerate_st_paths(net, "s", "t", through_any(["w"]))
     assert any(len(set(p.nodes)) < len(p.nodes) for p in fam.paths)
     simple = enumerate_st_paths(net, "s", "t", simple_through("w"))
     assert len(simple) == 0
@@ -99,9 +99,10 @@ def test_walks_may_revisit_nodes_but_not_edges():
 
 def test_undirected_edge_opposite_directions_only():
     net = get_builtin("wst-undirected").network
-    fam = enumerate_st_paths(net, "s", "t", through("w"))
+    fam = enumerate_st_paths(net, "s", "t", through_any(["w"]))
     assert {p.nodes for p in fam.paths} == {("s", "w", "s", "t")}
-    norep = enumerate_st_paths(net, "s", "t", through("w", single_use=True))
+    norep = enumerate_st_paths(net, "s", "t",
+                               through_any(["w"], single_use=True))
     assert len(norep) == 0
 
 

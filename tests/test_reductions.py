@@ -174,7 +174,7 @@ def test_max_coverage_checker(system):
 def test_max_coverage_gadget_group_value():
     items = ["a", "b", "c"]
     sets = [("a", "b"), ("b", "c"), ("c",)]
-    gadget = max_coverage_gadget(items, sets, 1)
+    gadget = max_coverage_gadget(items, sets)
     assert n_group_max_flow(gadget.network, 1, "brute").value == 2
     assert max_coverage_brute(items, sets, 1) == 2
     assert max_coverage_brute(items, sets, 2) == 3

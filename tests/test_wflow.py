@@ -10,7 +10,7 @@ from nodeflow import (FlowNetwork, MalformedNetwork, MissingDesignation,
                       enumerate_st_paths, fix_paths,
                       get_builtin, max_set_flow, max_set_flow_paths,
                       max_w_flow_exact, max_w_flow_simple, min_swt_edge_cut,
-                      rat, solve_te_mf, through, validate_walk, verify_cut)
+                      rat, solve_te_mf, through_any, validate_walk, verify_cut)
 
 from conftest import (oracle_walks, pick_inner_node, random_directed,
                       random_undirected)
@@ -45,7 +45,7 @@ def test_undirected_transform_matches_brute_lp():
         if w is None:
             continue
         brute = solve_te_mf(
-            net, [enumerate_paths(net, i, through(w))
+            net, [enumerate_paths(net, i, through_any([w]))
                   for i in range(len(net.commodities))]).objective
         assert max_set_flow(net, (w,)).objective == brute, checked
         checked += 1
@@ -315,6 +315,12 @@ def test_augmenting_refuses_w_at_an_endpoint():
     for w in ("s", "t"):
         with pytest.raises(WIsEndpoint, match=f"'{w}'"):
             augmenting_w_flow(net, w)
+
+
+def test_augmenting_refuses_an_unknown_w():
+    net = get_builtin("remarks").network
+    with pytest.raises(UnknownNode, match="^node 'zz' not in network$"):
+        augmenting_w_flow(net, "zz")
 
 
 def test_augmenting_refuses_a_fractional_capacity():
