@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import MalformedNetwork, MissingDesignation, UnknownNode
+from .errors import CapExceeded, MalformedNetwork, MissingDesignation, UnknownNode
 from .rational import rat
 
 DIRECTED = "directed"
@@ -241,14 +241,15 @@ _STEPS = {}
 
 
 def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
-                adj=None) -> Iterator[EdgeWalk]:
+                adj=None, max_steps=None) -> Iterator[EdgeWalk]:
     """Depth-first generator over edge-distinct walks source -> sink.
 
     Yields every valid walk; a walk is yielded when it reaches the sink and
     the search keeps extending it afterwards (paths may pass through the sink
     and come back), except in simple mode where extension past a visited node
     is impossible anyway.  adj, in the form of net.adjacency(), restricts the
-    search to the edges it lists.
+    search to the edges it lists.  A search that extends a walk by more than
+    max_steps arcs in all (None: no bound) raises CapExceeded.
 
     Every walk's steps are the shared tuples of _STEPS, one per arc, so a
     family holds one step object per arc rather than one per step.
@@ -272,6 +273,7 @@ def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
     used = set()  # keys of the arcs on the walk
     on_path = {source}  # only consulted in simple mode
     stack = [iter(arcs[source])]  # per walk node, its arcs not yet tried
+    left = max_steps
     while stack:
         for key, nxt, step in stack[-1]:
             if key not in used and not (simple and nxt in on_path):
@@ -283,6 +285,10 @@ def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
                 on_path.discard(node_seq.pop())
                 steps.pop()
             continue
+        if left is not None:
+            left -= 1
+            if left < 0:
+                raise CapExceeded(f"walk search passed {max_steps} steps")
         used.add(key)
         node_seq.append(nxt)
         steps.append(step)

@@ -25,8 +25,10 @@ every row satisfied at the same objective.  A truncated path family is
 refused -- the optimum over an incomplete family is not the optimum of the
 instance.
 
-The other program is solve_arcs, one copy of every arc per flow layer and
-no enumeration: one layer per origin, with one exit variable per commodity.
+The other program is solve_arcs, one copy per flow layer of every arc that
+does not enter the layer's origin, and no enumeration: one layer per origin,
+with one exit variable per commodity.  A simple origin-to-exit path never
+re-enters its origin, so those arcs carry no flow that an optimum needs.
 Origins at the commodities' sources give the unconstrained maximum
 (max_flow_arc_lp), and origins at the designated nodes give the undirected
 node-constrained transform in wflow.  On undirected networks it first
@@ -261,8 +263,9 @@ def solve_arcs(net: FlowNetwork, layers):
 
     layers lists (commodity, origin, exits); the program has one flow layer
     per origin (designated node) and one exit variable per entry.  Each
-    layer has its own copy of every arc, two opposite arcs per undirected
-    edge, and an edge's arcs share its capacity across all layers.  A
+    layer has its own copy of every arc (two opposite arcs per undirected
+    edge) except the arcs into its origin, and an edge's arcs share its
+    capacity across all layers; an edge with no arc left gets no row.  A
     layer's flow enters at its origin, is conserved at every other node, and
     leaves through the exit variables of the entries with that origin: each
     exit node of an entry draws on its exit variable once, so every exit
@@ -278,7 +281,10 @@ def solve_arcs(net: FlowNetwork, layers):
     origin-to-exit-node paths (Ahuja, Magnanti & Orlin, Network Flows,
     1993), each exit node receiving what its entries draw there; dealing
     those paths out to the entries gives each its own flow, and together
-    they load no edge more than the layer did.
+    they load no edge more than the layer did.  A simple path never
+    re-enters its origin, so the layer needs no arc into it: status and
+    objective are those of the program with every arc, while the pivots
+    and the program's shape are not.
 
     An undirected graph is first reduced (_reduced_graph) with every
     entry's origin and exits as its terminals, the only nodes some layer
@@ -312,23 +318,25 @@ def solve_arcs(net: FlowNetwork, layers):
 
     lp = lpmod.LinearProgram()
     outs = []         # outs[k]: the exit variable of layers[k]
-    by_origin = {}    # origin -> (its arc variables, [(exits, exit variable)])
+    by_origin = {}    # origin -> ({arc: its variable}, [(exits, exit variable)])
     for k, (_, origin, exits) in enumerate(layers):
         if origin not in by_origin:
             g = len(by_origin)
-            row = [lp.add_variable(f"x{g}_{j}") for j in range(len(arcs))]
+            row = {j: lp.add_variable(f"x{g}_{j}")
+                   for j, (_, _, head) in enumerate(arcs) if head != origin}
             by_origin[origin] = (row, [])
         outs.append(lp.add_variable(f"x{k}_exit"))
         by_origin[origin][1].append((exits, outs[-1]))
     for arcs_of_edge, (_, _, capacity) in zip(by_edge, edges):
-        lp.add_constraint({row[j]: ONE for row, _ in by_origin.values()
-                           for j in arcs_of_edge},
-                          lpmod.LE, capacity)
+        coeffs = {row[j]: ONE for row, _ in by_origin.values()
+                  for j in arcs_of_edge if j in row}
+        if coeffs:
+            lp.add_constraint(coeffs, lpmod.LE, capacity)
     for origin, (row, members) in by_origin.items():
         for v in nodes:
             if v == origin:
                 continue
-            coeffs = {row[j]: c for j, c in incidence[v]}
+            coeffs = {row[j]: c for j, c in incidence[v] if j in row}
             for exits, out in members:
                 if v in exits:
                     coeffs[out] = -ONE

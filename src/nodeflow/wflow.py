@@ -23,7 +23,8 @@ from .rational import ZERO, rat
 from .te import FlowSolution, default_families, solve_arcs, solve_te_mf
 
 EXACT_CUT_EDGES = 20         # directed min_swt_edge_cut is exact up to this many edges
-AUGMENT_SEARCH_CAP = 5000    # augmenting_w_flow: walks searched per round
+AUGMENT_SEARCH_CAP = 5000    # augmenting_w_flow: walks through w kept per round
+AUGMENT_STEP_CAP = 1_000_000  # augmenting_w_flow: walk-search steps per round
 AUGMENT_MAX_ROUNDS = 10_000  # augmenting_w_flow: rounds at most
 
 
@@ -67,7 +68,8 @@ def build_transform(net: FlowNetwork, W):
 
     solve_arcs turns every undirected edge into a pair of opposite arcs
     sharing the original capacity, copies them into one layer per origin
-    (designated node) and gives each entry an exit variable drawn on at the
+    (designated node), less the arcs into that origin, which no simple path
+    out of it uses, and gives each entry an exit variable drawn on at the
     commodity's two endpoints and weighted 2 in the objective; the
     program's optimum equals twice the node-constrained flow value.
     """
@@ -84,20 +86,21 @@ def solve_transform(net: FlowNetwork, entries):
     node-constrained flow value is half its objective.
 
     One flow layer per origin (designated node w), one exit variable per
-    commodity in each.  Layer w has the edge arcs and, for each commodity i,
-    an exit variable y_iw, drawn on at s_i and at t_i and weighted 2 in the
-    objective.  Flow originates at w, is conserved at every other node, and
-    leaves y_iw at each of s_i and t_i: a walk s_i -> w -> t_i of value f
-    becomes f from w back to s_i and f from w on to t_i, so y_iw = f counts
-    2f.  The commodities share layer w, since a flow out of one origin
-    splits into paths from it to the exits (solve_arcs), which can be dealt
-    back to the commodities.  Layers with different origins stay apart: a
-    single layer with conservation dropped at every designated node at once
-    would let the program pair a source-side share split at one node with a
-    sink-side share split at another, counting walks that do not exist.
-    Each y_iw needs at least one exit at a conserved node, and s_i != t_i
-    gives it one, so the exit needs no capacity of its own even when w is
-    an endpoint.
+    commodity in each.  Layer w has the edge arcs except those into w, since
+    its flow splits into simple paths out of w that never re-enter it, and,
+    for each commodity i, an exit variable y_iw, drawn on at s_i and at t_i
+    and weighted 2 in the objective.  Flow originates at w, is conserved at
+    every other node, and leaves y_iw at each of s_i and t_i: a walk
+    s_i -> w -> t_i of value f becomes f from w back to s_i and f from w on
+    to t_i, so y_iw = f counts 2f.  The commodities share layer w, since a
+    flow out of one origin splits into paths from it to the exits
+    (solve_arcs), which can be dealt back to the commodities.  Layers with
+    different origins stay apart: a single layer with conservation dropped
+    at every designated node at once would let the program pair a
+    source-side share split at one node with a sink-side share split at
+    another, counting walks that do not exist.  Each y_iw needs at least one
+    exit at a conserved node, and s_i != t_i gives it one, so the exit needs
+    no capacity of its own even when w is an endpoint.
 
     Finite demand ceilings cap the sum of commodity i's exit variables over
     the layers.
@@ -225,8 +228,11 @@ def augmenting_w_flow(net: FlowNetwork, w) -> AugmentingResult:
     integral capacities).  Repeatedly finds residual s-t walks through w,
     shortest first, and accepts one only if it strictly increases the flow
     into w; stops when no acceptable walk remains, after AUGMENT_MAX_ROUNDS
-    (10,000) rounds at most.  Each round searches at most AUGMENT_SEARCH_CAP
-    (5,000) walks.  Not optimal in general.
+    (10,000) rounds at most.  Each round keeps the first AUGMENT_SEARCH_CAP
+    (5,000) walks through w that its search finds, and a round whose search
+    extends walks by more than AUGMENT_STEP_CAP (1,000,000) arcs raises
+    CapExceeded: a search can spin through exponentially many walks that
+    miss w or end nowhere.  Not optimal in general.
     """
     if not net.directed:
         raise MalformedNetwork("augmenting heuristic is defined on directed networks")
@@ -260,7 +266,8 @@ def augmenting_w_flow(net: FlowNetwork, w) -> AugmentingResult:
             if flow[e.id] > 0:
                 adj[e.head].append((e, REV))
                 room[e.id, REV] = flow[e.id]
-        walks = (walk for walk in _iter_walks(net, s, t, False, False, adj)
+        walks = (walk for walk in _iter_walks(net, s, t, False, False, adj,
+                                              AUGMENT_STEP_CAP)
                  if w in walk.nodes)
         candidates = sorted(islice(walks, AUGMENT_SEARCH_CAP),
                             key=lambda p: (len(p.steps), p.steps))

@@ -6,7 +6,8 @@ of its program, so max_set_flow's status, pivot count and objective are
 pinned on every undirected builtin and on a seeded random set.  The statuses
 and objectives were recorded from the transform's earlier builder of its
 own, the pivot counts from the program on the reduced graph (dead ends
-pruned, series and parallel edges merged) with one layer per origin.
+pruned, series and parallel edges merged) with one layer per origin and no
+arc into a layer's own origin.
 The arc LP's program changed shape with the move, so it is checked by value
 against the path program instead.
 """
@@ -61,53 +62,53 @@ def _random_signatures():
 
 PINNED_BUILTINS = {
     "augmenting-undirected s": "optimal 7 9",
-    "augmenting-undirected u": "optimal 11 7",
-    "augmenting-undirected v": "optimal 8 8",
+    "augmenting-undirected u": "optimal 10 7",
+    "augmenting-undirected v": "optimal 7 8",
     "augmenting-undirected w": "optimal 9 3",
-    "augmenting-undirected x": "optimal 8 8",
-    "augmenting-undirected t": "optimal 8 9",
+    "augmenting-undirected x": "optimal 6 8",
+    "augmenting-undirected t": "optimal 7 9",
     "fig8-undirected s1": "optimal 10 2",
     "fig8-undirected s2": "optimal 11 2",
     "fig8-undirected s3": "optimal 17 3",
-    "fig8-undirected t1": "optimal 17 2",
-    "fig8-undirected t2": "optimal 18 3",
-    "fig8-undirected t3": "optimal 17 2",
-    "fig8-undirected v1": "optimal 11 2",
-    "fig8-undirected v2": "optimal 16 3",
-    "fig8-undirected v3": "optimal 17 3",
-    "fig8-undirected v4": "optimal 16 2",
+    "fig8-undirected t1": "optimal 16 2",
+    "fig8-undirected t2": "optimal 17 3",
+    "fig8-undirected t3": "optimal 16 2",
+    "fig8-undirected v1": "optimal 10 2",
+    "fig8-undirected v2": "optimal 15 3",
+    "fig8-undirected v3": "optimal 15 3",
+    "fig8-undirected v4": "optimal 15 2",
     "fig8-undirected s1,s2,s3": "optimal 33 3",
     "wst-undirected w": "optimal 3 1/2",
     "wst-undirected s": "optimal 2 1",
-    "wst-undirected t": "optimal 3 1",
+    "wst-undirected t": "optimal 2 1",
 }
 
 PINNED_RANDOM = {
     "0 n2,n3": "optimal 11 2",
-    "1 n3,n5": "optimal 10 2",
+    "1 n3,n5": "optimal 8 2",
     "2 n0": "optimal 6 2",
     "3 n0": "optimal 4 4",
-    "4 n2": "optimal 8 5",
+    "4 n2": "optimal 7 5",
     "5 n1": "optimal 3 1",
     "6 n2,n0": "optimal 8 2",
-    "7 n1": "optimal 5 2",
+    "7 n1": "optimal 4 2",
     "8 n1": "optimal 2 1",
-    "9 n3,n1": "optimal 13 7",
+    "9 n3,n1": "optimal 11 7",
     "10 n3": "optimal 2 2",
-    "11 n3": "optimal 8 7",
-    "12 n3,n4": "optimal 10 3",
+    "11 n3": "optimal 7 7",
+    "12 n3,n4": "optimal 9 3",
     "13 n3,n1": "optimal 11 1",
-    "14 n3": "optimal 5 1",
+    "14 n3": "optimal 4 1",
     "15 n1,n3": "optimal 13 4",
-    "16 n3": "optimal 11 7/2",
-    "17 n1,n0": "optimal 10 6",
-    "18 n3": "optimal 8 2",
+    "16 n3": "optimal 10 7/2",
+    "17 n1,n0": "optimal 9 6",
+    "18 n3": "optimal 7 2",
     "19 n1": "optimal 11 6",
-    "20 n3": "optimal 9 2",
+    "20 n3": "optimal 7 2",
     "21 n1": "optimal 4 2",
-    "22 n2,n3": "optimal 8 3",
+    "22 n2,n3": "optimal 7 3",
     "23 n2": "optimal 8 6",
-    "24 n3": "optimal 4 1",
+    "24 n3": "optimal 3 1",
     "25 n0": "optimal 3 5",
     "26 n1": "optimal 7 3",
     "27 n2": "optimal 2 6",
@@ -115,11 +116,11 @@ PINNED_RANDOM = {
     "29 n3,n0": "optimal 15 10",
     "30 n2,n0": "optimal 10 4",
     "31 n2,n1": "optimal 8 4",
-    "32 n2": "optimal 7 5",
+    "32 n2": "optimal 6 5",
     "33 n1,n0": "optimal 4 0",
-    "34 n2": "optimal 6 2",
+    "34 n2": "optimal 4 2",
     "35 n2": "optimal 3 0",
-    "36 n3": "optimal 14 15/2",
+    "36 n3": "optimal 13 15/2",
     "37 n1,n0": "optimal 17 9",
     "38 n4,n1": "optimal 4 3",
     "39 n0": "optimal 2 3",
@@ -135,14 +136,15 @@ def test_transform_pinned_on_random_instances():
 
 
 @pytest.mark.parametrize("W, shape", [
-    (("s1",), (21, 21, 10)),
-    (("s1", "s2", "s3"), (63, 39, 33)),
+    (("s1",), (20, 21, 10)),
+    (("s1", "s2", "s3"), (60, 39, 33)),
 ])
 def test_commodities_share_the_layer_of_their_origin(monkeypatch, W, shape):
     # fig8-undirected has three commodities and 18 arcs after the
-    # reduction.  One layer per origin holds |W| * 18 arc variables and an
-    # exit variable per (commodity, origin); a layer per (commodity,
-    # origin) would hold three times the arc variables.
+    # reduction.  One layer per origin holds the 17 arcs that do not enter
+    # its origin (s1, s2 and s3 each end one edge) and an exit variable per
+    # (commodity, origin); a layer per (commodity, origin) would hold three
+    # times the arc variables.
     programs = []
     solve = lpmod.solve
 
@@ -156,6 +158,38 @@ def test_commodities_share_the_layer_of_their_origin(monkeypatch, W, shape):
     assert len(net.commodities) == 3
     max_set_flow(net, W)
     assert programs == [shape]
+
+
+def test_transform_layer_has_no_arc_into_its_origin(monkeypatch):
+    # The origin w is the one node its layer does not conserve, so an arc
+    # variable into w would enter no conservation row with +1.  Every arc
+    # variable enters one, and the layer holds two arcs per reduced edge
+    # less one per edge at w.
+    programs = []
+    solve = lpmod.solve
+
+    def spy(lp):
+        programs.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(lpmod, "solve", spy)
+    for b in catalog():
+        net = b.network
+        if net.directed:
+            continue
+        for w in net.nodes:
+            programs.clear()
+            max_set_flow(net, (w,))
+            (lp,) = programs
+            arcs = [v for v in lp.variables if not v.endswith("_exit")]
+            entered = {v for row in lp.constraints if row.relation == lpmod.EQ
+                       for v, c in row.coeffs.items() if c == 1}
+            assert set(arcs) <= entered, (b.name, w)
+            terminals = {w} | {v for com in net.commodities
+                               for v in (com.source, com.sink)}
+            _, edges = _reduced_graph(net, terminals)
+            at_w = sum(w in edge[:2] for edge in edges)
+            assert len(arcs) == 2 * len(edges) - at_w, (b.name, w)
 
 
 def test_arc_lp_matches_path_lp_on_multicommodity_instances():

@@ -9,6 +9,9 @@ the arc LP against the Dinic kernel; neither oracle builds an arc program.
 Commodities that share an origin share one arc layer, so 2-3 commodities
 that share the designated node, or the source, are checked the same way,
 the arc LP against the path LP over full families on both orientations.
+A layer has no arc into its own origin while the other layers keep it, so
+2-3 commodities with different sources, one of them perhaps another's sink,
+are checked against the path LP too.
 """
 
 from fractions import Fraction
@@ -111,18 +114,44 @@ def shared_designated_node(draw):
     return FlowNetwork.build("undirected", nodes, edges, coms), (w,)
 
 
-@st.composite
-def shared_source(draw):
-    """A network of either orientation, directed edges drawn either way
-    round, and commodities that all leave one source."""
-    nodes, edges = draw(reducible_networks())
+def _oriented(draw, edges):
+    """An orientation and the edges, directed ones drawn either way round."""
     orientation = draw(st.sampled_from(["directed", "undirected"]))
     if orientation == "directed":
         edges = [(b, a, c) if draw(st.booleans()) else (a, b, c)
                  for a, b, c in edges]
+    return orientation, edges
+
+
+@st.composite
+def shared_source(draw):
+    """A network of either orientation and commodities that all leave one
+    source."""
+    nodes, edges = draw(reducible_networks())
+    orientation, edges = _oriented(draw, edges)
     source = draw(st.sampled_from(nodes))
     return FlowNetwork.build(orientation, nodes, edges,
                              _shared_commodities(draw, nodes, source))
+
+
+@st.composite
+def distinct_sources(draw):
+    """A network of either orientation and two or three commodities with
+    different sources, each with a demand of None or 0-3.  Sources come from
+    every node, chains and trees included, and a sink is another
+    commodity's source on about half the draws."""
+    nodes, edges = draw(reducible_networks())
+    orientation, edges = _oriented(draw, edges)
+    k = draw(st.integers(2, 3))
+    sources = draw(st.lists(st.sampled_from(nodes), min_size=k, max_size=k,
+                            unique=True))
+    coms = []
+    for s in sources:
+        others = [v for v in sources if v != s]
+        t = draw(st.sampled_from(others)
+                 | st.sampled_from([v for v in nodes if v != s]))
+        coms.append((s, t, draw(st.none() | st.integers(0, 3))))
+    return FlowNetwork.build(orientation, nodes, edges, coms)
 
 
 @settings(max_examples=80, deadline=None)
@@ -137,6 +166,14 @@ def test_transform_with_a_shared_designated_node_equals_path_lp(instance):
 @settings(max_examples=80, deadline=None)
 @given(net=shared_source())
 def test_arc_lp_with_a_shared_source_equals_path_lp(net):
+    arc = max_flow_arc_lp(net)
+    assert arc.status == "optimal"
+    assert arc.objective == solve_te_mf(net).objective
+
+
+@settings(max_examples=80, deadline=None)
+@given(net=distinct_sources())
+def test_arc_lp_with_distinct_sources_equals_path_lp(net):
     arc = max_flow_arc_lp(net)
     assert arc.status == "optimal"
     assert arc.objective == solve_te_mf(net).objective

@@ -222,6 +222,23 @@ def test_augment_on_a_long_directed_chain(tmp_path, capsys):
     assert "objective: 1" in out.splitlines()
 
 
+def test_augment_runaway_search_exit_3(tmp_path, capsys):
+    # The complete digraph on v0..v7 and w, entered from v2 alone: the walk
+    # search passes its step cap instead of running for hours.
+    nodes = [f"v{i}" for i in range(8)]
+    path = tmp_path / "k8.json"
+    path.write_text(json.dumps({
+        "orientation": "directed", "nodes": nodes + ["w"],
+        "edges": [{"tail": a, "head": b, "capacity": 1}
+                  for a in nodes for b in nodes if a != b]
+        + [{"tail": "v2", "head": "w", "capacity": 1}],
+        "commodities": [{"src": "v0", "dst": "v1"}]}))
+    code, out, err = run(capsys, "w-flow-augment", "--instance", str(path),
+                         "--w", "w")
+    assert code == 3 and out == ""
+    assert err.startswith("limit exceeded:") and "steps" in err
+
+
 def test_sr_lu_cycle(capsys):
     code, out, _ = run(capsys, "sr-lu", "--builtin", "cycle-3")
     assert code == 0

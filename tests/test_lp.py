@@ -470,9 +470,9 @@ def test_transform_program_has_only_rows_that_can_bind(monkeypatch):
     net = get_builtin("augmenting-undirected").network
     value = solve_transform(net, build_transform(net, ("w",))).objective
     (lp,) = built
-    # 10 arc variables on the 5 edges left and one exit; 5 edge capacity
-    # rows and conservation at s, x and t.
-    assert (len(lp.variables), len(lp.constraints)) == (11, 8)
+    # 7 arc variables on the 5 edges left, the 10 arcs less the 3 into w,
+    # and one exit; 5 edge capacity rows and conservation at s, x and t.
+    assert (len(lp.variables), len(lp.constraints)) == (8, 8)
     assert value == 6
 
 

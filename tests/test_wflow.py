@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from nodeflow import (FlowNetwork, MalformedNetwork, MissingDesignation,
+from nodeflow import (CapExceeded, FlowNetwork, MalformedNetwork, MissingDesignation,
                       NonIntegralCapacity, PathConstraint, UnknownNode,
                       WIsEndpoint, augmenting_w_flow,
                       build_transform, enumerate_paths,
@@ -301,6 +301,21 @@ def test_augmenting_can_stall_on_remarks():
     net = get_builtin("remarks").network
     result = augmenting_w_flow(net, "w")
     assert result.value == 2  # the direct pick blocks the optimum of 3
+
+
+def test_augmenting_stops_a_runaway_search():
+    # The complete digraph on v0..v7 (capacity 1) and w, entered from v2
+    # alone: no s-t walk can pass w, so the first round's search runs on
+    # through every edge-distinct trail, and on through the subtrees left
+    # once every arc into v1 is used.  The step cap stops it.
+    v = [f"v{i}" for i in range(8)]
+    net = FlowNetwork.build("directed", v + ["w"],
+                            [(a, b, 1) for a in v for b in v if a != b]
+                            + [("v2", "w", 1)], [("v0", "v1")])
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="passed 1000000 steps"):
+        augmenting_w_flow(net, "w")
+    assert time.perf_counter() - start < 5
 
 
 def test_augmenting_needs_a_commodity():
