@@ -8,10 +8,9 @@ the NP-hardness gadget constructions, all backed by an exact simplex that
 starts at the origin.
 """
 
-from .errors import (CapExceeded, InfiniteDemand, LimitExceeded,
-                     MalformedNetwork, MalformedProgram, MissingDesignation,
-                     NodeflowError, NonIntegralCapacity, ParseError,
-                     TruncatedFamily, UnknownNode, WIsEndpoint)
+from .errors import (CapExceeded, InfiniteDemand, MalformedNetwork,
+                     MalformedProgram, MissingDesignation, NodeflowError,
+                     NonIntegralCapacity, ParseError, UnknownNode, WIsEndpoint)
 from .rational import as_decimal, format_rational, rat
 from .network import (Commodity, Edge, EdgeWalk, FlowNetwork, PathConstraint,
                       PathFamily, UNCONSTRAINED, concat_walks,
@@ -34,8 +33,8 @@ from .centrality import (CentralityReport, Eq25Report, GroupFlowResult,
                          HatConstructions, ProbeReport, check_pair_sum_identity,
                          commodity_centrality, flow_centrality,
                          hat_constructions, n_group_max_flow,
-                         node_flow_sum, pair_max_flow, pair_w_flow,
-                         probe_margins, submodularity_probe)
+                         pair_max_flow, pair_w_flow, probe_margins,
+                         submodularity_probe)
 from .reductions import (GadgetInstance, disjoint_shortest_paths_gadget,
                          max_coverage_gadget, node_split_gadget,
                          two_disjoint_paths_gadget, unit_path_gadget)

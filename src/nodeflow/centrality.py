@@ -259,12 +259,6 @@ def hat_constructions(net: FlowNetwork, s, t) -> HatConstructions:
                             extend(False, True), extend(True, True), s_hat, t_hat)
 
 
-def node_flow_sum(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP):
-    """Sum of node-constrained pair flows over all ordered pairs avoiding w
-    (the centrality numerator, unnormalized)."""
-    return sum((forced for forced, _ in _pair_values(net, w, cap).values()), ZERO)
-
-
 @dataclass
 class Eq25Report:
     lhs: object
@@ -276,7 +270,8 @@ class Eq25Report:
 def check_pair_sum_identity(net: FlowNetwork, w, s, t,
                             cap=DEFAULT_PATH_CAP) -> Eq25Report:
     """The pair value nu^w(s,t) equals an inclusion-exclusion of the four
-    pair-sum aggregates over the hat constructions:
+    pair-sum aggregates S (flow_centrality's numerator) over the hat
+    constructions:
 
         nu^w(s,t) = S(both hats) - S(source hat) - S(sink hat) + S(base),
 
@@ -291,10 +286,10 @@ def check_pair_sum_identity(net: FlowNetwork, w, s, t,
     hats = hat_constructions(net, s, t)
     lhs = pair_w_flow(net, w, s, t, cap=cap)
     terms = {
-        "both": node_flow_sum(hats.both, w, cap=cap),
-        "source_hat": node_flow_sum(hats.source_hat, w, cap=cap),
-        "sink_hat": node_flow_sum(hats.sink_hat, w, cap=cap),
-        "base": node_flow_sum(hats.base, w, cap=cap),
+        "both": flow_centrality(hats.both, w, cap).numerator,
+        "source_hat": flow_centrality(hats.source_hat, w, cap).numerator,
+        "sink_hat": flow_centrality(hats.sink_hat, w, cap).numerator,
+        "base": flow_centrality(hats.base, w, cap).numerator,
     }
     rhs = terms["both"] - terms["source_hat"] - terms["sink_hat"] + terms["base"]
     if not net.directed:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from . import centrality as ctr
 from . import fileio, instances, reductions, srte, te, wflow
-from .errors import (CapExceeded, LimitExceeded, MissingDesignation,
-                     NodeflowError, ParseError, TruncatedFamily)
+from .errors import (CapExceeded, MissingDesignation, NodeflowError,
+                     ParseError)
 from .network import DEFAULT_PATH_CAP, through_any
 from .rational import as_decimal, format_rational
 
@@ -456,7 +456,7 @@ def _guard(net, args, rule):
     enumerates = rule(args) if callable(rule) else rule
     if (net.directed or enumerates) and len(net.nodes) > limit:
         how = "by walk enumeration" if enumerates else "on directed networks"
-        raise LimitExceeded(
+        raise CapExceeded(
             f"exact node-constrained flow {how} is exponential; "
             f"{len(net.nodes)} nodes exceeds the guard of {limit}")
 
@@ -502,7 +502,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (LimitExceeded, CapExceeded, TruncatedFamily) as exc:
+    except CapExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except MissingDesignation as exc:

@@ -38,11 +38,9 @@ class ParseError(NodeflowError):
 
 
 class CapExceeded(NodeflowError):
-    """An enumeration hit its configured cap and the result would be unsound."""
-
-
-class TruncatedFamily(NodeflowError):
-    """A truncated path family was handed to an exact solver."""
+    """A search passed its cap on walks or steps, so its result would be
+    unsound, or an instance exceeds the node-count guard of an exact,
+    exponential method.  The CLI exits with code 3."""
 
 
 class WIsEndpoint(NodeflowError):
@@ -59,7 +57,3 @@ class NonIntegralCapacity(NodeflowError):
 
 class MissingDesignation(NodeflowError):
     """Instance lacks a designated node/set/middlepoint list the command needs."""
-
-
-class LimitExceeded(NodeflowError):
-    """Instance exceeds a size guard for an exact (potentially exponential) method."""

@@ -8,8 +8,9 @@ Terminology used throughout the package:
 * a *simple path* additionally never repeats a node.
 
 Path enumeration is exhaustive and deterministic (lexicographic in the edge
-id sequence, forward traversal before reverse), with a configurable cap.  A
-family that hit the cap is marked truncated and the exact solvers refuse it.
+id sequence, forward traversal before reverse), with a configurable cap on
+the walks it keeps: a search that would keep more raises CapExceeded, since
+the optimum over part of a family is not the optimum of the instance.
 Families can hold many walks, so walks are kept small: an EdgeWalk has
 slots, and every enumerated walk shares one (edge id, direction) step tuple
 per arc with every other walk over that arc.
@@ -228,10 +229,26 @@ class PathFamily:
     sink: str
     constraint: PathConstraint
     paths: tuple
-    truncated: bool = False
 
     def __len__(self):
         return len(self.paths)
+
+
+def _reachable(adj, removed, start):
+    """The nodes reachable from start over the arcs of adj (in the form of
+    FlowNetwork.adjacency()) whose edge id is not in removed."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for edge, d in adj[node]:
+            if edge.id in removed:
+                continue
+            nxt = edge.head if d == FWD else edge.tail
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 # (edge id, direction) -> the one step tuple for that arc.  Each entry equals
@@ -309,23 +326,30 @@ def enumerate_st_paths(
     """All paths source -> sink satisfying the constraint, in search order.
 
     The search itself honours constraint.simple and constraint.single_use;
-    only the designated set is checked per walk.
+    only the designated set is checked per walk.  Finding more than cap
+    walks raises CapExceeded.  The family is empty, with no search, unless
+    the source reaches the sink, through some designated node if there are
+    any: reachability relaxes every walk rule, and a search that keeps no
+    walk would never stop at the cap.
     """
     net.require(source, sink, *constraint.nodes)
     if source == sink:
         raise MalformedNetwork("path enumeration needs distinct endpoints")
+    adj = net.adjacency()
+    reach = _reachable(adj, (), source)
+    if sink not in reach or constraint.nodes and not any(
+            w in reach and sink in _reachable(adj, (), w) for w in constraint.nodes):
+        return PathFamily(source, sink, constraint, ())
     W = frozenset(constraint.nodes)
     found = []
-    truncated = False
     for walk in _iter_walks(net, source, sink, constraint.simple,
-                            constraint.single_use):
+                            constraint.single_use, adj):
         if W and W.isdisjoint(walk.nodes):
             continue
         if len(found) >= cap:
-            truncated = True
-            break
+            raise CapExceeded(f"more than {cap} walks from {source!r} to {sink!r}")
         found.append(walk)
-    return PathFamily(source, sink, constraint, tuple(found), truncated)
+    return PathFamily(source, sink, constraint, tuple(found))
 
 
 def enumerate_paths(net: FlowNetwork, commodity: int, constraint=UNCONSTRAINED,

@@ -21,9 +21,7 @@ segment-routing tunnel programs in srte are the same program with one
 column per tunnel.  Only minimal columns get an LP variable: a walk or
 tunnel whose load vector is at least another's of the same commodity on
 every edge is never needed, since moving its flow to the smaller one keeps
-every row satisfied at the same objective.  A truncated path family is
-refused -- the optimum over an incomplete family is not the optimum of the
-instance.
+every row satisfied at the same objective.
 
 The other program is solve_arcs, one copy per flow layer of every arc that
 does not enter the layer's origin, and no enumeration: one layer per origin,
@@ -41,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import lp as lpmod
-from .errors import InfiniteDemand, TruncatedFamily
+from .errors import InfiniteDemand
 from .network import DEFAULT_PATH_CAP, UNCONSTRAINED, FlowNetwork, enumerate_paths
 from .rational import ONE, ZERO
 
@@ -84,8 +82,6 @@ def _check_families(net, families):
     if len(families) != len(net.commodities):
         raise ValueError("one path family per commodity required")
     for i, fam in enumerate(families):
-        if fam.truncated:
-            raise TruncatedFamily(f"family for commodity {i} is truncated")
         com = net.commodities[i]
         if (fam.source, fam.sink) != (com.source, com.sink):
             raise ValueError(f"family {i} endpoints do not match commodity")

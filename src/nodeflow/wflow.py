@@ -17,8 +17,8 @@ from . import lp as lpmod
 from .errors import MalformedNetwork, NonIntegralCapacity, WIsEndpoint
 from .maxflow import max_flow
 from .network import (DEFAULT_PATH_CAP, FWD, REV, EdgeWalk, FlowNetwork,
-                      _iter_walks, concat_walks, reverse_walk, simple_through,
-                      through_any, validate_walk)
+                      _iter_walks, _reachable, concat_walks, reverse_walk,
+                      simple_through, through_any, validate_walk)
 from .rational import ZERO, rat
 from .te import FlowSolution, default_families, solve_arcs, solve_te_mf
 
@@ -196,21 +196,6 @@ def verify_cut(net: FlowNetwork, s, w, t, edge_ids) -> bool:
     if w not in _reachable(adj, removed, s) or t not in _reachable(adj, removed, w):
         return True
     return _swt_walk(net, adj, removed, s, w, t) is None
-
-
-def _reachable(adj, removed, start):
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for edge, d in adj[node]:
-            if edge.id in removed:
-                continue
-            nxt = edge.head if d == FWD else edge.tail
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
 
 
 # -- augmenting-path heuristic -------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from nodeflow.errors import CapExceeded, TruncatedFamily
+from nodeflow.errors import CapExceeded
 from nodeflow.network import (DEFAULT_PATH_CAP, EdgeWalk, FlowNetwork,
                               PathConstraint, UNCONSTRAINED, concat_walks,
                               enumerate_st_paths, simple_through, through_any,
@@ -33,17 +33,9 @@ class CheckResult:
     consistent: bool
 
 
-def _paths(net, s, t, constraint, cap):
-    """Every s-t path under the constraint; a search cut short by the cap
-    could miss the one walk that decides a check, so it is refused."""
-    fam = enumerate_st_paths(net, s, t, constraint, cap=cap)
-    if fam.truncated:
-        raise TruncatedFamily(f"more than {cap} paths from {s!r} to {t!r}")
-    return fam.paths
-
-
 def _simple_node_paths(net, s, t, cap=DEFAULT_PATH_CAP):
-    return [p.nodes for p in _paths(net, s, t, PathConstraint(simple=True), cap)]
+    return [p.nodes for p in
+            enumerate_st_paths(net, s, t, PathConstraint(simple=True), cap).paths]
 
 
 def check_two_disjoint_paths(net: FlowNetwork, u1, u2, v1, v2,
@@ -62,7 +54,7 @@ def check_two_disjoint_paths(net: FlowNetwork, u1, u2, v1, v2,
             break
     gadget = two_disjoint_paths_gadget(net, u1, u2, v1, v2)
     w = gadget.designated["w"]
-    via = len(_paths(gadget.network, u1, v2, simple_through(w), cap)) > 0
+    via = len(enumerate_st_paths(gadget.network, u1, v2, simple_through(w), cap)) > 0
     return CheckResult(direct, via, direct == via)
 
 
@@ -87,8 +79,8 @@ def check_node_split(net: FlowNetwork, s, w, t, cap=DEFAULT_PATH_CAP) -> CheckRe
     via = False
     # Starting at s.in and ending at t.out makes each leg consume its own
     # endpoint's split edge, so the other leg cannot reuse that node either.
-    legs2 = _paths(g, w_out, t_out, UNCONSTRAINED, cap)
-    for p in _paths(g, s_in, w_in, UNCONSTRAINED, cap):
+    legs2 = enumerate_st_paths(g, w_out, t_out, UNCONSTRAINED, cap).paths
+    for p in enumerate_st_paths(g, s_in, w_in, UNCONSTRAINED, cap).paths:
         pedges = set(eid for eid, _ in p.steps)
         for q in legs2:
             if not (pedges & set(eid for eid, _ in q.steps)):
@@ -102,7 +94,7 @@ def check_node_split(net: FlowNetwork, s, w, t, cap=DEFAULT_PATH_CAP) -> CheckRe
 def check_unit_path(net: FlowNetwork, s, t, w, cap=DEFAULT_PATH_CAP) -> CheckResult:
     """An s-w-t path exists iff the unit-capacity node-constrained max flow
     is at least 1."""
-    direct = len(_paths(net, s, t, through_any([w]), cap)) > 0
+    direct = len(enumerate_st_paths(net, s, t, through_any([w]), cap)) > 0
     gadget = unit_path_gadget(net, s, t, w)
     sol = max_w_flow_exact(gadget.network, w, cap=cap)
     via = sol.objective is not None and sol.objective >= 1

@@ -222,9 +222,9 @@ def test_augment_on_a_long_directed_chain(tmp_path, capsys):
     assert "objective: 1" in out.splitlines()
 
 
-def test_augment_runaway_search_exit_3(tmp_path, capsys):
-    # The complete digraph on v0..v7 and w, entered from v2 alone: the walk
-    # search passes its step cap instead of running for hours.
+def _k8_w(tmp_path):
+    """An instance file: the complete digraph on v0..v7 and w, entered from
+    v2 alone, with the commodity v0 -> v1."""
     nodes = [f"v{i}" for i in range(8)]
     path = tmp_path / "k8.json"
     path.write_text(json.dumps({
@@ -233,10 +233,23 @@ def test_augment_runaway_search_exit_3(tmp_path, capsys):
                   for a in nodes for b in nodes if a != b]
         + [{"tail": "v2", "head": "w", "capacity": 1}],
         "commodities": [{"src": "v0", "dst": "v1"}]}))
-    code, out, err = run(capsys, "w-flow-augment", "--instance", str(path),
-                         "--w", "w")
+    return str(path)
+
+
+def test_augment_runaway_search_exit_3(tmp_path, capsys):
+    # The walk search passes its step cap instead of running for hours.
+    code, out, err = run(capsys, "w-flow-augment", "--instance",
+                         _k8_w(tmp_path), "--w", "w")
     assert code == 3 and out == ""
     assert err.startswith("limit exceeded:") and "steps" in err
+
+
+def test_set_flow_with_no_walk_through_w(tmp_path, capsys):
+    # w reaches no node, so the exact answer is 0, found without a search.
+    code, out, err = run(capsys, "set-flow", "--instance", _k8_w(tmp_path),
+                         "--set", "w")
+    assert code == 0, err
+    assert "objective: 0" in out.splitlines()
 
 
 def test_sr_lu_cycle(capsys):

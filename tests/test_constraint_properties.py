@@ -1,14 +1,16 @@
 """Property test for PathConstraint (skipped without hypothesis): every
 combination of designated set, simple and single_use enumerates exactly the
 walks of the independent recursive oracle, on directed and undirected
-networks."""
+networks, or raises CapExceeded when the oracle holds more than the cap."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nodeflow import FlowNetwork, PathConstraint, enumerate_st_paths  # noqa: E402
+from nodeflow import (CapExceeded, FlowNetwork, PathConstraint,  # noqa: E402
+                      enumerate_st_paths)
+from nodeflow.network import DEFAULT_PATH_CAP  # noqa: E402
 
 from conftest import oracle_walks  # noqa: E402
 
@@ -35,14 +37,20 @@ def instances(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(inst=instances(), simple=st.booleans(), single_use=st.booleans())
+@given(inst=instances(), simple=st.booleans(), single_use=st.booleans(),
+       cap=st.integers(0, 4) | st.just(DEFAULT_PATH_CAP))
 def test_enumeration_matches_oracle_for_every_constraint(inst, simple,
-                                                         single_use):
+                                                         single_use, cap):
     net, s, t, W = inst
     constraint = PathConstraint(W, simple, single_use)
-    fam = enumerate_st_paths(net, s, t, constraint)
-    assert fam.constraint == constraint and not fam.truncated
+    expected = oracle_walks(net, s, t, through=W, simple=simple,
+                            single_use=single_use)
+    if len(expected) > cap:
+        with pytest.raises(CapExceeded, match=f"more than {cap} walks"):
+            enumerate_st_paths(net, s, t, constraint, cap)
+        return
+    fam = enumerate_st_paths(net, s, t, constraint, cap)
+    assert fam.constraint == constraint
     walks = [p.nodes for p in fam.paths]
     assert len(walks) == len(set(walks))
-    assert set(walks) == oracle_walks(net, s, t, through=W, simple=simple,
-                                      single_use=single_use)
+    assert set(walks) == expected

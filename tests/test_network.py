@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from nodeflow import (UNCONSTRAINED, FlowNetwork, MalformedNetwork,
+from nodeflow import (UNCONSTRAINED, CapExceeded, FlowNetwork, MalformedNetwork,
                       MissingDesignation, PathConstraint, UnknownNode, catalog, concat_walks,
                       enumerate_st_paths, get_builtin, reverse_walk,
                       simple_through, through_any, validate_walk)
@@ -114,8 +114,9 @@ def test_through_any():
 
 def test_cap_truncates():
     net = get_builtin("remarks").network
-    fam = enumerate_st_paths(net, "s", "t", cap=1)
-    assert fam.truncated and len(fam) == 1
+    assert len(enumerate_st_paths(net, "s", "t", cap=5)) == 5
+    with pytest.raises(CapExceeded, match="more than 4 walks from 's' to 't'"):
+        enumerate_st_paths(net, "s", "t", cap=4)
 
 
 def test_validate_accepts_enumerated_walks():

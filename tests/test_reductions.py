@@ -13,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import (Phase, assume, find, given, settings,  # noqa: E402
                         strategies as st)
 
-from nodeflow import (FlowNetwork, TruncatedFamily,  # noqa: E402
+from nodeflow import (CapExceeded, FlowNetwork,  # noqa: E402
                       max_coverage_gadget, n_group_max_flow)
 
 from reduction_checks import (check_disjoint_shortest_paths,  # noqa: E402
@@ -133,7 +133,7 @@ def _capped_checks(case):
         full = check(net, *args)
         try:
             capped = check(net, *args, cap=1)
-        except TruncatedFamily:
+        except CapExceeded:
             capped = None
         out.append((full, capped))
     return out

@@ -1,11 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from nodeflow import (FlowNetwork, TruncatedFamily, enumerate_paths,
-                      get_builtin, max_flow_arc_lp, rat, solve_te_lu,
-                      solve_te_mf)
+from nodeflow import (CapExceeded, FlowNetwork, get_builtin, max_flow_arc_lp,
+                      rat, solve_te_lu, solve_te_mf)
 
 from conftest import (brute_max_flow, dmf_satisfiable, random_directed,
                       random_undirected)
@@ -82,9 +82,23 @@ def test_dmf_iff_theta_le_one():
 
 def test_truncated_family_rejected():
     net = get_builtin("remarks").network
-    fams = [enumerate_paths(net, 0, cap=1)]
-    with pytest.raises(TruncatedFamily):
-        solve_te_mf(net, fams)
+    with pytest.raises(CapExceeded):
+        solve_te_mf(net, cap=1)
+
+
+def test_unreachable_sink_is_found_without_a_search():
+    # c1 touches no edge, so no walk reaches it; a search from c0 through
+    # the walks of its loops and spokes would keep none of them.
+    nodes = ["c0", "c1", "c2", "x0_0", "x1_0", "x1_1", "x1_2",
+             "p0_0", "p0_1", "p1_0", "p1_1"]
+    edges = ([("c0", "x0_0", 1), ("c0", "x0_0", 1), ("c0", "x1_0", 1),
+              ("x1_0", "x1_1", 1), ("x1_1", "x1_2", 1), ("x1_2", "c0", 1)]
+             + [("c0", p, 1) for p in nodes[7:]])
+    net = FlowNetwork.build("undirected", nodes, edges,
+                            [("c0", "c1"), ("c0", "c1")])
+    start = time.perf_counter()
+    assert solve_te_mf(net).objective == 0
+    assert time.perf_counter() - start < 1
 
 
 def test_flow_solution_edge_loads_within_capacity():

@@ -303,19 +303,32 @@ def test_augmenting_can_stall_on_remarks():
     assert result.value == 2  # the direct pick blocks the optimum of 3
 
 
-def test_augmenting_stops_a_runaway_search():
-    # The complete digraph on v0..v7 (capacity 1) and w, entered from v2
-    # alone: no s-t walk can pass w, so the first round's search runs on
-    # through every edge-distinct trail, and on through the subtrees left
-    # once every arc into v1 is used.  The step cap stops it.
+def _k8_w():
+    """The complete digraph on v0..v7 (capacity 1) and w, entered from v2
+    alone, with the commodity v0 -> v1: no s-t walk can pass w."""
     v = [f"v{i}" for i in range(8)]
-    net = FlowNetwork.build("directed", v + ["w"],
-                            [(a, b, 1) for a in v for b in v if a != b]
-                            + [("v2", "w", 1)], [("v0", "v1")])
+    return FlowNetwork.build("directed", v + ["w"],
+                             [(a, b, 1) for a in v for b in v if a != b]
+                             + [("v2", "w", 1)], [("v0", "v1")])
+
+
+def test_augmenting_stops_a_runaway_search():
+    # The first round's search runs on through every edge-distinct trail,
+    # and on through the subtrees left once every arc into v1 is used.  The
+    # step cap stops it.
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match="passed 1000000 steps"):
-        augmenting_w_flow(net, "w")
+        augmenting_w_flow(_k8_w(), "w")
     assert time.perf_counter() - start < 5
+
+
+def test_no_walk_through_w_is_found_without_a_search():
+    # w reaches no node, so no walk passes it: the family is empty at once,
+    # where a search through every edge-distinct trail of the complete
+    # digraph would keep nothing and so never meet the path cap.
+    start = time.perf_counter()
+    assert max_set_flow_paths(_k8_w(), ("w",)).objective == 0
+    assert time.perf_counter() - start < 2
 
 
 def test_augmenting_needs_a_commodity():
