@@ -15,7 +15,7 @@ from .rational import as_decimal, format_rational, rat
 from .network import (Commodity, Edge, EdgeWalk, FlowNetwork, PathConstraint,
                       PathFamily, UNCONSTRAINED, concat_walks,
                       enumerate_paths, enumerate_st_paths, reverse_walk,
-                      simple_through, through_any, validate_walk)
+                      through_any, validate_walk)
 from .lp import (Constraint, LinearProgram, LpSolution, EQ, LE, OPTIMAL,
                  UNBOUNDED, solve)
 from .te import (INFEASIBLE, FlowSolution, default_families, max_flow_arc_lp,
@@ -23,8 +23,8 @@ from .te import (INFEASIBLE, FlowSolution, default_families, max_flow_arc_lp,
 from .maxflow import MaxFlowResult, max_flow
 from .wflow import (AugmentingResult, CutResult, augmenting_w_flow,
                     build_transform, fix_paths, max_set_flow,
-                    max_set_flow_paths, max_w_flow_exact, max_w_flow_simple,
-                    min_swt_edge_cut, solve_transform, verify_cut)
+                    max_set_flow_paths, max_w_flow_exact, min_swt_edge_cut,
+                    solve_transform, verify_cut)
 from .srte import (FeasibilityResult, SegmentFractions, SrConfig, SrSolution,
                    Tunnel, acyclic_feasible, build_tunnels, detect_cycles,
                    ecmp_fractions, shortest_path_data,

@@ -8,7 +8,9 @@ required), 2 parse errors, 3 a size guard or enumeration cap was exceeded,
 4 a required designated node/set is missing.
 
 Each subcommand is one row of COMMANDS; main applies the row's size guard
-once, before the body runs.  The library itself guards no solver.
+once, before the body runs.  The library guards only the walk searches of
+enumeration and the augmenting heuristic, which stop at
+network.WALK_STEP_CAP arcs (exit 3 as well).
 """
 
 from __future__ import annotations
@@ -197,12 +199,6 @@ def cmd_te(args, inst, rec):
     _emit_flow_solution(rec, sol, inst.network)
 
 
-def cmd_w_flow_simple(args, inst, rec):
-    w = _designated(inst, args.w, "w")
-    sol = wflow.max_w_flow_simple(inst.network, w, cap=args.max_paths)
-    _emit_flow_solution(rec, sol, inst.network)
-
-
 def cmd_w_flow_augment(args, inst, rec):
     w = _designated(inst, args.w, "w")
     result = wflow.augmenting_w_flow(inst.network, w)
@@ -217,11 +213,12 @@ def cmd_set_flow(args, inst, rec):
     net = inst.network
     W = _designated(inst, args.set, "W", "group", "w")
     W = through_any((W,) if isinstance(W, str) else W).nodes
-    if args.no_repeat:
-        if net.directed:
-            raise ParseError("--no-repeat applies to undirected instances")
+    if args.no_repeat and net.directed:
+        raise ParseError("--no-repeat applies to undirected instances")
+    if args.no_repeat or args.simple:
         sol = wflow.max_set_flow_paths(net, W, cap=args.max_paths,
-                                       single_use=True)
+                                       single_use=args.no_repeat,
+                                       simple=args.simple)
     else:
         sol = wflow.max_set_flow(net, W, cap=args.max_paths)
     rec.add("designated_set", ",".join(W))
@@ -404,15 +401,15 @@ class Command:
 COMMANDS = {
     "te-mf": Command(cmd_te, "maximum multicommodity flow", (), WALKS),
     "te-lu": Command(cmd_te, "minimum worst-edge utilization", (), WALKS),
-    "w-flow-simple": Command(cmd_w_flow_simple,
-                             "node-constrained flow over simple paths", (_W,), WALKS),
     "w-flow-augment": Command(cmd_w_flow_augment,
                               "greedy augmenting heuristic (directed)", (_W,)),
     "set-flow": Command(cmd_set_flow, "flow through a designated node set", (
         _flag("--set", type=_nodelist, help="comma-separated designated set"),
         _flag("--no-repeat", action="store_true",
               help="undirected: forbid edge reuse within a path"),
-    ), lambda args: WALKS if args.no_repeat else DIRECTED),
+        _flag("--simple", action="store_true",
+              help="forbid node repeats within a path"),
+    ), lambda args: WALKS if args.no_repeat or args.simple else DIRECTED),
     "cut": Command(cmd_cut, "minimum s-w-t edge cut", (_W, _S, _T)),
     "sr-lu": Command(cmd_sr, "segment-routing minimum utilization",
                      (_MIDDLEPOINTS, _MAX_SEGMENTS)),

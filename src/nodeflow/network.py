@@ -9,8 +9,9 @@ Terminology used throughout the package:
 
 Path enumeration is exhaustive and deterministic (lexicographic in the edge
 id sequence, forward traversal before reverse), with a configurable cap on
-the walks it keeps: a search that would keep more raises CapExceeded, since
-the optimum over part of a family is not the optimum of the instance.
+the walks it keeps and a fixed one on the arcs it extends (WALK_STEP_CAP): a
+search that would pass either raises CapExceeded, since the optimum over
+part of a family is not the optimum of the instance.
 Families can hold many walks, so walks are kept small: an EdgeWalk has
 slots, and every enumerated walk shares one (edge id, direction) step tuple
 per arc with every other walk over that arc.
@@ -30,7 +31,8 @@ UNDIRECTED = "undirected"
 FWD = 1
 REV = -1
 
-DEFAULT_PATH_CAP = 1_000_000
+DEFAULT_PATH_CAP = 1_000_000  # walks a family keeps
+WALK_STEP_CAP = 1_000_000  # arcs one walk search extends
 
 
 @dataclass(frozen=True)
@@ -209,18 +211,14 @@ class PathConstraint:
 UNCONSTRAINED = PathConstraint()
 
 
-def through_any(ws, single_use=False) -> PathConstraint:
+def through_any(ws, single_use=False, simple=False) -> PathConstraint:
     """Walks through any node of the designated set ws, held sorted and
     distinct, the one form every solver reads it in.  An empty set raises
     MissingDesignation."""
     nodes = tuple(sorted(set(ws)))
     if not nodes:
         raise MissingDesignation("empty designated set")
-    return PathConstraint(nodes, single_use=single_use)
-
-
-def simple_through(w) -> PathConstraint:
-    return PathConstraint((w,), simple=True)
+    return PathConstraint(nodes, simple, single_use)
 
 
 @dataclass(frozen=True)
@@ -290,7 +288,7 @@ def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
     used = set()  # keys of the arcs on the walk
     on_path = {source}  # only consulted in simple mode
     stack = [iter(arcs[source])]  # per walk node, its arcs not yet tried
-    left = max_steps
+    left = -1 if max_steps is None else max_steps  # steps left; -1 never hits 0
     while stack:
         for key, nxt, step in stack[-1]:
             if key not in used and not (simple and nxt in on_path):
@@ -302,10 +300,9 @@ def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
                 on_path.discard(node_seq.pop())
                 steps.pop()
             continue
-        if left is not None:
-            left -= 1
-            if left < 0:
-                raise CapExceeded(f"walk search passed {max_steps} steps")
+        if not left:
+            raise CapExceeded(f"walk search passed {max_steps} steps")
+        left -= 1
         used.add(key)
         node_seq.append(nxt)
         steps.append(step)
@@ -327,7 +324,10 @@ def enumerate_st_paths(
 
     The search itself honours constraint.simple and constraint.single_use;
     only the designated set is checked per walk.  Finding more than cap
-    walks raises CapExceeded.  The family is empty, with no search, unless
+    walks raises CapExceeded, and so does a search that extends walks by
+    more than WALK_STEP_CAP arcs in all, since the cap counts only the walks
+    kept and a search can spin through many that miss the designated set.
+    The family is empty, with no search, unless
     the source reaches the sink, through some designated node if there are
     any: reachability relaxes every walk rule, and a search that keeps no
     walk would never stop at the cap.
@@ -343,7 +343,7 @@ def enumerate_st_paths(
     W = frozenset(constraint.nodes)
     found = []
     for walk in _iter_walks(net, source, sink, constraint.simple,
-                            constraint.single_use, adj):
+                            constraint.single_use, adj, WALK_STEP_CAP):
         if W and W.isdisjoint(walk.nodes):
             continue
         if len(found) >= cap:

@@ -14,17 +14,17 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import lp as lpmod
+from . import network
 from .errors import MalformedNetwork, NonIntegralCapacity, WIsEndpoint
 from .maxflow import max_flow
 from .network import (DEFAULT_PATH_CAP, FWD, REV, EdgeWalk, FlowNetwork,
                       _iter_walks, _reachable, concat_walks, reverse_walk,
-                      simple_through, through_any, validate_walk)
+                      through_any, validate_walk)
 from .rational import ZERO, rat
 from .te import FlowSolution, default_families, solve_arcs, solve_te_mf
 
 EXACT_CUT_EDGES = 20         # directed min_swt_edge_cut is exact up to this many edges
 AUGMENT_SEARCH_CAP = 5000    # augmenting_w_flow: walks through w kept per round
-AUGMENT_STEP_CAP = 1_000_000  # augmenting_w_flow: walk-search steps per round
 AUGMENT_MAX_ROUNDS = 10_000  # augmenting_w_flow: rounds at most
 
 
@@ -38,24 +38,19 @@ def max_w_flow_exact(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP) -> FlowSolution:
     return max_set_flow_paths(net, (w,), cap)
 
 
-def max_w_flow_simple(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP) -> FlowSolution:
-    """Same, restricted to simple paths through w."""
-    return solve_te_mf(net, default_families(net, cap, simple_through(w)))
-
-
 def max_set_flow_paths(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
-                       single_use=False) -> FlowSolution:
+                       single_use=False, simple=False) -> FlowSolution:
     """Group flow by explicit enumeration of through-any-of-W families.
 
     With single_use=True an undirected edge may appear at most once per path
     (the no-repeat variant, for which no polynomial algorithm is known; on a
     directed network it changes nothing); by default opposite-direction
-    reuse is allowed.
+    reuse is allowed.  With simple=True a path repeats no node.
     An empty W raises MissingDesignation and a node of W not in the network
     UnknownNode.
     """
-    return solve_te_mf(net, default_families(net, cap,
-                                             through_any(W, single_use)))
+    return solve_te_mf(net, default_families(
+        net, cap, through_any(W, single_use, simple)))
 
 
 # -- undirected: polynomial transform -----------------------------------------
@@ -215,7 +210,7 @@ def augmenting_w_flow(net: FlowNetwork, w) -> AugmentingResult:
     into w; stops when no acceptable walk remains, after AUGMENT_MAX_ROUNDS
     (10,000) rounds at most.  Each round keeps the first AUGMENT_SEARCH_CAP
     (5,000) walks through w that its search finds, and a round whose search
-    extends walks by more than AUGMENT_STEP_CAP (1,000,000) arcs raises
+    extends walks by more than network.WALK_STEP_CAP (1,000,000) arcs raises
     CapExceeded: a search can spin through exponentially many walks that
     miss w or end nowhere.  Not optimal in general.
     """
@@ -252,7 +247,7 @@ def augmenting_w_flow(net: FlowNetwork, w) -> AugmentingResult:
                 adj[e.head].append((e, REV))
                 room[e.id, REV] = flow[e.id]
         walks = (walk for walk in _iter_walks(net, s, t, False, False, adj,
-                                              AUGMENT_STEP_CAP)
+                                              network.WALK_STEP_CAP)
                  if w in walk.nodes)
         candidates = sorted(islice(walks, AUGMENT_SEARCH_CAP),
                             key=lambda p: (len(p.steps), p.steps))

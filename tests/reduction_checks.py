@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from nodeflow.errors import CapExceeded
 from nodeflow.network import (DEFAULT_PATH_CAP, EdgeWalk, FlowNetwork,
                               PathConstraint, UNCONSTRAINED, concat_walks,
-                              enumerate_st_paths, simple_through, through_any,
-                              validate_walk)
+                              enumerate_st_paths, through_any, validate_walk)
 from nodeflow.reductions import (disjoint_shortest_paths_gadget,
                                  max_coverage_gadget, node_split_gadget,
                                  two_disjoint_paths_gadget, unit_path_gadget)
@@ -54,7 +53,8 @@ def check_two_disjoint_paths(net: FlowNetwork, u1, u2, v1, v2,
             break
     gadget = two_disjoint_paths_gadget(net, u1, u2, v1, v2)
     w = gadget.designated["w"]
-    via = len(enumerate_st_paths(gadget.network, u1, v2, simple_through(w), cap)) > 0
+    via = len(enumerate_st_paths(gadget.network, u1, v2,
+                                 through_any((w,), simple=True), cap)) > 0
     return CheckResult(direct, via, direct == via)
 
 

@@ -12,8 +12,7 @@ from nodeflow import (SrConfig, Tunnel, acyclic_feasible, augmenting_w_flow,
                       build_tunnels, catalog, check_pair_sum_identity,
                       detect_cycles, ecmp_fractions, enumerate_paths,
                       get_builtin, max_coverage_gadget, max_set_flow,
-                      max_set_flow_paths, max_w_flow_exact,
-                      max_w_flow_simple, min_swt_edge_cut,
+                      max_set_flow_paths, max_w_flow_exact, min_swt_edge_cut,
                       n_group_max_flow, probe_margins, rat, solve_te_lu,
                       solve_te_mf, submodularity_probe, through_any)
 
@@ -50,7 +49,7 @@ def test_criterion_02_figadd_suite():
     routes = {p.nodes for entries in sol.flows.values()
               for p, f in entries if f > 0}
     ok = sol.objective == 1 and ("s", "w", "s", "t") in routes
-    ok = ok and max_w_flow_simple(net, "w").objective == 0
+    ok = ok and max_set_flow_paths(net, ("w",), simple=True).objective == 0
     ok = ok and solve_te_mf(net).total_value() == 1
     ok = ok and time.monotonic() - start < 1.0
     _report(2, "figadd: walk value 1 via s,w,s,t; simple 0; unconstrained 1",

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -244,6 +245,28 @@ def test_augment_runaway_search_exit_3(tmp_path, capsys):
     assert err.startswith("limit exceeded:") and "steps" in err
 
 
+def test_set_flow_runaway_search_exit_3(tmp_path, capsys):
+    # s -> a -> b, b -> k0, b -> w -> t, the complete digraph on k0..k4,
+    # every k -> a and every k -> t: ten nodes, inside the node guard.  One
+    # walk passes w, and the search for more runs through the trails of the
+    # complete digraph, re-entered through a, until its step cap.
+    k = [f"k{i}" for i in range(5)]
+    arcs = ([("s", "a"), ("a", "b"), ("b", "k0"), ("b", "w"), ("w", "t")]
+            + [(x, y) for x in k for y in k if x != y]
+            + [(x, "a") for x in k] + [(x, "t") for x in k])
+    path = tmp_path / "runaway.json"
+    path.write_text(json.dumps({
+        "orientation": "directed", "nodes": ["s", "a", "b", "w", "t"] + k,
+        "edges": [{"tail": x, "head": y, "capacity": 1} for x, y in arcs],
+        "commodities": [{"src": "s", "dst": "t"}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "set-flow", "--instance", str(path),
+                         "--set", "w")
+    assert time.perf_counter() - start < 10
+    assert code == 3 and out == ""
+    assert err.startswith("limit exceeded:") and "steps" in err
+
+
 def test_set_flow_with_no_walk_through_w(tmp_path, capsys):
     # w reaches no node, so the exact answer is 0, found without a search.
     code, out, err = run(capsys, "set-flow", "--instance", _k8_w(tmp_path),
@@ -309,7 +332,7 @@ def test_node_guard_on_directed_path_solvers_exit_3(tmp_path, capsys):
         "edges": [{"tail": a, "head": b, "capacity": 1}
                   for a, b in zip(nodes, nodes[1:])],
         "commodities": [{"src": "v0", "dst": "v11"}]}))
-    for argv, line in ((("w-flow-simple", "--w", "v5"), "objective: 1"),
+    for argv, line in ((("set-flow", "--set", "v5", "--simple"), "objective: 1"),
                        (("set-flow", "--set", "v5"), "objective: 1"),
                        (("eq25", "--w", "v5"), "consistent: True"),
                        (("centrality", "--w", "v5", "--instance-demands"),
@@ -332,7 +355,7 @@ def test_node_guard_on_undirected_walk_enumerators_exit_3(tmp_path, capsys):
         "edges": [{"tail": a, "head": b, "capacity": 1}
                   for a, b in zip(nodes, nodes[1:])],
         "commodities": [{"src": "v0", "dst": "v11"}]}))
-    for argv in (("w-flow-simple", "--w", "v5"),
+    for argv in (("set-flow", "--set", "v5", "--simple"),
                  ("set-flow", "--set", "v5", "--no-repeat")):
         code, _, err = run(capsys, *argv, "--instance", str(path),
                            "--max-nodes-exact", "5")
@@ -410,7 +433,7 @@ def _write(path, orientation, edges, **extra):
 UNKNOWN_NODE = {
     "set-flow-one": ("directed", ("set-flow", "--set", "zz"), {}),
     "set-flow-file-w": ("directed", ("set-flow",), {"w": "zz"}),
-    "w-flow-simple": ("directed", ("w-flow-simple", "--w", "zz"), {}),
+    "set-flow-simple": ("directed", ("set-flow", "--set", "zz", "--simple"), {}),
     "set-flow": ("directed", ("set-flow", "--set", "zz,w"), {}),
     "centrality-instance-demands": (
         "directed", ("centrality", "--w", "zz", "--instance-demands"), {}),
@@ -530,12 +553,11 @@ def test_centrality_honours_max_paths_exit_3(capsys):
 
 # Every subcommand on a builtin, with the line that pins its value: the
 # catalog's headline where it states one (remarks: w-flow 3, heuristic 2,
-# cut 4; figadd: no simple path through w; cycle-3: SR utilization 1; fig8:
-# GF({s1,s2,s3}) = 3, GF({s1,s2}) = 2, best single group 2).
+# cut 4; cycle-3: SR utilization 1; fig8: GF({s1,s2,s3}) = 3,
+# GF({s1,s2}) = 2, best single group 2).
 EVERY_SUBCOMMAND = [
     (("te-mf", "--builtin", "remarks"), "objective: 4"),
     (("te-lu", "--builtin", "cycle-3"), "theta: 1"),
-    (("w-flow-simple", "--builtin", "figadd"), "objective: 0"),
     (("w-flow-augment", "--builtin", "remarks"), "objective: 2"),
     (("set-flow", "--builtin", "fig8", "--set", "s1,s2,s3"), "objective: 3"),
     (("cut", "--builtin", "remarks"), "cut_value: 4"),
@@ -569,14 +591,20 @@ GADGETS = [
 ]
 
 
-# The remarks headline's w-flow 3, asked of set-flow through the designated w;
-# its id names the quantity, as the catalog headline does.
-W_FLOW = (("set-flow", "--builtin", "remarks"), "objective: 3")
+# More questions set-flow answers, each id naming its quantity: the remarks
+# headline's w-flow 3 through the designated w, and figadd's simple paths
+# through w, of which there are none.
+SET_FLOW_QUESTIONS = {
+    "w-flow": (("set-flow", "--builtin", "remarks"), "objective: 3"),
+    "set-flow-simple": (("set-flow", "--builtin", "figadd", "--simple"),
+                        "objective: 0"),
+}
 
 
-@pytest.mark.parametrize("argv, line", [*EVERY_SUBCOMMAND, W_FLOW],
+@pytest.mark.parametrize("argv, line",
+                         [*EVERY_SUBCOMMAND, *SET_FLOW_QUESTIONS.values()],
                          ids=[argv[0] for argv, _ in EVERY_SUBCOMMAND]
-                         + ["w-flow"])
+                         + list(SET_FLOW_QUESTIONS))
 def test_every_subcommand_on_a_builtin(capsys, argv, line):
     code, out, err = run(capsys, *argv)
     assert code == 0, err

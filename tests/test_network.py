@@ -6,8 +6,8 @@ import pytest
 from nodeflow import (UNCONSTRAINED, CapExceeded, FlowNetwork, MalformedNetwork,
                       MissingDesignation, PathConstraint, UnknownNode, catalog, concat_walks,
                       enumerate_st_paths, get_builtin, reverse_walk,
-                      simple_through, through_any, validate_walk)
-from nodeflow.network import EdgeWalk, _iter_walks
+                      through_any, validate_walk)
+from nodeflow.network import WALK_STEP_CAP, EdgeWalk, _iter_walks
 
 from conftest import oracle_walks, random_directed, random_undirected
 
@@ -66,7 +66,9 @@ def test_constraint_factories_build_one_value():
     assert through_any(["w"], single_use=True) == \
         PathConstraint(("w",), single_use=True)
     assert through_any(["b", "a", "b"]) == PathConstraint(("a", "b"))
-    assert simple_through("w") == PathConstraint(("w",), simple=True)
+    assert through_any(["w"], simple=True) == PathConstraint(("w",), simple=True)
+    assert through_any(["b", "a", "b"], simple=True) == \
+        PathConstraint(("a", "b"), simple=True)
     with pytest.raises(MissingDesignation):
         through_any([])
 
@@ -93,7 +95,7 @@ def test_walks_may_revisit_nodes_but_not_edges():
     net = get_builtin("figadd").network
     fam = enumerate_st_paths(net, "s", "t", through_any(["w"]))
     assert any(len(set(p.nodes)) < len(p.nodes) for p in fam.paths)
-    simple = enumerate_st_paths(net, "s", "t", simple_through("w"))
+    simple = enumerate_st_paths(net, "s", "t", through_any(["w"], simple=True))
     assert len(simple) == 0
 
 
@@ -190,6 +192,31 @@ def test_walk_order_pinned():
                         digest.update(repr((walk.nodes, walk.steps)).encode())
                         count += 1
     assert (count, digest.hexdigest()) == PINNED_WALK_ORDER
+
+
+def test_step_cap_counts_arcs_and_keeps_walk_order():
+    # The bounded search yields the unbounded one's walks, in order.  A step
+    # extends a walk by one arc, so a search from s takes one step per
+    # edge-distinct walk out of s, wherever it ends (s included): it
+    # finishes with that many steps allowed and stops with one fewer.
+    for b in catalog():
+        net = b.network
+        for s in net.nodes:
+            for t in net.nodes:
+                if s == t:
+                    continue
+                for simple, single_use in ((False, False), (True, False),
+                                           (False, True)):
+                    walks = list(_iter_walks(net, s, t, simple, single_use))
+                    assert list(_iter_walks(net, s, t, simple, single_use,
+                                            max_steps=WALK_STEP_CAP)) == walks
+    net = get_builtin("remarks").network
+    steps = sum(len(list(_iter_walks(net, "s", v, False, False)))
+                for v in net.nodes)
+    assert len(list(_iter_walks(net, "s", "t", False, False,
+                                max_steps=steps))) == 5
+    with pytest.raises(CapExceeded, match=f"passed {steps - 1} steps"):
+        list(_iter_walks(net, "s", "t", False, False, max_steps=steps - 1))
 
 
 def test_walks_share_step_tuples():

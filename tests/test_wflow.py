@@ -9,7 +9,7 @@ from nodeflow import (CapExceeded, FlowNetwork, MalformedNetwork, MissingDesigna
                       build_transform, enumerate_paths,
                       enumerate_st_paths, fix_paths,
                       get_builtin, max_set_flow, max_set_flow_paths,
-                      max_w_flow_exact, max_w_flow_simple, min_swt_edge_cut,
+                      max_w_flow_exact, min_swt_edge_cut, network,
                       rat, solve_te_mf, through_any, validate_walk, verify_cut)
 
 from conftest import (oracle_walks, pick_inner_node, random_directed,
@@ -30,7 +30,7 @@ def test_figadd_values():
     routes = {p.nodes for entries in walkful.flows.values()
               for p, f in entries if f > 0}
     assert routes == {("s", "w", "s", "t")}
-    assert max_w_flow_simple(net, "w").objective == 0
+    assert max_set_flow_paths(net, ("w",), simple=True).objective == 0
     assert solve_te_mf(net).total_value() == 1
 
 
@@ -329,6 +329,34 @@ def test_no_walk_through_w_is_found_without_a_search():
     start = time.perf_counter()
     assert max_set_flow_paths(_k8_w(), ("w",)).objective == 0
     assert time.perf_counter() - start < 2
+
+
+def _runaway_a():
+    """s -> w -> t, s -> k0, the complete digraph on k0..k4 and every k -> t
+    (capacity 1): one walk passes w, and a search for more runs through
+    every edge-distinct trail of the complete digraph, all of which miss w."""
+    k = [f"k{i}" for i in range(5)]
+    return FlowNetwork.build("directed", ["s", "w", "t"] + k,
+                             [("s", "w", 1), ("w", "t", 1), ("s", "k0", 1)]
+                             + [(a, b, 1) for a in k for b in k if a != b]
+                             + [(a, "t", 1) for a in k], [("s", "t")])
+
+
+def test_walk_search_stops_at_its_step_cap():
+    # The path cap counts kept walks, and this search keeps one; the step
+    # cap stops it instead.
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="passed 1000000 steps"):
+        max_set_flow_paths(_runaway_a(), ("w",))
+    assert time.perf_counter() - start < 10
+
+
+def test_walk_step_cap_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 1000)
+    with pytest.raises(CapExceeded, match="passed 1000 steps"):
+        max_set_flow_paths(_runaway_a(), ("w",))
+    with pytest.raises(CapExceeded, match="passed 1000 steps"):
+        augmenting_w_flow(_k8_w(), "w")
 
 
 def test_augmenting_needs_a_commodity():
