@@ -15,15 +15,15 @@ import random
 from dataclasses import dataclass, field
 
 from .maxflow import max_flow
-from .network import DEFAULT_PATH_CAP, Commodity, FlowNetwork, fresh_name
+from .network import Commodity, FlowNetwork, fresh_name
 from .rational import ZERO
 from .te import max_flow_arc_lp
 from .wflow import max_set_flow, max_set_flow_paths
 
-def pair_w_flow(net: FlowNetwork, w, s, t, cap=DEFAULT_PATH_CAP):
+def pair_w_flow(net: FlowNetwork, w, s, t):
     """Node-constrained max flow for the single unbounded pair (s, t)."""
     single = net.with_commodities([Commodity(s, t, None)])
-    return max_set_flow(single, (w,), cap=cap).objective
+    return max_set_flow(single, (w,)).objective
 
 
 def pair_max_flow(net: FlowNetwork, s, t):
@@ -40,21 +40,21 @@ class CentralityReport:
     pairs: list = field(default_factory=list)  # (s, t, constrained, unconstrained)
 
 
-def flow_centrality(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP) -> CentralityReport:
+def flow_centrality(net: FlowNetwork, w) -> CentralityReport:
     """All-pairs flow centrality of w: the numerator sums node-constrained
     flow values over all ordered pairs not involving w, the denominator the
     corresponding unconstrained maxima.  Unguarded, and exponential on
     directed networks."""
     net.require(w)
     pairs = [(s, t, forced, free)
-             for (s, t), (forced, free) in _pair_values(net, w, cap).items()]
+             for (s, t), (forced, free) in _pair_values(net, w).items()]
     num = sum((forced for _, _, forced, _ in pairs), ZERO)
     den = sum((free for _, _, _, free in pairs), ZERO)
     ratio = None if den == 0 else num / den
     return CentralityReport(w, num, den, ratio, pairs)
 
 
-def _pair_values(net: FlowNetwork, w, cap):
+def _pair_values(net: FlowNetwork, w):
     """(s, t) -> (constrained, unconstrained) flow over the ordered pairs
     avoiding w, in permutation order; a pair with no free flow gets
     (0, 0) without a constrained solve.  On an undirected network an s-t
@@ -69,18 +69,18 @@ def _pair_values(net: FlowNetwork, w, cap):
             values[(s, t)] = values[(t, s)]
             continue
         free = pair_max_flow(net, s, t)
-        forced = pair_w_flow(net, w, s, t, cap=cap) if free else ZERO
+        forced = pair_w_flow(net, w, s, t) if free else ZERO
         values[(s, t)] = (shared.setdefault(forced, forced), shared.setdefault(free, free))
     return values
 
 
-def commodity_centrality(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP) -> CentralityReport:
+def commodity_centrality(net: FlowNetwork, w) -> CentralityReport:
     """Centrality against the instance's own commodities and demands: the
     node-constrained multicommodity optimum over the unconstrained one.
     Unguarded, and exponential on directed networks."""
     den_sol = max_flow_arc_lp(net)
     den = den_sol.objective
-    num = max_set_flow(net, (w,), cap=cap).objective
+    num = max_set_flow(net, (w,)).objective
     ratio = None if den == 0 else num / den
     return CentralityReport(w, num, den, ratio)
 
@@ -96,9 +96,8 @@ class GroupFlowResult:
 
 
 class _GroupFlowCache:
-    def __init__(self, net, cap=DEFAULT_PATH_CAP, norepeat=False):
+    def __init__(self, net, norepeat=False):
         self.net = net
-        self.cap = cap
         self.norepeat = norepeat
         self.values = {}
 
@@ -108,16 +107,14 @@ class _GroupFlowCache:
             return ZERO
         if key not in self.values:
             if self.norepeat:
-                sol = max_set_flow_paths(self.net, tuple(key), cap=self.cap,
-                                         single_use=True)
+                sol = max_set_flow_paths(self.net, tuple(key), single_use=True)
             else:
-                sol = max_set_flow(self.net, tuple(key), cap=self.cap)
+                sol = max_set_flow(self.net, tuple(key))
             self.values[key] = sol.objective
         return self.values[key]
 
 
-def n_group_max_flow(net: FlowNetwork, n: int, method="brute",
-                     cap=DEFAULT_PATH_CAP) -> GroupFlowResult:
+def n_group_max_flow(net: FlowNetwork, n: int, method="brute") -> GroupFlowResult:
     """Best group of at most n nodes.
 
     method="brute" enumerates every subset (exponential, exact); "greedy"
@@ -126,7 +123,7 @@ def n_group_max_flow(net: FlowNetwork, n: int, method="brute",
     """
     if n < 1:
         raise ValueError("n must be positive")
-    gf = _GroupFlowCache(net, cap)
+    gf = _GroupFlowCache(net)
     nodes = sorted(net.nodes)
     if method == "brute":
         best_group, best_value = (), ZERO
@@ -173,8 +170,7 @@ class ProbeReport:
         return not self.submodularity_violations
 
 
-def submodularity_probe(net: FlowNetwork, trials=100, seed=0,
-                        cap=DEFAULT_PATH_CAP) -> ProbeReport:
+def submodularity_probe(net: FlowNetwork, trials=100, seed=0) -> ProbeReport:
     """Sample nested sets S <= T and a fresh node v; record violations of
     monotonicity (adding v may never lower the value) and of submodularity
     (the marginal gain of v at S at least the one at T).
@@ -191,7 +187,7 @@ def submodularity_probe(net: FlowNetwork, trials=100, seed=0,
     counterexamples disappear under that semantics.
     """
     rng = random.Random(seed)
-    gf = _GroupFlowCache(net, cap, norepeat=not net.directed)
+    gf = _GroupFlowCache(net, norepeat=not net.directed)
     nodes = sorted(net.nodes)
     mono = []
     submod = []
@@ -267,8 +263,7 @@ class Eq25Report:
     consistent: bool
 
 
-def check_pair_sum_identity(net: FlowNetwork, w, s, t,
-                            cap=DEFAULT_PATH_CAP) -> Eq25Report:
+def check_pair_sum_identity(net: FlowNetwork, w, s, t) -> Eq25Report:
     """The pair value nu^w(s,t) equals an inclusion-exclusion of the four
     pair-sum aggregates S (flow_centrality's numerator) over the hat
     constructions:
@@ -284,12 +279,12 @@ def check_pair_sum_identity(net: FlowNetwork, w, s, t,
     """
     net.require(w, s, t)
     hats = hat_constructions(net, s, t)
-    lhs = pair_w_flow(net, w, s, t, cap=cap)
+    lhs = pair_w_flow(net, w, s, t)
     terms = {
-        "both": flow_centrality(hats.both, w, cap).numerator,
-        "source_hat": flow_centrality(hats.source_hat, w, cap).numerator,
-        "sink_hat": flow_centrality(hats.sink_hat, w, cap).numerator,
-        "base": flow_centrality(hats.base, w, cap).numerator,
+        "both": flow_centrality(hats.both, w).numerator,
+        "source_hat": flow_centrality(hats.source_hat, w).numerator,
+        "sink_hat": flow_centrality(hats.sink_hat, w).numerator,
+        "base": flow_centrality(hats.base, w).numerator,
     }
     rhs = terms["both"] - terms["source_hat"] - terms["sink_hat"] + terms["base"]
     if not net.directed:

@@ -4,13 +4,13 @@ Every solver subcommand loads an instance (from a file or the builtin
 catalog), runs one solver, and prints a result record.  Exit codes: 0 the
 instance was solved (an infeasible program is a result, not an error),
 1 any other solver error (such as an unbounded demand where a finite one is
-required), 2 parse errors, 3 a size guard or enumeration cap was exceeded,
-4 a required designated node/set is missing.
+required), 2 parse errors, 3 a size guard or the walk-search step cap was
+exceeded, 4 a required designated node/set is missing.
 
-Each subcommand is one row of COMMANDS; main applies the row's size guard
-once, before the body runs.  The library guards only the walk searches of
-enumeration and the augmenting heuristic, which stop at
-network.WALK_STEP_CAP arcs (exit 3 as well).
+Each subcommand is one row of COMMANDS; main applies the row's size guard,
+--max-nodes-exact, once, before the body runs.  The library guards every
+walk search (enumeration, the augmenting heuristic and the directed cut),
+which stops at network.WALK_STEP_CAP arcs (exit 3 as well).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import centrality as ctr
 from . import fileio, instances, reductions, srte, te, wflow
 from .errors import (CapExceeded, MissingDesignation, NodeflowError,
                      ParseError)
-from .network import DEFAULT_PATH_CAP, through_any
+from .network import through_any
 from .rational import as_decimal, format_rational
 
 EXIT_OK = 0
@@ -195,7 +195,7 @@ def _emit_flow_solution(rec, sol, net):
 
 def cmd_te(args, inst, rec):
     solve = te.solve_te_lu if args.command == "te-lu" else te.solve_te_mf
-    sol = solve(inst.network, cap=args.max_paths)
+    sol = solve(inst.network)
     _emit_flow_solution(rec, sol, inst.network)
 
 
@@ -216,11 +216,10 @@ def cmd_set_flow(args, inst, rec):
     if args.no_repeat and net.directed:
         raise ParseError("--no-repeat applies to undirected instances")
     if args.no_repeat or args.simple:
-        sol = wflow.max_set_flow_paths(net, W, cap=args.max_paths,
-                                       single_use=args.no_repeat,
+        sol = wflow.max_set_flow_paths(net, W, single_use=args.no_repeat,
                                        simple=args.simple)
     else:
-        sol = wflow.max_set_flow(net, W, cap=args.max_paths)
+        sol = wflow.max_set_flow(net, W)
     rec.add("designated_set", ",".join(W))
     _emit_flow_solution(rec, sol, net)
 
@@ -273,9 +272,9 @@ def cmd_acyclic_check(args, inst, rec):
 def cmd_centrality(args, inst, rec):
     w = _designated(inst, args.w, "w")
     if args.instance_demands:
-        report = ctr.commodity_centrality(inst.network, w, cap=args.max_paths)
+        report = ctr.commodity_centrality(inst.network, w)
     else:
-        report = ctr.flow_centrality(inst.network, w, cap=args.max_paths)
+        report = ctr.flow_centrality(inst.network, w)
     rec.add("node", report.node)
     rec.add("numerator", report.numerator)
     rec.add("denominator", report.denominator)
@@ -286,8 +285,7 @@ def cmd_centrality(args, inst, rec):
 
 
 def cmd_ngroup(args, inst, rec):
-    result = ctr.n_group_max_flow(inst.network, args.n, method=args.method,
-                                  cap=args.max_paths)
+    result = ctr.n_group_max_flow(inst.network, args.n, method=args.method)
     rec.add("method", args.method)
     rec.add("group", ",".join(result.group))
     rec.add("objective", result.value)
@@ -299,7 +297,7 @@ def cmd_ngroup(args, inst, rec):
 
 def cmd_probe(args, inst, rec):
     report = ctr.submodularity_probe(inst.network, trials=args.trials,
-                                     seed=args.seed, cap=args.max_paths)
+                                     seed=args.seed)
     # A sample can refute a property but never prove it.
     unrefuted = f"not refuted ({report.samples} samples)"
     rec.add("samples", report.samples)
@@ -315,7 +313,7 @@ def cmd_probe(args, inst, rec):
 def cmd_eq25(args, inst, rec):
     w = _designated(inst, args.w, "w")
     s, t = _endpoints(args, inst)
-    report = ctr.check_pair_sum_identity(inst.network, w, s, t, cap=args.max_paths)
+    report = ctr.check_pair_sum_identity(inst.network, w, s, t)
     rec.add("lhs", report.lhs)
     for name, value in sorted(report.terms.items()):
         rec.add(f"term_{name}", value)
@@ -391,7 +389,7 @@ DIRECTED, WALKS = False, True
 class Command:
     """A subcommand: its body, which looks its solver up through its module
     at run time, help, own flags and guard rule (or a function of the parsed
-    arguments giving it); no rule, no --max-paths or --max-nodes-exact."""
+    arguments giving it); no rule, no --max-nodes-exact."""
     run: object
     help: str
     flags: tuple = ()
@@ -471,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--format", choices=("table", "csv", "structured"),
                          default="table")
         if command.guard is not None:
-            sub.add_argument("--max-paths", type=_count(0), default=DEFAULT_PATH_CAP,
-                             help="cap on enumerated paths per family")
             sub.add_argument("--max-nodes-exact", type=_count(0), default=10,
                              help="node-count guard for exponential solvers")
         for names, options in command.flags:

@@ -38,9 +38,9 @@ class ParseError(NodeflowError):
 
 
 class CapExceeded(NodeflowError):
-    """A search passed its cap on walks or steps, so its result would be
-    unsound, or an instance exceeds the node-count guard of an exact,
-    exponential method.  The CLI exits with code 3."""
+    """A search passed its step cap, so its result would be unsound, or an
+    instance exceeds the node-count guard of an exact, exponential method.
+    The CLI exits with code 3."""
 
 
 class WIsEndpoint(NodeflowError):

@@ -8,10 +8,11 @@ Terminology used throughout the package:
 * a *simple path* additionally never repeats a node.
 
 Path enumeration is exhaustive and deterministic (lexicographic in the edge
-id sequence, forward traversal before reverse), with a configurable cap on
-the walks it keeps and a fixed one on the arcs it extends (WALK_STEP_CAP): a
-search that would pass either raises CapExceeded, since the optimum over
-part of a family is not the optimum of the instance.
+id sequence, forward traversal before reverse), and every walk search stops
+at one cap on the arcs it extends (WALK_STEP_CAP): a search that would pass
+it raises CapExceeded, since the optimum over part of a family is not the
+optimum of the instance.  A kept walk ends on a step of its own, so the cap
+bounds the walks a family keeps as well.
 Families can hold many walks, so walks are kept small: an EdgeWalk has
 slots, and every enumerated walk shares one (edge id, direction) step tuple
 per arc with every other walk over that arc.
@@ -31,8 +32,7 @@ UNDIRECTED = "undirected"
 FWD = 1
 REV = -1
 
-DEFAULT_PATH_CAP = 1_000_000  # walks a family keeps
-WALK_STEP_CAP = 1_000_000  # arcs one walk search extends
+WALK_STEP_CAP = 1_000_000  # arcs one walk search extends (None: no bound)
 
 
 @dataclass(frozen=True)
@@ -256,15 +256,16 @@ _STEPS = {}
 
 
 def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
-                adj=None, max_steps=None) -> Iterator[EdgeWalk]:
+                adj=None) -> Iterator[EdgeWalk]:
     """Depth-first generator over edge-distinct walks source -> sink.
 
     Yields every valid walk; a walk is yielded when it reaches the sink and
     the search keeps extending it afterwards (paths may pass through the sink
     and come back), except in simple mode where extension past a visited node
     is impossible anyway.  adj, in the form of net.adjacency(), restricts the
-    search to the edges it lists.  A search that extends a walk by more than
-    max_steps arcs in all (None: no bound) raises CapExceeded.
+    search to the edges it lists.  A search that extends walks by more than
+    WALK_STEP_CAP arcs in all, read when the search starts (None: no bound),
+    raises CapExceeded.
 
     Every walk's steps are the shared tuples of _STEPS, one per arc, so a
     family holds one step object per arc rather than one per step.
@@ -288,7 +289,8 @@ def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
     used = set()  # keys of the arcs on the walk
     on_path = {source}  # only consulted in simple mode
     stack = [iter(arcs[source])]  # per walk node, its arcs not yet tried
-    left = -1 if max_steps is None else max_steps  # steps left; -1 never hits 0
+    cap = WALK_STEP_CAP
+    left = -1 if cap is None else cap  # steps left; -1 never hits 0
     while stack:
         for key, nxt, step in stack[-1]:
             if key not in used and not (simple and nxt in on_path):
@@ -301,7 +303,7 @@ def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
                 steps.pop()
             continue
         if not left:
-            raise CapExceeded(f"walk search passed {max_steps} steps")
+            raise CapExceeded(f"walk search passed {cap} steps")
         left -= 1
         used.add(key)
         node_seq.append(nxt)
@@ -318,19 +320,16 @@ def enumerate_st_paths(
     source,
     sink,
     constraint: PathConstraint = UNCONSTRAINED,
-    cap: int = DEFAULT_PATH_CAP,
 ) -> PathFamily:
     """All paths source -> sink satisfying the constraint, in search order.
 
     The search itself honours constraint.simple and constraint.single_use;
-    only the designated set is checked per walk.  Finding more than cap
-    walks raises CapExceeded, and so does a search that extends walks by
-    more than WALK_STEP_CAP arcs in all, since the cap counts only the walks
-    kept and a search can spin through many that miss the designated set.
-    The family is empty, with no search, unless
-    the source reaches the sink, through some designated node if there are
-    any: reachability relaxes every walk rule, and a search that keeps no
-    walk would never stop at the cap.
+    only the designated set is checked per walk.  A search that extends
+    walks by more than WALK_STEP_CAP arcs in all raises CapExceeded, so it
+    stops whether it keeps its walks or spins through many that miss the
+    designated set.  The family is empty, with no search, unless the source
+    reaches the sink, through some designated node if there are any:
+    reachability relaxes every walk rule.
     """
     net.require(source, sink, *constraint.nodes)
     if source == sink:
@@ -341,21 +340,16 @@ def enumerate_st_paths(
             w in reach and sink in _reachable(adj, (), w) for w in constraint.nodes):
         return PathFamily(source, sink, constraint, ())
     W = frozenset(constraint.nodes)
-    found = []
-    for walk in _iter_walks(net, source, sink, constraint.simple,
-                            constraint.single_use, adj, WALK_STEP_CAP):
-        if W and W.isdisjoint(walk.nodes):
-            continue
-        if len(found) >= cap:
-            raise CapExceeded(f"more than {cap} walks from {source!r} to {sink!r}")
-        found.append(walk)
+    found = [walk for walk in _iter_walks(net, source, sink, constraint.simple,
+                                          constraint.single_use, adj)
+             if not W or not W.isdisjoint(walk.nodes)]
     return PathFamily(source, sink, constraint, tuple(found))
 
 
-def enumerate_paths(net: FlowNetwork, commodity: int, constraint=UNCONSTRAINED,
-                    cap=DEFAULT_PATH_CAP) -> PathFamily:
+def enumerate_paths(net: FlowNetwork, commodity: int,
+                    constraint=UNCONSTRAINED) -> PathFamily:
     com = net.commodities[commodity]
-    return enumerate_st_paths(net, com.source, com.sink, constraint, cap)
+    return enumerate_st_paths(net, com.source, com.sink, constraint)
 
 
 @dataclass(frozen=True)

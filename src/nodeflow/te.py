@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from . import lp as lpmod
 from .errors import InfiniteDemand
-from .network import DEFAULT_PATH_CAP, UNCONSTRAINED, FlowNetwork, enumerate_paths
+from .network import UNCONSTRAINED, FlowNetwork, enumerate_paths
 from .rational import ONE, ZERO
 
 INFEASIBLE = "infeasible"
@@ -70,11 +70,11 @@ class FlowSolution:
         return loads
 
 
-def default_families(net: FlowNetwork, cap=DEFAULT_PATH_CAP, constraint=UNCONSTRAINED):
+def default_families(net: FlowNetwork, constraint=UNCONSTRAINED):
     """One family per commodity.  A constraint node not in the network is
     refused even when there is no commodity to enumerate for."""
     net.require(*constraint.nodes)
-    return [enumerate_paths(net, i, constraint, cap)
+    return [enumerate_paths(net, i, constraint)
             for i in range(len(net.commodities))]
 
 
@@ -185,9 +185,9 @@ def solve_columns(net: FlowNetwork, columns, minimize_load):
     return lpmod.OPTIMAL, values, objective, sol.pivots
 
 
-def _solve_families(net, families, cap, minimize_load):
+def _solve_families(net, families, minimize_load):
     if families is None:
-        families = default_families(net, cap)
+        families = default_families(net)
     _check_families(net, families)
     columns = [[walk.edge_multiplicity() for walk in fam.paths] for fam in families]
     status, values, objective, pivots = solve_columns(net, columns, minimize_load)
@@ -199,18 +199,18 @@ def _solve_families(net, families, cap, minimize_load):
                         objective if minimize_load else None, pivots)
 
 
-def solve_te_mf(net: FlowNetwork, families=None, cap=DEFAULT_PATH_CAP) -> FlowSolution:
+def solve_te_mf(net: FlowNetwork, families=None) -> FlowSolution:
     """Maximum total multicommodity flow over the given path families."""
-    return _solve_families(net, families, cap, minimize_load=False)
+    return _solve_families(net, families, minimize_load=False)
 
 
-def solve_te_lu(net: FlowNetwork, families=None, cap=DEFAULT_PATH_CAP) -> FlowSolution:
+def solve_te_lu(net: FlowNetwork, families=None) -> FlowSolution:
     """Minimum worst-link utilization routing every demand in full.
 
     Every commodity must have a finite required amount (min_demand, which
     defaults to max_demand).
     """
-    return _solve_families(net, families, cap, minimize_load=True)
+    return _solve_families(net, families, minimize_load=True)
 
 
 def _reduced_graph(net: FlowNetwork, terminals):

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import lp as lpmod
-from . import network
 from .errors import MalformedNetwork, NonIntegralCapacity, WIsEndpoint
 from .maxflow import max_flow
-from .network import (DEFAULT_PATH_CAP, FWD, REV, EdgeWalk, FlowNetwork,
-                      _iter_walks, _reachable, concat_walks, reverse_walk,
-                      through_any, validate_walk)
+from .network import (FWD, REV, EdgeWalk, FlowNetwork, _iter_walks,
+                      _reachable, concat_walks, reverse_walk, through_any,
+                      validate_walk)
 from .rational import ZERO, rat
 from .te import FlowSolution, default_families, solve_arcs, solve_te_mf
 
@@ -30,16 +29,16 @@ AUGMENT_MAX_ROUNDS = 10_000  # augmenting_w_flow: rounds at most
 
 # -- exact values via path LPs (directed or brute-force undirected) ----------
 
-def max_w_flow_exact(net: FlowNetwork, w, cap=DEFAULT_PATH_CAP) -> FlowSolution:
+def max_w_flow_exact(net: FlowNetwork, w) -> FlowSolution:
     """Exact node-constrained max flow via a through-w path family per
     commodity: max_set_flow_paths with W = {w}.  When w coincides with a
     commodity endpoint the through-w family is simply that commodity's
     unconstrained family, so no special handling is needed."""
-    return max_set_flow_paths(net, (w,), cap)
+    return max_set_flow_paths(net, (w,))
 
 
-def max_set_flow_paths(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
-                       single_use=False, simple=False) -> FlowSolution:
+def max_set_flow_paths(net: FlowNetwork, W, single_use=False,
+                       simple=False) -> FlowSolution:
     """Group flow by explicit enumeration of through-any-of-W families.
 
     With single_use=True an undirected edge may appear at most once per path
@@ -50,7 +49,7 @@ def max_set_flow_paths(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP,
     UnknownNode.
     """
     return solve_te_mf(net, default_families(
-        net, cap, through_any(W, single_use, simple)))
+        net, through_any(W, single_use, simple)))
 
 
 # -- undirected: polynomial transform -----------------------------------------
@@ -106,7 +105,7 @@ def solve_transform(net: FlowNetwork, entries):
     return sol
 
 
-def max_set_flow(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP) -> FlowSolution:
+def max_set_flow(net: FlowNetwork, W) -> FlowSolution:
     """Node-set-constrained max flow (group flow).
 
     Directed networks go through explicit path families.  Undirected networks
@@ -115,7 +114,7 @@ def max_set_flow(net: FlowNetwork, W, cap=DEFAULT_PATH_CAP) -> FlowSolution:
     a node of W not in the network UnknownNode.
     """
     if net.directed:
-        return max_set_flow_paths(net, W, cap=cap)
+        return max_set_flow_paths(net, W)
     sol = solve_transform(net, build_transform(net, W))
     return FlowSolution(lpmod.OPTIMAL, sol.objective / 2, {}, pivots=sol.pivots)
 
@@ -136,7 +135,8 @@ def min_swt_edge_cut(net: FlowNetwork, s, w, t) -> CutResult:
     each way, so an s-w-t walk exists exactly when s, w and t share a
     component, and the minimum is min(lambda(s,w), lambda(w,t)), or
     lambda(s,t) when w is s or t.  Directed: branch and bound up to
-    EXACT_CUT_EDGES (20) edges; beyond that, an upper bound labeled as
+    EXACT_CUT_EDGES (20) edges, whose walk searches each raise CapExceeded
+    past network.WALK_STEP_CAP arcs; beyond that, an upper bound labeled as
     inexact, the cheapest of the same max-flow cuts.  An s-w cut is one only
     when w != s (a walk that starts at w need not reach it again), a w-t cut
     only when w != t.
@@ -175,7 +175,8 @@ def min_swt_edge_cut(net: FlowNetwork, s, w, t) -> CutResult:
 
 
 def _swt_walk(net, adj, removed, s, w, t):
-    """First edge-distinct s-w-t walk avoiding the removed edges, or None."""
+    """First edge-distinct s-w-t walk avoiding the removed edges, or None;
+    a search past network.WALK_STEP_CAP arcs raises CapExceeded."""
     kept = {v: [(e, d) for e, d in arcs if e.id not in removed]
             for v, arcs in adj.items()}
     return next((walk for walk in _iter_walks(net, s, t, False, False, kept)
@@ -246,8 +247,7 @@ def augmenting_w_flow(net: FlowNetwork, w) -> AugmentingResult:
             if flow[e.id] > 0:
                 adj[e.head].append((e, REV))
                 room[e.id, REV] = flow[e.id]
-        walks = (walk for walk in _iter_walks(net, s, t, False, False, adj,
-                                              network.WALK_STEP_CAP)
+        walks = (walk for walk in _iter_walks(net, s, t, False, False, adj)
                  if w in walk.nodes)
         candidates = sorted(islice(walks, AUGMENT_SEARCH_CAP),
                             key=lambda p: (len(p.steps), p.steps))

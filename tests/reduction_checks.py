@@ -12,9 +12,9 @@ import itertools
 from dataclasses import dataclass
 
 from nodeflow.errors import CapExceeded
-from nodeflow.network import (DEFAULT_PATH_CAP, EdgeWalk, FlowNetwork,
-                              PathConstraint, UNCONSTRAINED, concat_walks,
-                              enumerate_st_paths, through_any, validate_walk)
+from nodeflow.network import (EdgeWalk, FlowNetwork, PathConstraint,
+                              UNCONSTRAINED, concat_walks, enumerate_st_paths,
+                              through_any, validate_walk)
 from nodeflow.reductions import (disjoint_shortest_paths_gadget,
                                  max_coverage_gadget, node_split_gadget,
                                  two_disjoint_paths_gadget, unit_path_gadget)
@@ -32,18 +32,17 @@ class CheckResult:
     consistent: bool
 
 
-def _simple_node_paths(net, s, t, cap=DEFAULT_PATH_CAP):
+def _simple_node_paths(net, s, t):
     return [p.nodes for p in
-            enumerate_st_paths(net, s, t, PathConstraint(simple=True), cap).paths]
+            enumerate_st_paths(net, s, t, PathConstraint(simple=True)).paths]
 
 
-def check_two_disjoint_paths(net: FlowNetwork, u1, u2, v1, v2,
-                             cap=DEFAULT_PATH_CAP) -> CheckResult:
+def check_two_disjoint_paths(net: FlowNetwork, u1, u2, v1, v2) -> CheckResult:
     """Vertex-disjoint u1->u2 and v1->v2 paths: direct enumeration versus the
     existence of a simple s-w-t path in the gadget."""
     direct = False
-    second = _simple_node_paths(net, v1, v2, cap)
-    for p in _simple_node_paths(net, u1, u2, cap):
+    second = _simple_node_paths(net, v1, v2)
+    for p in _simple_node_paths(net, u1, u2):
         pset = set(p)
         for q in second:
             if not (pset & set(q)):
@@ -54,16 +53,16 @@ def check_two_disjoint_paths(net: FlowNetwork, u1, u2, v1, v2,
     gadget = two_disjoint_paths_gadget(net, u1, u2, v1, v2)
     w = gadget.designated["w"]
     via = len(enumerate_st_paths(gadget.network, u1, v2,
-                                 through_any((w,), simple=True), cap)) > 0
+                                 through_any((w,), simple=True))) > 0
     return CheckResult(direct, via, direct == via)
 
 
-def check_node_split(net: FlowNetwork, s, w, t, cap=DEFAULT_PATH_CAP) -> CheckResult:
+def check_node_split(net: FlowNetwork, s, w, t) -> CheckResult:
     """Internally node-disjoint s->w and w->t paths versus edge-disjoint
     paths between the corresponding split nodes."""
     direct = False
-    second = _simple_node_paths(net, w, t, cap)
-    for p in _simple_node_paths(net, s, w, cap):
+    second = _simple_node_paths(net, w, t)
+    for p in _simple_node_paths(net, s, w):
         pset = set(p)
         for q in second:
             if pset & set(q) == {w}:
@@ -79,8 +78,8 @@ def check_node_split(net: FlowNetwork, s, w, t, cap=DEFAULT_PATH_CAP) -> CheckRe
     via = False
     # Starting at s.in and ending at t.out makes each leg consume its own
     # endpoint's split edge, so the other leg cannot reuse that node either.
-    legs2 = enumerate_st_paths(g, w_out, t_out, UNCONSTRAINED, cap).paths
-    for p in enumerate_st_paths(g, s_in, w_in, UNCONSTRAINED, cap).paths:
+    legs2 = enumerate_st_paths(g, w_out, t_out, UNCONSTRAINED).paths
+    for p in enumerate_st_paths(g, s_in, w_in, UNCONSTRAINED).paths:
         pedges = set(eid for eid, _ in p.steps)
         for q in legs2:
             if not (pedges & set(eid for eid, _ in q.steps)):
@@ -91,12 +90,12 @@ def check_node_split(net: FlowNetwork, s, w, t, cap=DEFAULT_PATH_CAP) -> CheckRe
     return CheckResult(direct, via, direct == via)
 
 
-def check_unit_path(net: FlowNetwork, s, t, w, cap=DEFAULT_PATH_CAP) -> CheckResult:
+def check_unit_path(net: FlowNetwork, s, t, w) -> CheckResult:
     """An s-w-t path exists iff the unit-capacity node-constrained max flow
     is at least 1."""
-    direct = len(enumerate_st_paths(net, s, t, through_any([w]), cap)) > 0
+    direct = len(enumerate_st_paths(net, s, t, through_any([w]))) > 0
     gadget = unit_path_gadget(net, s, t, w)
-    sol = max_w_flow_exact(gadget.network, w, cap=cap)
+    sol = max_w_flow_exact(gadget.network, w)
     via = sol.objective is not None and sol.objective >= 1
     return CheckResult(direct, via, direct == via)
 
@@ -112,11 +111,11 @@ def max_coverage_brute(items, sets, n):
     return best
 
 
-def check_max_coverage(items, sets, n, cap=DEFAULT_PATH_CAP) -> CheckResult:
+def check_max_coverage(items, sets, n) -> CheckResult:
     """Optimal coverage versus the optimal N-group flow on the gadget."""
     direct = max_coverage_brute(items, sets, n)
     gadget = max_coverage_gadget(items, sets)
-    res = n_group_max_flow(gadget.network, n, method="brute", cap=cap)
+    res = n_group_max_flow(gadget.network, n, method="brute")
     return CheckResult(direct, res.value, direct == res.value)
 
 

@@ -6,8 +6,9 @@ import time
 import pytest
 
 from nodeflow import (catalog, disjoint_shortest_paths_gadget, get_builtin,
-                      load_instance, max_coverage_gadget, node_split_gadget,
-                      two_disjoint_paths_gadget, unit_path_gadget)
+                      load_instance, max_coverage_gadget, network,
+                      node_split_gadget, two_disjoint_paths_gadget,
+                      unit_path_gadget)
 from nodeflow.cli import main
 
 from test_fileio import PINNED_HASHES
@@ -81,11 +82,12 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
-def test_path_cap_exit_3(capsys):
-    code, _, err = run(capsys, "te-mf", "--builtin", "remarks",
-                       "--max-paths", "2")
-    assert code == 3
-    assert "limit" in err
+def test_step_cap_exit_3(capsys, monkeypatch):
+    # remarks' s->t search needs 13 steps.
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 12)
+    code, out, err = run(capsys, "te-mf", "--builtin", "remarks")
+    assert code == 3 and out == ""
+    assert err.startswith("limit exceeded:") and "passed 12 steps" in err
 
 
 def test_node_guard_exit_3(capsys):
@@ -265,6 +267,28 @@ def test_set_flow_runaway_search_exit_3(tmp_path, capsys):
     assert time.perf_counter() - start < 10
     assert code == 3 and out == ""
     assert err.startswith("limit exceeded:") and "steps" in err
+
+
+def test_cut_search_past_its_step_cap_exit_3(tmp_path, capsys, monkeypatch):
+    # s -> w -> t, s -> k0, the complete digraph on k0..k3 and every k -> t:
+    # 19 edges, so the directed cut is exact by branch and bound.  With s -> w
+    # cut, its search for an s-w-t walk runs through the digraph's trails,
+    # all of which miss w, in more than 1,000 steps.
+    k = [f"k{i}" for i in range(4)]
+    arcs = ([("s", "w"), ("w", "t"), ("s", "k0")]
+            + [(x, y) for x in k for y in k if x != y] + [(x, "t") for x in k])
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps({
+        "orientation": "directed", "nodes": ["s", "w", "t"] + k,
+        "edges": [{"tail": x, "head": y, "capacity": 1} for x, y in arcs],
+        "commodities": [{"src": "s", "dst": "t"}], "designated": {"w": "w"}}))
+    code, out, err = run(capsys, "cut", "--instance", str(path))
+    assert code == 0, err
+    assert {"cut_value: 1", "exact: True", "  0  s  w  1"} <= set(out.splitlines())
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 1000)
+    code, out, err = run(capsys, "cut", "--instance", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("limit exceeded:") and "passed 1000 steps" in err
 
 
 def test_set_flow_with_no_walk_through_w(tmp_path, capsys):
@@ -540,14 +564,14 @@ def test_probe_verdict_on_fig8(capsys):
     assert "monotone: not refuted (100 samples)" in out.splitlines()
 
 
-def test_centrality_honours_max_paths_exit_3(capsys):
+def test_centrality_honours_step_cap_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 1)
     for extra in ((), ("--instance-demands",)):
         code, _, err = run(capsys, "centrality", "--builtin", "remarks",
-                           "--w", "w", "--max-paths", "1", *extra)
+                           "--w", "w", *extra)
         assert code == 3, extra
         assert "limit" in err
-    code, _, _ = run(capsys, "eq25", "--builtin", "remarks", "--w", "w",
-                     "--max-paths", "1")
+    code, _, _ = run(capsys, "eq25", "--builtin", "remarks", "--w", "w")
     assert code == 3
 
 
@@ -669,7 +693,8 @@ PARSER_REJECTS = {
                         "argument --trials: must be at least 0"),
 }
 
-# Only the guarded solvers take the size-guard flags.
+# Only the guarded solvers take the size guard, and no subcommand takes a
+# path cap: every walk search stops at the library's one step cap.
 UNGUARDED = {
     "sr-lu": ("--builtin", "cycle-3"),
     "sr-mf": ("--builtin", "cycle-3"),
@@ -683,6 +708,8 @@ PARSER_REJECTS.update({
     f"{command}-{flag[2:]}": ((command, *argv, flag, "0"), "unrecognized arguments")
     for command, argv in UNGUARDED.items()
     for flag in ("--max-paths", "--max-nodes-exact")})
+PARSER_REJECTS["te-mf-max-paths"] = (
+    ("te-mf", "--builtin", "remarks", "--max-paths", "1"), "unrecognized arguments")
 
 
 @pytest.mark.parametrize("argv, message", PARSER_REJECTS.values(),

@@ -1,7 +1,7 @@
 """Property test for PathConstraint (skipped without hypothesis): every
 combination of designated set, simple and single_use enumerates exactly the
 walks of the independent recursive oracle, on directed and undirected
-networks, or raises CapExceeded when the oracle holds more than the cap."""
+networks, or raises CapExceeded when the search passes its step cap."""
 
 import pytest
 
@@ -9,12 +9,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nodeflow import (CapExceeded, FlowNetwork, PathConstraint,  # noqa: E402
-                      enumerate_st_paths)
-from nodeflow.network import DEFAULT_PATH_CAP  # noqa: E402
+                      enumerate_st_paths, network)
 
 from conftest import oracle_walks  # noqa: E402
 
 NODES = ["a", "b", "c", "d", "e"]
+DEFAULT_CAP = network.WALK_STEP_CAP
 
 
 @st.composite
@@ -38,18 +38,24 @@ def instances(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(inst=instances(), simple=st.booleans(), single_use=st.booleans(),
-       cap=st.integers(0, 4) | st.just(DEFAULT_PATH_CAP))
+       cap=st.integers(0, 40) | st.just(DEFAULT_CAP))
 def test_enumeration_matches_oracle_for_every_constraint(inst, simple,
                                                          single_use, cap):
+    # Each kept walk ends on a step of its own, so a search that keeps more
+    # walks than the cap allows steps must pass the cap.
     net, s, t, W = inst
     constraint = PathConstraint(W, simple, single_use)
     expected = oracle_walks(net, s, t, through=W, simple=simple,
                             single_use=single_use)
-    if len(expected) > cap:
-        with pytest.raises(CapExceeded, match=f"more than {cap} walks"):
-            enumerate_st_paths(net, s, t, constraint, cap)
-        return
-    fam = enumerate_st_paths(net, s, t, constraint, cap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "WALK_STEP_CAP", cap)
+        try:
+            fam = enumerate_st_paths(net, s, t, constraint)
+        except CapExceeded as exc:
+            assert str(exc) == f"walk search passed {cap} steps"
+            assert cap != DEFAULT_CAP
+            return
+    assert len(expected) <= cap
     assert fam.constraint == constraint
     walks = [p.nodes for p in fam.paths]
     assert len(walks) == len(set(walks))

@@ -5,9 +5,9 @@ import pytest
 
 from nodeflow import (UNCONSTRAINED, CapExceeded, FlowNetwork, MalformedNetwork,
                       MissingDesignation, PathConstraint, UnknownNode, catalog, concat_walks,
-                      enumerate_st_paths, get_builtin, reverse_walk,
+                      enumerate_st_paths, get_builtin, network, reverse_walk,
                       through_any, validate_walk)
-from nodeflow.network import WALK_STEP_CAP, EdgeWalk, _iter_walks
+from nodeflow.network import EdgeWalk, _iter_walks
 
 from conftest import oracle_walks, random_directed, random_undirected
 
@@ -114,11 +114,15 @@ def test_through_any():
     assert len(fam) == 0  # s2 and s3 are sources with no inbound edges
 
 
-def test_cap_truncates():
+def test_cap_truncates(monkeypatch):
+    # remarks' s->t search keeps 5 walks in 13 steps; one step fewer refuses
+    # the family rather than truncate it.
     net = get_builtin("remarks").network
-    assert len(enumerate_st_paths(net, "s", "t", cap=5)) == 5
-    with pytest.raises(CapExceeded, match="more than 4 walks from 's' to 't'"):
-        enumerate_st_paths(net, "s", "t", cap=4)
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 13)
+    assert len(enumerate_st_paths(net, "s", "t")) == 5
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 12)
+    with pytest.raises(CapExceeded, match="walk search passed 12 steps"):
+        enumerate_st_paths(net, "s", "t")
 
 
 def test_validate_accepts_enumerated_walks():
@@ -194,29 +198,26 @@ def test_walk_order_pinned():
     assert (count, digest.hexdigest()) == PINNED_WALK_ORDER
 
 
-def test_step_cap_counts_arcs_and_keeps_walk_order():
+def test_step_cap_counts_arcs_and_keeps_walk_order(monkeypatch):
     # The bounded search yields the unbounded one's walks, in order.  A step
     # extends a walk by one arc, so a search from s takes one step per
     # edge-distinct walk out of s, wherever it ends (s included): it
     # finishes with that many steps allowed and stops with one fewer.
-    for b in catalog():
-        net = b.network
-        for s in net.nodes:
-            for t in net.nodes:
-                if s == t:
-                    continue
-                for simple, single_use in ((False, False), (True, False),
-                                           (False, True)):
-                    walks = list(_iter_walks(net, s, t, simple, single_use))
-                    assert list(_iter_walks(net, s, t, simple, single_use,
-                                            max_steps=WALK_STEP_CAP)) == walks
+    modes = ((False, False), (True, False), (False, True))
+    searches = [(b.network, s, t, simple, single_use) for b in catalog()
+                for s in b.network.nodes for t in b.network.nodes if s != t
+                for simple, single_use in modes]
+    capped = [list(_iter_walks(*search)) for search in searches]
+    monkeypatch.setattr(network, "WALK_STEP_CAP", None)
+    assert [list(_iter_walks(*search)) for search in searches] == capped
     net = get_builtin("remarks").network
     steps = sum(len(list(_iter_walks(net, "s", v, False, False)))
                 for v in net.nodes)
-    assert len(list(_iter_walks(net, "s", "t", False, False,
-                                max_steps=steps))) == 5
+    monkeypatch.setattr(network, "WALK_STEP_CAP", steps)
+    assert len(list(_iter_walks(net, "s", "t", False, False))) == 5
+    monkeypatch.setattr(network, "WALK_STEP_CAP", steps - 1)
     with pytest.raises(CapExceeded, match=f"passed {steps - 1} steps"):
-        list(_iter_walks(net, "s", "t", False, False, max_steps=steps - 1))
+        list(_iter_walks(net, "s", "t", False, False))
 
 
 def test_walks_share_step_tuples():

@@ -14,7 +14,7 @@ from hypothesis import (Phase, assume, find, given, settings,  # noqa: E402
                         strategies as st)
 
 from nodeflow import (CapExceeded, FlowNetwork,  # noqa: E402
-                      max_coverage_gadget, n_group_max_flow)
+                      max_coverage_gadget, n_group_max_flow, network)
 
 from reduction_checks import (check_disjoint_shortest_paths,  # noqa: E402
                               check_max_coverage, check_node_split,
@@ -124,17 +124,19 @@ def test_disjoint_shortest_paths_checker_both_outcomes():
 
 def _capped_checks(case):
     """(full, capped) per checker on the case's four nodes; capped is None
-    where cap=1 refuses the check."""
+    where a walk-search step cap of 1 refuses the check."""
     net, (u1, u2, v1, v2) = case
     out = []
     for check, args in ((check_two_disjoint_paths, (u1, u2, v1, v2)),
                         (check_node_split, (u1, u2, v1)),
                         (check_unit_path, (u1, v1, u2))):
         full = check(net, *args)
-        try:
-            capped = check(net, *args, cap=1)
-        except CapExceeded:
-            capped = None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(network, "WALK_STEP_CAP", 1)
+            try:
+                capped = check(net, *args)
+            except CapExceeded:
+                capped = None
         out.append((full, capped))
     return out
 
@@ -142,7 +144,7 @@ def _capped_checks(case):
 @settings(max_examples=60, deadline=None)
 @given(case=TWO_DISJOINT)
 def test_checkers_refuse_truncated_families(case):
-    # At cap=1 a checker either answers as with every path or refuses.
+    # At a step cap of 1 a checker either answers as uncapped or refuses.
     for full, capped in _capped_checks(case):
         assert capped is None or capped == full
 

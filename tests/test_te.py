@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nodeflow import (CapExceeded, FlowNetwork, get_builtin, max_flow_arc_lp,
-                      rat, solve_te_lu, solve_te_mf)
+                      network, rat, solve_te_lu, solve_te_mf)
 
 from conftest import (brute_max_flow, dmf_satisfiable, random_directed,
                       random_undirected)
@@ -80,10 +80,12 @@ def test_dmf_iff_theta_le_one():
         assert dmf_satisfiable(net) == (theta is not None and theta <= 1), trial
 
 
-def test_truncated_family_rejected():
+def test_truncated_family_rejected(monkeypatch):
+    # remarks' s->t search needs 13 steps; at 12 no part-family is solved.
     net = get_builtin("remarks").network
-    with pytest.raises(CapExceeded):
-        solve_te_mf(net, cap=1)
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 12)
+    with pytest.raises(CapExceeded, match="passed 12 steps"):
+        solve_te_mf(net)
 
 
 def test_unreachable_sink_is_found_without_a_search():

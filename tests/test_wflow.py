@@ -325,7 +325,7 @@ def test_augmenting_stops_a_runaway_search():
 def test_no_walk_through_w_is_found_without_a_search():
     # w reaches no node, so no walk passes it: the family is empty at once,
     # where a search through every edge-distinct trail of the complete
-    # digraph would keep nothing and so never meet the path cap.
+    # digraph would keep nothing until it passed its step cap.
     start = time.perf_counter()
     assert max_set_flow_paths(_k8_w(), ("w",)).objective == 0
     assert time.perf_counter() - start < 2
@@ -343,8 +343,8 @@ def _runaway_a():
 
 
 def test_walk_search_stops_at_its_step_cap():
-    # The path cap counts kept walks, and this search keeps one; the step
-    # cap stops it instead.
+    # This search keeps one walk and spins on through the trails that miss
+    # w; the step cap stops it.
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match="passed 1000000 steps"):
         max_set_flow_paths(_runaway_a(), ("w",))
@@ -357,6 +357,23 @@ def test_walk_step_cap_is_read_at_call_time(monkeypatch):
         max_set_flow_paths(_runaway_a(), ("w",))
     with pytest.raises(CapExceeded, match="passed 1000 steps"):
         augmenting_w_flow(_k8_w(), "w")
+
+
+def test_cut_search_stops_at_its_step_cap(monkeypatch):
+    # s -> w -> t, s -> k0, the complete digraph on k0..k3 and every k -> t
+    # (capacity 1): 19 edges, inside the exact cut's 20.  Once s -> w is
+    # cut, the search for an s-w-t walk runs through every trail of the
+    # digraph, all of which miss w, in more than 1,000 steps.
+    k = [f"k{i}" for i in range(4)]
+    net = FlowNetwork.build("directed", ["s", "w", "t"] + k,
+                            [("s", "w", 1), ("w", "t", 1), ("s", "k0", 1)]
+                            + [(a, b, 1) for a in k for b in k if a != b]
+                            + [(a, "t", 1) for a in k], [("s", "t")])
+    cut = min_swt_edge_cut(net, "s", "w", "t")
+    assert (cut.edges, cut.value, cut.exact) == ((0,), 1, True)
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 1000)
+    with pytest.raises(CapExceeded, match="passed 1000 steps"):
+        min_swt_edge_cut(net, "s", "w", "t")
 
 
 def test_augmenting_needs_a_commodity():
