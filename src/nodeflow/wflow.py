@@ -188,9 +188,14 @@ def verify_cut(net: FlowNetwork, s, w, t, edge_ids) -> bool:
     adj = net.adjacency()
     removed = frozenset(edge_ids)
     # Plain reachability settles the common case in linear time; only when
-    # s reaches w and w reaches t does edge-distinctness need the search.
+    # s reaches w and w reaches t on a directed network does edge-distinctness
+    # need the search.  Undirected, the tree paths s-w and w-t cross their
+    # shared stretch once each way, so a walk is left unless s == w == t and
+    # no edge at s is: a walk has at least one step.
     if w not in _reachable(adj, removed, s) or t not in _reachable(adj, removed, w):
         return True
+    if not net.directed:
+        return s == t and all(e.id in removed for e, _ in adj[s])
     return _swt_walk(net, adj, removed, s, w, t) is None
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from nodeflow import FlowNetwork, min_swt_edge_cut, verify_cut  # noqa: E402
 
@@ -43,8 +43,16 @@ def undirected_cases(draw):
     return net, s, w, t
 
 
+# Seven parallel a-b edges: a walk search for c-a-d spins through their
+# trails for minutes, so verify_cut must answer undirected cuts by reachability.
+PARALLEL = FlowNetwork.build("undirected", ["a", "b", "c", "d"],
+                             [("a", "b", 0)] * 2 + [("c", "d", 0)]
+                             + [("a", "b", 0)] * 5 + [("b", "c", 0)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=undirected_cases())
+@example(case=(PARALLEL, "c", "a", "d"))
 def test_undirected_cut_is_the_cheapest_edge_subset(case):
     net, s, w, t = case
     cut = min_swt_edge_cut(net, s, w, t)
