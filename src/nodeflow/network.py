@@ -8,11 +8,13 @@ Terminology used throughout the package:
 * a *simple path* additionally never repeats a node.
 
 Path enumeration is exhaustive and deterministic (lexicographic in the edge
-id sequence, forward traversal before reverse), and every walk search stops
-at one cap on the arcs it extends (WALK_STEP_CAP): a search that would pass
-it raises CapExceeded, since the optimum over part of a family is not the
-optimum of the instance.  A kept walk ends on a step of its own, so the cap
-bounds the walks a family keeps as well.
+id sequence, forward traversal before reverse).  Every walk search, the
+s-w-t searches of wflow and acyclic segment routing's included, runs on
+one depth-first search (_walk_search), which stops at one cap on the arcs
+it extends (WALK_STEP_CAP): a search that would pass it raises
+CapExceeded, since the optimum over part of a family is not the optimum of
+the instance.  A kept walk ends on a step of its own, so the cap bounds the
+walks a family keeps as well.
 Families can hold many walks, so walks are kept small: an EdgeWalk has
 slots, and every enumerated walk shares one (edge id, direction) step tuple
 per arc with every other walk over that arc.
@@ -255,64 +257,88 @@ def _reachable(adj, removed, start):
 _STEPS = {}
 
 
-def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
-                adj=None) -> Iterator[EdgeWalk]:
-    """Depth-first generator over edge-distinct walks source -> sink.
+def _walk_search(arcs, start, goal, used):
+    """Depth-first generator over the walks start -> goal of an arc table.
 
-    Yields every valid walk; a walk is yielded when it reaches the sink and
-    the search keeps extending it afterwards (paths may pass through the sink
-    and come back), except in simple mode where extension past a visited node
-    is impossible anyway.  adj, in the form of net.adjacency(), restricts the
-    search to the edges it lists.  A search that extends walks by more than
-    WALK_STEP_CAP arcs in all, read when the search starts (None: no bound),
-    raises CapExceeded.
-
-    Every walk's steps are the shared tuples of _STEPS, one per arc, so a
-    family holds one step object per arc rather than one per step.
+    arcs maps each state to its (key, next state, step) arcs, in the order
+    they are tried; an arc is blocked while its key is in used, which holds
+    the keys of the walk's arcs on top of those it starts with.  At each
+    arrival at goal it yields (arcs extended so far, states, steps) and goes
+    on extending the walk; spent, it returns the arcs it extended.  A search
+    that would extend more than WALK_STEP_CAP arcs in all, read when it
+    starts (None: no bound), raises CapExceeded.
     """
-    if adj is None:
-        adj = net.adjacency()
-    # node -> [(key, next node, step)]; a key on the walk blocks the arc.  A
-    # directed edge has only its forward step, and an undirected one may be
-    # walked once each way, so the step is the key unless single_use blocks
-    # the whole edge.
-    arcs = {}
-    for node, pairs in adj.items():
-        out = arcs[node] = []
-        for edge, direction in pairs:
-            step = (edge.id, direction)
-            step = _STEPS.setdefault(step, step)
-            out.append((edge.id if single_use else step,
-                        edge.head if direction == FWD else edge.tail, step))
-    node_seq = [source]
+    states = [start]
     steps = []
-    used = set()  # keys of the arcs on the walk
-    on_path = {source}  # only consulted in simple mode
-    stack = [iter(arcs[source])]  # per walk node, its arcs not yet tried
+    keys = []  # of the walk's arcs
+    stack = [iter(arcs[start])]  # per walk state, its arcs not yet tried
     cap = WALK_STEP_CAP
-    left = -1 if cap is None else cap  # steps left; -1 never hits 0
+    first = left = -1 if cap is None else cap  # steps left; -1 never hits 0
     while stack:
         for key, nxt, step in stack[-1]:
-            if key not in used and not (simple and nxt in on_path):
+            if key not in used:
                 break
         else:  # every arc from here is spent: back up one step
             stack.pop()
-            if steps:
-                used.discard(steps[-1][0] if single_use else steps[-1])
-                on_path.discard(node_seq.pop())
+            if keys:
+                used.discard(keys.pop())
+                states.pop()
                 steps.pop()
             continue
         if not left:
             raise CapExceeded(f"walk search passed {cap} steps")
         left -= 1
         used.add(key)
-        node_seq.append(nxt)
+        keys.append(key)
+        states.append(nxt)
         steps.append(step)
-        if simple:
-            on_path.add(nxt)
-        if nxt == sink:
-            yield EdgeWalk(tuple(node_seq), tuple(steps))
+        if nxt == goal:
+            yield first - left, tuple(states), tuple(steps)
         stack.append(iter(arcs[nxt]))
+    return first - left
+
+
+def _iter_walks(net: FlowNetwork, source, sink, simple: bool, single_use: bool,
+                adj=None, W=()) -> Iterator[EdgeWalk]:
+    """Edge-distinct walks source -> sink that pass a node of W (any walk
+    when W is empty), in depth-first search order.
+
+    A walk is yielded when it reaches the sink and the search keeps
+    extending it afterwards (paths may pass through the sink and come
+    back).  adj, in the form of net.adjacency(), restricts the search to the
+    edges it lists.  There is no search, and no walk, unless the source
+    reaches the sink through some node of W (with W empty, reaches the sink
+    at all): reachability relaxes every walk rule.  A search that extends
+    walks by more than WALK_STEP_CAP arcs in all raises CapExceeded.
+
+    Every walk's steps are the shared tuples of _STEPS, one per arc, so a
+    family holds one step object per arc rather than one per step.
+    """
+    if adj is None:
+        adj = net.adjacency()
+    reach = _reachable(adj, (), source)
+    if sink not in reach or W and not any(
+            w in reach and sink in _reachable(adj, (), w) for w in W):
+        return
+    # node -> [(key, next node, step)]; a key on the walk blocks the arc.  A
+    # simple walk enters each node once, so the key is the node entered.
+    # Otherwise a directed edge has only its forward step, and an undirected
+    # one may be walked once each way, so the key is the step unless
+    # single_use blocks the whole edge.
+    arcs = {}
+    for node, pairs in adj.items():
+        out = arcs[node] = []
+        for edge, direction in pairs:
+            step = (edge.id, direction)
+            step = _STEPS.setdefault(step, step)
+            nxt = edge.head if direction == FWD else edge.tail
+            out.append((nxt if simple else edge.id if single_use else step,
+                        nxt, step))
+    W = frozenset(W)
+    for _, nodes, steps in _walk_search(arcs, source, sink,
+                                        {source} if simple else set()):
+        if not W or not W.isdisjoint(nodes):
+            yield EdgeWalk(nodes, steps)
 
 
 def enumerate_st_paths(
@@ -321,28 +347,19 @@ def enumerate_st_paths(
     sink,
     constraint: PathConstraint = UNCONSTRAINED,
 ) -> PathFamily:
-    """All paths source -> sink satisfying the constraint, in search order.
+    """All paths source -> sink satisfying the constraint, in search order
+    (_iter_walks), so the family is empty, with no search, unless the
+    source reaches the sink through some designated node.
 
-    The search itself honours constraint.simple and constraint.single_use;
-    only the designated set is checked per walk.  A search that extends
-    walks by more than WALK_STEP_CAP arcs in all raises CapExceeded, so it
-    stops whether it keeps its walks or spins through many that miss the
-    designated set.  The family is empty, with no search, unless the source
-    reaches the sink, through some designated node if there are any:
-    reachability relaxes every walk rule.
+    A search that extends walks by more than WALK_STEP_CAP arcs in all
+    raises CapExceeded, so it stops whether it keeps its walks or spins
+    through many that miss the designated set.
     """
     net.require(source, sink, *constraint.nodes)
     if source == sink:
         raise MalformedNetwork("path enumeration needs distinct endpoints")
-    adj = net.adjacency()
-    reach = _reachable(adj, (), source)
-    if sink not in reach or constraint.nodes and not any(
-            w in reach and sink in _reachable(adj, (), w) for w in constraint.nodes):
-        return PathFamily(source, sink, constraint, ())
-    W = frozenset(constraint.nodes)
-    found = [walk for walk in _iter_walks(net, source, sink, constraint.simple,
-                                          constraint.single_use, adj)
-             if not W or not W.isdisjoint(walk.nodes)]
+    found = _iter_walks(net, source, sink, constraint.simple,
+                        constraint.single_use, W=constraint.nodes)
     return PathFamily(source, sink, constraint, tuple(found))
 
 

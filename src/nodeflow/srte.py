@@ -15,12 +15,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import lp as lpmod
-from .errors import CapExceeded, MalformedNetwork
-from .network import FWD, REV, EdgeWalk, FlowNetwork
+from .errors import MalformedNetwork
+from .network import FWD, REV, EdgeWalk, FlowNetwork, _walk_search
 from .rational import ONE, ZERO
 from .te import solve_columns
-
-STEP_CAP = 10_000  # acyclic_feasible: prefix extensions searched at most
 
 
 def shortest_path_data(net: FlowNetwork, source):
@@ -242,13 +240,14 @@ def acyclic_feasible(net: FlowNetwork, source, sink, middlepoints,
     """Is there a choice of one shortest path per segment whose concatenation
     is a path (mode="path") or a simple path (mode="simple_path")?
 
-    One depth-first search over the segments' shortest-path arcs, each
-    node's arcs in step order, so the witness is the first in lexicographic
-    step order.  A prefix is dropped at its first reused step (an undirected
-    edge may be crossed once each way) or, in simple_path mode, its first
-    repeated node or its first entry into a later chain node, which it would
-    have to enter again.  The problem is NP-hard: a search that takes more
-    than STEP_CAP (10,000) steps raises CapExceeded.
+    One walk search (network._walk_search) over the states (segment, node)
+    and the segments' shortest-path arcs, each node's arcs in step order, so
+    the witness is the first in lexicographic step order.  A prefix is
+    dropped at its first reused step (an undirected edge may be crossed
+    once each way) or, in simple_path mode, its first repeated node; a
+    simple path's segment has no arcs into a later chain node, which it
+    would have to enter again.  The problem is NP-hard: a search past
+    network.WALK_STEP_CAP steps raises CapExceeded.
     """
     if mode not in ("path", "simple_path"):
         raise ValueError(f"bad mode {mode!r}")
@@ -256,47 +255,29 @@ def acyclic_feasible(net: FlowNetwork, source, sink, middlepoints,
     net.require(*chain)
     if len(set(chain)) != len(chain):
         raise MalformedNetwork("source, middlepoints and sink must be distinct")
-    segs = []  # per segment u -> v: node -> its (step, next node) arcs
-    for u, v in zip(chain, chain[1:]):
+    simple = mode == "simple_path"
+    goal = (len(chain) - 1, sink)
+    arcs = {goal: ()}  # (segment, node) -> [(key, next state, step)]
+    for k, (u, v) in enumerate(zip(chain, chain[1:])):
         dist, _count, preds = shortest_path_data(net, u)
         if v not in dist:
             return FeasibilityResult(False)
-        arcs, todo = {}, [v]  # backward from v: the arcs that lead on to v
+        out, todo = {}, [v]  # backward from v: the arcs that lead on to v
         while todo:
             b = todo.pop()
             for a, eid in preds[b]:
-                if a not in arcs:
+                if a not in out:
                     todo.append(a)
                 step = (eid, FWD if net.edges[eid].tail == a else REV)
-                arcs.setdefault(a, []).append((step, b))
-        segs.append({a: sorted(out) for a, out in arcs.items()})
-    simple = mode == "simple_path"
-    nodes, steps = [source], []
-    used = {source} if simple else set()  # nodes visited, or steps taken
-    # Segment k of a simple path skips the later chain nodes, chain[k + 2:].
-    ahead = [frozenset(chain[k + 2:] if simple else ()) for k in range(len(segs))]
-    stack = [(0, iter(segs[0][source]))]
-    tried = 0
-    while stack:
-        k, out = stack[-1]
-        for step, nxt in out:
-            if (nxt if simple else step) not in used and nxt not in ahead[k]:
-                break
-        else:  # every arc from here is spent: back up one step
-            stack.pop()
-            if steps:
-                used.discard(nodes[-1] if simple else steps[-1])
-                del nodes[-1], steps[-1]
-            continue
-        tried += 1
-        if tried > STEP_CAP:
-            raise CapExceeded(f"acyclic search passed {STEP_CAP} steps")
-        used.add(nxt if simple else step)
-        nodes.append(nxt)
-        steps.append(step)
-        if nxt == chain[k + 1]:
-            k += 1
-            if k == len(segs):
-                return FeasibilityResult(True, EdgeWalk(tuple(nodes), tuple(steps)), tried)
-        stack.append((k, iter(segs[k][nxt])))
-    return FeasibilityResult(False, None, tried)
+                out.setdefault(a, []).append((step, b))
+        # A simple path's segment k has no arcs into the later chain nodes.
+        ahead = chain[k + 2:] if simple else ()
+        for a, pairs in out.items():
+            arcs[k, a] = [(b if simple else step, (k + 1 if b == v else k, b), step)
+                          for step, b in sorted(pairs) if b not in ahead]
+    search = _walk_search(arcs, (0, source), goal, {source} if simple else set())
+    try:
+        tried, states, steps = next(search)
+    except StopIteration as spent:
+        return FeasibilityResult(False, None, spent.value)
+    return FeasibilityResult(True, EdgeWalk(tuple(v for _, v in states), steps), tried)

@@ -135,8 +135,9 @@ def min_swt_edge_cut(net: FlowNetwork, s, w, t) -> CutResult:
     each way, so an s-w-t walk exists exactly when s, w and t share a
     component, and the minimum is min(lambda(s,w), lambda(w,t)), or
     lambda(s,t) when w is s or t.  Directed: branch and bound up to
-    EXACT_CUT_EDGES (20) edges, whose walk searches each raise CapExceeded
-    past network.WALK_STEP_CAP arcs; beyond that, an upper bound labeled as
+    EXACT_CUT_EDGES (20) edges, whose walk searches are skipped where
+    reachability settles them and each raise CapExceeded past
+    network.WALK_STEP_CAP arcs; beyond that, an upper bound labeled as
     inexact, the cheapest of the same max-flow cuts.  An s-w cut is one only
     when w != s (a walk that starts at w need not reach it again), a w-t cut
     only when w != t.
@@ -175,28 +176,26 @@ def min_swt_edge_cut(net: FlowNetwork, s, w, t) -> CutResult:
 
 
 def _swt_walk(net, adj, removed, s, w, t):
-    """First edge-distinct s-w-t walk avoiding the removed edges, or None;
-    a search past network.WALK_STEP_CAP arcs raises CapExceeded."""
+    """First edge-distinct s-w-t walk avoiding the removed edges, or None,
+    with no search when reachability settles it; a search past
+    network.WALK_STEP_CAP arcs raises CapExceeded."""
     kept = {v: [(e, d) for e, d in arcs if e.id not in removed]
             for v, arcs in adj.items()}
-    return next((walk for walk in _iter_walks(net, s, t, False, False, kept)
-                 if w in walk.nodes), None)
+    return next(_iter_walks(net, s, t, False, False, kept, (w,)), None)
 
 
 def verify_cut(net: FlowNetwork, s, w, t, edge_ids) -> bool:
     net.require(s, w, t)
     adj = net.adjacency()
     removed = frozenset(edge_ids)
-    # Plain reachability settles the common case in linear time; only when
-    # s reaches w and w reaches t on a directed network does edge-distinctness
-    # need the search.  Undirected, the tree paths s-w and w-t cross their
-    # shared stretch once each way, so a walk is left unless s == w == t and
-    # no edge at s is: a walk has at least one step.
+    if net.directed:
+        return _swt_walk(net, adj, removed, s, w, t) is None
+    # Undirected, the tree paths s-w and w-t cross their shared stretch once
+    # each way, so once s reaches w and w reaches t a walk is left unless
+    # s == w == t and no edge at s is: a walk has at least one step.
     if w not in _reachable(adj, removed, s) or t not in _reachable(adj, removed, w):
         return True
-    if not net.directed:
-        return s == t and all(e.id in removed for e, _ in adj[s])
-    return _swt_walk(net, adj, removed, s, w, t) is None
+    return s == t and all(e.id in removed for e, _ in adj[s])
 
 
 # -- augmenting-path heuristic -------------------------------------------------
@@ -215,10 +214,12 @@ def augmenting_w_flow(net: FlowNetwork, w) -> AugmentingResult:
     shortest first, and accepts one only if it strictly increases the flow
     into w; stops when no acceptable walk remains, after AUGMENT_MAX_ROUNDS
     (10,000) rounds at most.  Each round keeps the first AUGMENT_SEARCH_CAP
-    (5,000) walks through w that its search finds, and a round whose search
-    extends walks by more than network.WALK_STEP_CAP (1,000,000) arcs raises
-    CapExceeded: a search can spin through exponentially many walks that
-    miss w or end nowhere.  Not optimal in general.
+    (5,000) walks through w that its search finds; a round whose residual
+    network has no s-t route through w, by reachability, runs no search,
+    and one whose search extends walks by more than network.WALK_STEP_CAP
+    (1,000,000) arcs raises CapExceeded: a search can spin through
+    exponentially many walks that miss w or end nowhere.  Not optimal in
+    general.
     """
     if not net.directed:
         raise MalformedNetwork("augmenting heuristic is defined on directed networks")
@@ -252,8 +253,7 @@ def augmenting_w_flow(net: FlowNetwork, w) -> AugmentingResult:
             if flow[e.id] > 0:
                 adj[e.head].append((e, REV))
                 room[e.id, REV] = flow[e.id]
-        walks = (walk for walk in _iter_walks(net, s, t, False, False, adj)
-                 if w in walk.nodes)
+        walks = _iter_walks(net, s, t, False, False, adj, (w,))
         candidates = sorted(islice(walks, AUGMENT_SEARCH_CAP),
                             key=lambda p: (len(p.steps), p.steps))
         before = inflow_w()
@@ -279,21 +279,19 @@ def augmenting_w_flow(net: FlowNetwork, w) -> AugmentingResult:
 
 def _decompose(net, flow, s, w, t):
     """Greedy path decomposition of an s-t flow into s-w-t walks; leftover
-    circulation is dropped."""
+    circulation is dropped.  Each round's walk uses only edges with positive
+    flow and empties the smallest of them, so it ends within |E| rounds."""
     out = []
     adj = net.adjacency()
-    for _ in range(len(net.edges) * 4 + 4):
-        support = frozenset(e.id for e in net.edges if flow[e.id] <= 0)
-        walk = _swt_walk(net, adj, support, s, w, t)
+    while True:
+        empty = frozenset(e.id for e in net.edges if flow[e.id] <= 0)
+        walk = _swt_walk(net, adj, empty, s, w, t)
         if walk is None:
-            break
+            return out
         delta = min(flow[eid] for eid, _ in walk.steps)
-        if delta <= 0:
-            break
         for eid, _ in walk.steps:
             flow[eid] -= delta
         out.append((walk, delta))
-    return out
 
 
 # -- walk fixing (two edge-distinct legs into one path) ------------------------

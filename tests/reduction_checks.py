@@ -194,8 +194,8 @@ def disjoint_shortest_paths_brute(net: FlowNetwork, pairs):
 def check_disjoint_shortest_paths(net: FlowNetwork, pairs) -> CheckResult:
     """Node-disjoint shortest paths versus acyclic (simple-path) feasibility
     of the middlepoint chain on the gadget.  The direct side enumerates at
-    most PRODUCT_CAP (10,000) shortest paths per pair; the gadget side
-    searches at most STEP_CAP (10,000) steps."""
+    most PRODUCT_CAP (10,000) shortest paths per pair; the gadget side's
+    search stops at network.WALK_STEP_CAP steps."""
     direct = disjoint_shortest_paths_brute(net, pairs)
     gadget = disjoint_shortest_paths_gadget(net, pairs)
     com = gadget.network.commodities[0]

@@ -239,12 +239,40 @@ def _k8_w(tmp_path):
     return str(path)
 
 
+def _unit_digraph(tmp_path, name, nodes, arcs, designated=None):
+    """An instance file of unit-capacity directed arcs and the commodity
+    s -> t."""
+    doc = {"orientation": "directed", "nodes": nodes,
+           "edges": [{"tail": x, "head": y, "capacity": 1} for x, y in arcs],
+           "commodities": [{"src": "s", "dst": "t"}]}
+    if designated:
+        doc["designated"] = designated
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_augment_runaway_search_exit_3(tmp_path, capsys):
-    # The walk search passes its step cap instead of running for hours.
-    code, out, err = run(capsys, "w-flow-augment", "--instance",
-                         _k8_w(tmp_path), "--w", "w")
+    # s -> w -> t, s -> k0, the complete digraph on k0..k4 and every k -> t:
+    # the first round's search finds the one walk through w and runs on
+    # through the digraph's trails until it passes its step cap.
+    k = [f"k{i}" for i in range(5)]
+    arcs = ([("s", "w"), ("w", "t"), ("s", "k0")]
+            + [(x, y) for x in k for y in k if x != y] + [(x, "t") for x in k])
+    path = _unit_digraph(tmp_path, "runaway-a.json", ["s", "w", "t"] + k, arcs)
+    code, out, err = run(capsys, "w-flow-augment", "--instance", path, "--w", "w")
     assert code == 3 and out == ""
     assert err.startswith("limit exceeded:") and "steps" in err
+
+
+def test_augment_with_no_walk_through_w(tmp_path, capsys):
+    # w reaches no node, so reachability settles the search: 0 at once.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "w-flow-augment", "--instance",
+                         _k8_w(tmp_path), "--w", "w")
+    assert time.perf_counter() - start < 1
+    assert code == 0, err
+    assert "objective: 0" in out.splitlines()
 
 
 def test_set_flow_runaway_search_exit_3(tmp_path, capsys):
@@ -256,37 +284,31 @@ def test_set_flow_runaway_search_exit_3(tmp_path, capsys):
     arcs = ([("s", "a"), ("a", "b"), ("b", "k0"), ("b", "w"), ("w", "t")]
             + [(x, y) for x in k for y in k if x != y]
             + [(x, "a") for x in k] + [(x, "t") for x in k])
-    path = tmp_path / "runaway.json"
-    path.write_text(json.dumps({
-        "orientation": "directed", "nodes": ["s", "a", "b", "w", "t"] + k,
-        "edges": [{"tail": x, "head": y, "capacity": 1} for x, y in arcs],
-        "commodities": [{"src": "s", "dst": "t"}]}))
+    path = _unit_digraph(tmp_path, "runaway.json", ["s", "a", "b", "w", "t"] + k,
+                         arcs)
     start = time.perf_counter()
-    code, out, err = run(capsys, "set-flow", "--instance", str(path),
-                         "--set", "w")
+    code, out, err = run(capsys, "set-flow", "--instance", path, "--set", "w")
     assert time.perf_counter() - start < 10
     assert code == 3 and out == ""
     assert err.startswith("limit exceeded:") and "steps" in err
 
 
 def test_cut_search_past_its_step_cap_exit_3(tmp_path, capsys, monkeypatch):
-    # s -> w -> t, s -> k0, the complete digraph on k0..k3 and every k -> t:
-    # 19 edges, so the directed cut is exact by branch and bound.  With s -> w
-    # cut, its search for an s-w-t walk runs through the digraph's trails,
-    # all of which miss w, in more than 1,000 steps.
+    # s -> a -> b -> w, w -> a, b -> t, s -> k0 and the complete digraph on
+    # k0..k3: 18 edges, so the directed cut is exact by branch and bound.
+    # s reaches w and w reaches t, but no s-w-t walk exists, so the cut is
+    # empty; the search that shows it runs through the digraph's trails in
+    # more than 1,000 steps.
     k = [f"k{i}" for i in range(4)]
-    arcs = ([("s", "w"), ("w", "t"), ("s", "k0")]
-            + [(x, y) for x in k for y in k if x != y] + [(x, "t") for x in k])
-    path = tmp_path / "cut.json"
-    path.write_text(json.dumps({
-        "orientation": "directed", "nodes": ["s", "w", "t"] + k,
-        "edges": [{"tail": x, "head": y, "capacity": 1} for x, y in arcs],
-        "commodities": [{"src": "s", "dst": "t"}], "designated": {"w": "w"}}))
-    code, out, err = run(capsys, "cut", "--instance", str(path))
+    arcs = ([("s", "a"), ("a", "b"), ("b", "w"), ("w", "a"), ("b", "t"),
+             ("s", "k0")] + [(x, y) for x in k for y in k if x != y])
+    path = _unit_digraph(tmp_path, "cut.json", ["s", "a", "b", "w", "t"] + k,
+                        arcs, {"w": "w"})
+    code, out, err = run(capsys, "cut", "--instance", path)
     assert code == 0, err
-    assert {"cut_value: 1", "exact: True", "  0  s  w  1"} <= set(out.splitlines())
+    assert {"cut_value: 0", "exact: True"} <= set(out.splitlines())
     monkeypatch.setattr(network, "WALK_STEP_CAP", 1000)
-    code, out, err = run(capsys, "cut", "--instance", str(path))
+    code, out, err = run(capsys, "cut", "--instance", path)
     assert code == 3 and out == ""
     assert err.startswith("limit exceeded:") and "passed 1000 steps" in err
 

@@ -1,9 +1,11 @@
-"""Property test for the undirected minimum s-w-t cut (skipped without
-hypothesis).
+"""Property tests for the minimum s-w-t cut (skipped without hypothesis).
 
 On an undirected network min_swt_edge_cut answers by max flow and labels
-the answer exact.  The oracle tries every edge subset in order of capacity
-and keeps the first that verify_cut accepts.
+the answer exact; the oracle tries every edge subset in order of capacity
+and keeps the first that verify_cut accepts.  On a small directed network
+it answers by branch and bound over walk searches; there the oracle is the
+independent walk enumeration of conftest.oracle_walks, run on the network
+less each edge subset.
 """
 
 import itertools
@@ -15,6 +17,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from nodeflow import FlowNetwork, min_swt_edge_cut, verify_cut  # noqa: E402
+
+from conftest import oracle_walks  # noqa: E402
 
 NODES = ["a", "b", "c", "d", "e", "f", "g"]
 capacities = st.sampled_from([0, Fraction(1, 2), 1, 2, 3])
@@ -60,3 +64,36 @@ def test_undirected_cut_is_the_cheapest_edge_subset(case):
     assert cut.value == cheapest_cut_value(net, s, w, t)
     assert cut.value == sum((net.edges[i].capacity for i in cut.edges), Fraction(0))
     assert verify_cut(net, s, w, t, cut.edges)
+
+
+@st.composite
+def directed_cases(draw):
+    """(net, s, w, t): 3-5 nodes, up to 8 edges (parallel ones allowed),
+    capacities 0, 1/2 and 1-3; s, w and t may coincide."""
+    nodes = NODES[:draw(st.integers(3, 5))]
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    ends = draw(st.lists(st.sampled_from(pairs), max_size=8))
+    net = FlowNetwork.build("directed", nodes,
+                            [(a, b, draw(capacities)) for a, b in ends])
+    s, w, t = (draw(st.sampled_from(nodes)) for _ in range(3))
+    return net, s, w, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=directed_cases())
+def test_directed_cut_is_the_cheapest_edge_subset(case):
+    net, s, w, t = case
+    value = {}
+    for k in range(len(net.edges) + 1):
+        for cut in itertools.combinations(range(len(net.edges)), k):
+            rest = FlowNetwork.build("directed", net.nodes,
+                                     [(e.tail, e.head, e.capacity)
+                                      for e in net.edges if e.id not in cut])
+            cuts = not oracle_walks(rest, s, t, through={w})
+            assert verify_cut(net, s, w, t, cut) == cuts, cut
+            if cuts:
+                value[cut] = sum((net.edges[i].capacity for i in cut), Fraction(0))
+    cut = min_swt_edge_cut(net, s, w, t)
+    assert cut.exact
+    assert cut.value == min(value.values())
+    assert value[cut.edges] == cut.value

@@ -9,7 +9,7 @@ from nodeflow import (CapExceeded, FlowNetwork, MalformedNetwork, SrConfig, Tunn
                       UnknownNode, acyclic_feasible, build_tunnels, detect_cycles,
                       ecmp_fractions, get_builtin, rat,
                       shortest_path_data, solve_sr_lu, solve_sr_mf,
-                      solve_te_mf, srte, te, validate_walk)
+                      network, solve_te_mf, srte, te, validate_walk)
 
 from nodeflow.cli import main
 
@@ -289,17 +289,21 @@ def test_acyclic_simple_path_skips_the_later_chain_nodes():
     assert result.witness.nodes[1:3] == ("v1_0", "v1_1")
 
 
-def test_acyclic_search_past_its_step_cap_raises():
+def test_acyclic_search_past_its_step_cap_raises(monkeypatch):
     # Corner to opposite corner, then along the bottom row and back up
     # across the grid: each segment's shortest paths cross those of the
-    # others.  The 6 x 6 version decides infeasible in 4,191 steps; on the
-    # 7 x 7 grid the search passes its cap.
-    with pytest.raises(CapExceeded, match="10000 steps"):
-        acyclic_feasible(_unit_grid(7), "v0_0", "v0_6", ("v6_6", "v6_0"),
-                         mode="simple_path")
+    # others.  The 6 x 6 version decides infeasible in 4,191 steps, the
+    # 7 x 7 one in 29,327, which is past a step cap of 10,000.
     result = acyclic_feasible(_unit_grid(6), "v0_0", "v0_5", ("v5_5", "v5_0"),
                               mode="simple_path")
     assert not result.feasible and result.steps_tried == 4191
+    result = acyclic_feasible(_unit_grid(7), "v0_0", "v0_6", ("v6_6", "v6_0"),
+                              mode="simple_path")
+    assert not result.feasible and result.steps_tried == 29327
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 10_000)
+    with pytest.raises(CapExceeded, match="10000 steps"):
+        acyclic_feasible(_unit_grid(7), "v0_0", "v0_6", ("v6_6", "v6_0"),
+                         mode="simple_path")
 
 
 def test_segment_tables_cover_all_segments():

@@ -312,16 +312,6 @@ def _k8_w():
                              + [("v2", "w", 1)], [("v0", "v1")])
 
 
-def test_augmenting_stops_a_runaway_search():
-    # The first round's search runs on through every edge-distinct trail,
-    # and on through the subtrees left once every arc into v1 is used.  The
-    # step cap stops it.
-    start = time.perf_counter()
-    with pytest.raises(CapExceeded, match="passed 1000000 steps"):
-        augmenting_w_flow(_k8_w(), "w")
-    assert time.perf_counter() - start < 5
-
-
 def test_no_walk_through_w_is_found_without_a_search():
     # w reaches no node, so no walk passes it: the family is empty at once,
     # where a search through every edge-distinct trail of the complete
@@ -351,29 +341,68 @@ def test_walk_search_stops_at_its_step_cap():
     assert time.perf_counter() - start < 10
 
 
+def test_augmenting_stops_a_runaway_search():
+    # The first round's search finds the one walk through w and runs on
+    # through every edge-distinct trail of the complete digraph.  The step
+    # cap stops it.
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="passed 1000000 steps"):
+        augmenting_w_flow(_runaway_a(), "w")
+    assert time.perf_counter() - start < 5
+
+
+def test_augmenting_with_no_walk_through_w_answers_at_once():
+    # w reaches no node, so reachability settles every round's search.
+    start = time.perf_counter()
+    result = augmenting_w_flow(_k8_w(), "w")
+    assert time.perf_counter() - start < 1
+    assert (result.value, result.paths, result.decomposition) == (0, [], [])
+
+
 def test_walk_step_cap_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr(network, "WALK_STEP_CAP", 1000)
     with pytest.raises(CapExceeded, match="passed 1000 steps"):
         max_set_flow_paths(_runaway_a(), ("w",))
     with pytest.raises(CapExceeded, match="passed 1000 steps"):
-        augmenting_w_flow(_k8_w(), "w")
+        augmenting_w_flow(_runaway_a(), "w")
+
+
+def _no_swt_walk():
+    """s -> a -> b -> w, w -> a, b -> t, s -> k0 and the complete digraph on
+    k0..k3 (capacity 1), 18 edges: s reaches w and w reaches t, but every
+    s-w-t walk would cross a -> b twice, and a search through the trails
+    out of k0 takes more than 1,000 steps."""
+    k = [f"k{i}" for i in range(4)]
+    return FlowNetwork.build("directed", ["s", "a", "b", "w", "t"] + k,
+                             [("s", "a", 1), ("a", "b", 1), ("b", "w", 1),
+                              ("w", "a", 1), ("b", "t", 1), ("s", "k0", 1)]
+                             + [(x, y, 1) for x in k for y in k if x != y],
+                             [("s", "t")])
 
 
 def test_cut_search_stops_at_its_step_cap(monkeypatch):
+    # No s-w-t walk is left with no edge cut, so the exact cut is empty.
+    net = _no_swt_walk()
+    cut = min_swt_edge_cut(net, "s", "w", "t")
+    assert (cut.edges, cut.value, cut.exact) == ((), 0, True)
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 1000)
+    with pytest.raises(CapExceeded, match="passed 1000 steps"):
+        min_swt_edge_cut(net, "s", "w", "t")
+
+
+def test_cut_skips_the_searches_that_reachability_settles(monkeypatch):
     # s -> w -> t, s -> k0, the complete digraph on k0..k3 and every k -> t
     # (capacity 1): 19 edges, inside the exact cut's 20.  Once s -> w is
-    # cut, the search for an s-w-t walk runs through every trail of the
-    # digraph, all of which miss w, in more than 1,000 steps.
+    # cut, w is unreachable, so the search for an s-w-t walk through the
+    # digraph's trails (10,502 steps) is never run.
     k = [f"k{i}" for i in range(4)]
     net = FlowNetwork.build("directed", ["s", "w", "t"] + k,
                             [("s", "w", 1), ("w", "t", 1), ("s", "k0", 1)]
                             + [(a, b, 1) for a in k for b in k if a != b]
                             + [(a, "t", 1) for a in k], [("s", "t")])
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 3)
     cut = min_swt_edge_cut(net, "s", "w", "t")
     assert (cut.edges, cut.value, cut.exact) == ((0,), 1, True)
-    monkeypatch.setattr(network, "WALK_STEP_CAP", 1000)
-    with pytest.raises(CapExceeded, match="passed 1000 steps"):
-        min_swt_edge_cut(net, "s", "w", "t")
 
 
 def test_augmenting_needs_a_commodity():
