@@ -10,7 +10,7 @@ starts at the origin.
 
 from .errors import (CapExceeded, InfiniteDemand, MalformedNetwork,
                      MalformedProgram, MissingDesignation, NodeflowError,
-                     NonIntegralCapacity, ParseError, UnknownNode, WIsEndpoint)
+                     ParseError, UnknownNode)
 from .rational import as_decimal, format_rational, rat
 from .network import (Commodity, Edge, EdgeWalk, FlowNetwork, PathConstraint,
                       PathFamily, UNCONSTRAINED, concat_walks,

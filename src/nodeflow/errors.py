@@ -43,16 +43,8 @@ class CapExceeded(NodeflowError):
     The CLI exits with code 3."""
 
 
-class WIsEndpoint(NodeflowError):
-    """The designated node coincides with a commodity endpoint where that is unsupported."""
-
-
 class InfiniteDemand(NodeflowError):
     """An operation requiring finite demands was given an infinite one."""
-
-
-class NonIntegralCapacity(NodeflowError):
-    """The augmenting-path heuristic requires integral capacities."""
 
 
 class MissingDesignation(NodeflowError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import lp as lpmod
-from .errors import MalformedNetwork, NonIntegralCapacity, WIsEndpoint
+from .errors import MalformedNetwork
 from .maxflow import max_flow
 from .network import (FWD, REV, EdgeWalk, FlowNetwork, _iter_walks,
                       _reachable, concat_walks, reverse_walk, through_any,
@@ -210,35 +210,32 @@ class AugmentingResult:
 
 def augmenting_w_flow(net: FlowNetwork, w) -> AugmentingResult:
     """Heuristic node-constrained flow for the first commodity (directed,
-    integral capacities).  Repeatedly finds residual s-t walks through w,
-    shortest first, and accepts one only if it strictly increases the flow
-    into w; stops when no acceptable walk remains, after AUGMENT_MAX_ROUNDS
-    (10,000) rounds at most.  Each round keeps the first AUGMENT_SEARCH_CAP
-    (5,000) walks through w that its search finds; a round whose residual
-    network has no s-t route through w, by reachability, runs no search,
-    and one whose search extends walks by more than network.WALK_STEP_CAP
-    (1,000,000) arcs raises CapExceeded: a search can spin through
-    exponentially many walks that miss w or end nowhere.  Not optimal in
-    general.
+    integral capacities).  Each round augments, by its room, the shortest of
+    the first AUGMENT_SEARCH_CAP (5,000) residual s-t walks through w whose
+    net forward crossings into w are positive (forward steps on edges into
+    w minus backward ones), so every accepted walk strictly increases the
+    flow into w; ties go to the smaller steps tuple.  Stops when no such walk
+    remains, after AUGMENT_MAX_ROUNDS (10,000) rounds at most.  A round
+    whose residual network has no s-t route through w, by reachability,
+    runs no search, and one whose search extends walks by more than
+    network.WALK_STEP_CAP (1,000,000) arcs raises CapExceeded: a search can
+    spin through exponentially many walks that miss w or end nowhere.  Not
+    optimal in general.
     """
     if not net.directed:
         raise MalformedNetwork("augmenting heuristic is defined on directed networks")
     for e in net.edges:
         if rat(e.capacity).denominator != 1:
-            raise NonIntegralCapacity(f"edge {e.id} has capacity {e.capacity}")
+            raise MalformedNetwork(f"edge {e.id} has capacity {e.capacity}")
     if not net.commodities:
         raise MalformedNetwork("augmenting heuristic needs a commodity")
     com = net.commodities[0]
     s, t = com.source, com.sink
     if w in (s, t):
-        raise WIsEndpoint(f"{w!r} is an endpoint of commodity 0")
+        raise MalformedNetwork(f"{w!r} is an endpoint of commodity 0")
     net.require(w)
-
+    into_w = {e.id for e in net.edges if e.head == w}
     flow = {e.id: ZERO for e in net.edges}
-
-    def inflow_w():
-        return sum((flow[e.id] for e in net.edges if e.head == w), ZERO)
-
     accepted = []
     for _ in range(AUGMENT_MAX_ROUNDS):
         # The residual arcs, searched in place: an edge forward with room
@@ -253,23 +250,18 @@ def augmenting_w_flow(net: FlowNetwork, w) -> AugmentingResult:
             if flow[e.id] > 0:
                 adj[e.head].append((e, REV))
                 room[e.id, REV] = flow[e.id]
-        walks = _iter_walks(net, s, t, False, False, adj, (w,))
-        candidates = sorted(islice(walks, AUGMENT_SEARCH_CAP),
-                            key=lambda p: (len(p.steps), p.steps))
-        before = inflow_w()
-        chosen = None
-        for walk in candidates:
-            delta = min(room[step] for step in walk.steps)
-            trial = dict(flow)
-            for eid, d in walk.steps:
-                trial[eid] += d * delta
-            gain = sum((trial[e.id] for e in net.edges if e.head == w), ZERO)
-            if gain > before:
-                chosen = (walk, trial)
-                break
-        if chosen is None:
+        walks = islice(_iter_walks(net, s, t, False, False, adj, (w,)),
+                       AUGMENT_SEARCH_CAP)
+        # Augmenting by room delta > 0 changes the flow into w by delta
+        # times the walk's net forward steps into w.
+        walk = min((p for p in walks
+                    if sum(d for eid, d in p.steps if eid in into_w) > 0),
+                   key=lambda p: (len(p.steps), p.steps), default=None)
+        if walk is None:
             break
-        walk, flow = chosen
+        delta = min(room[step] for step in walk.steps)
+        for eid, d in walk.steps:
+            flow[eid] += d * delta
         accepted.append(walk)
     value = sum((flow[e.id] for e in net.edges if e.tail == s), ZERO) - \
         sum((flow[e.id] for e in net.edges if e.head == s), ZERO)

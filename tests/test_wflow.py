@@ -1,16 +1,19 @@
 import random
 import time
+from itertools import islice
 
 import pytest
 
 from nodeflow import (CapExceeded, FlowNetwork, MalformedNetwork, MissingDesignation,
-                      NonIntegralCapacity, PathConstraint, UnknownNode,
-                      WIsEndpoint, augmenting_w_flow,
+                      PathConstraint, UnknownNode, augmenting_w_flow,
                       build_transform, enumerate_paths,
                       enumerate_st_paths, fix_paths,
                       get_builtin, max_set_flow, max_set_flow_paths,
                       max_w_flow_exact, min_swt_edge_cut, network,
                       rat, solve_te_mf, through_any, validate_walk, verify_cut)
+
+from nodeflow.network import FWD, REV
+from nodeflow.wflow import AUGMENT_MAX_ROUNDS, AUGMENT_SEARCH_CAP, _decompose
 
 from conftest import (oracle_walks, pick_inner_node, random_directed,
                       random_undirected)
@@ -303,6 +306,83 @@ def test_augmenting_can_stall_on_remarks():
     assert result.value == 2  # the direct pick blocks the optimum of 3
 
 
+def _reference_augmenting(net, w):
+    """The heuristic's rule the long way: each round sorts its walks
+    shortest first, augments a copy of the flow along each in turn and
+    accepts the first whose summed flow into w beats the current one.
+    Returns (value, arc flow, accepted steps, decomposition, rounds in
+    which a shorter walk was skipped)."""
+    s, t = net.commodities[0].source, net.commodities[0].sink
+
+    def inflow_w(flow):
+        return sum((flow[e.id] for e in net.edges if e.head == w), rat(0))
+
+    flow = {e.id: rat(0) for e in net.edges}
+    accepted, skips = [], 0
+    for _ in range(AUGMENT_MAX_ROUNDS):
+        adj = {v: [] for v in net.nodes}
+        room = {}
+        for e in net.edges:
+            if e.capacity > flow[e.id]:
+                adj[e.tail].append((e, FWD))
+                room[e.id, FWD] = e.capacity - flow[e.id]
+            if flow[e.id] > 0:
+                adj[e.head].append((e, REV))
+                room[e.id, REV] = flow[e.id]
+        walks = islice(network._iter_walks(net, s, t, False, False, adj, (w,)),
+                       AUGMENT_SEARCH_CAP)
+        ranked = sorted(walks, key=lambda p: (len(p.steps), p.steps))
+        for rank, walk in enumerate(ranked):
+            delta = min(room[step] for step in walk.steps)
+            trial = dict(flow)
+            for eid, d in walk.steps:
+                trial[eid] += d * delta
+            if inflow_w(trial) > inflow_w(flow):
+                break
+        else:
+            break
+        skips += rank > 0
+        flow = trial
+        accepted.append(walk.steps)
+    value = sum((flow[e.id] for e in net.edges if e.tail == s), rat(0)) - \
+        sum((flow[e.id] for e in net.edges if e.head == s), rat(0))
+    decomposition = [(p.steps, amount)
+                     for p, amount in _decompose(net, dict(flow), s, w, t)]
+    return value, flow, accepted, decomposition, skips
+
+
+def test_augmenting_picks_what_the_reference_rule_picks(monkeypatch):
+    # 1,000 draws: 3-8 nodes, capacities 0-4, distinct s, w, t.  A step cap
+    # of 20,000 stops about one draw in forty, so both must raise
+    # CapExceeded on the same draws; the pool must also hold rounds in
+    # which an earlier-ranked walk that gains nothing into w is passed over.
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 20_000)
+    rng = random.Random(83)
+    capped = skips = 0
+    for draw in range(1000):
+        n = rng.randint(3, 8)
+        nodes = [f"n{i}" for i in range(n)]
+        pairs = [(a, b) for a in nodes for b in nodes if a != b]
+        rng.shuffle(pairs)
+        edges = [(a, b, rng.randint(0, 4))
+                 for a, b in pairs[:rng.randint(2, 3 * n)]]
+        s, w, t = rng.sample(nodes, 3)
+        net = FlowNetwork.build("directed", nodes, edges, [(s, t)])
+        try:
+            *want, skipped = _reference_augmenting(net, w)
+        except CapExceeded:
+            capped += 1
+            with pytest.raises(CapExceeded):
+                augmenting_w_flow(net, w)
+            continue
+        got = augmenting_w_flow(net, w)
+        assert [got.value, got.arc_flow, [p.steps for p in got.paths],
+                [(p.steps, amount) for p, amount in got.decomposition]] \
+            == want, draw
+        skips += skipped
+    assert capped and skips, (capped, skips)
+
+
 def _k8_w():
     """The complete digraph on v0..v7 (capacity 1) and w, entered from v2
     alone, with the commodity v0 -> v1: no s-t walk can pass w."""
@@ -415,7 +495,7 @@ def test_augmenting_needs_a_commodity():
 def test_augmenting_refuses_w_at_an_endpoint():
     net = get_builtin("remarks").network
     for w in ("s", "t"):
-        with pytest.raises(WIsEndpoint, match=f"'{w}'"):
+        with pytest.raises(MalformedNetwork, match=f"'{w}'"):
             augmenting_w_flow(net, w)
 
 
@@ -428,7 +508,7 @@ def test_augmenting_refuses_an_unknown_w():
 def test_augmenting_refuses_a_fractional_capacity():
     net = FlowNetwork.build("directed", ["s", "w", "t"],
                             [("s", "w", 1), ("w", "t", "1/2")], [("s", "t")])
-    with pytest.raises(NonIntegralCapacity, match="edge 1"):
+    with pytest.raises(MalformedNetwork, match="edge 1"):
         augmenting_w_flow(net, "w")
 
 
