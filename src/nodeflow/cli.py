@@ -183,12 +183,11 @@ def _emit_status(rec, sol):
 def _emit_flow_solution(rec, sol, net):
     _emit_status(rec, sol)
     rows = []
-    for i, assigned in sorted(sol.flows.items()):
+    for i, assigned in sorted((sol.flows or {}).items()):
         com = net.commodities[i]
         for walk, amount in assigned:
-            if amount != 0:
-                rows.append((i, f"{com.source}->{com.sink}",
-                             format_rational(amount), _walk_str(walk)))
+            rows.append((i, f"{com.source}->{com.sink}",
+                         format_rational(amount), _walk_str(walk)))
     if rows:
         rec.add_rows("paths", ("commodity", "pair", "flow", "route"), rows)
 
@@ -241,10 +240,10 @@ def _emit_sr(rec, sol, net):
     _emit_status(rec, sol)
     rec.add("tunnels", sum(len(ts) for ts in sol.tunnels_per_commodity))
     rows = []
-    for (i, mids), amount in sorted(sol.tunnel_flows.items()):
-        if amount != 0:
-            com = net.commodities[i]
-            label = ",".join(mids) if mids else "(direct)"
+    for i, assigned in sorted(sol.flows.items()):
+        com = net.commodities[i]
+        for tunnel, amount in sorted(assigned, key=lambda entry: entry[0].middlepoints):
+            label = ",".join(tunnel.middlepoints) or "(direct)"
             rows.append((i, f"{com.source}->{com.sink}", label,
                          format_rational(amount)))
     if rows:

@@ -6,6 +6,8 @@ segment by segment along equal-cost shortest paths with ECMP splitting.  The
 fraction of a segment's traffic crossing a given edge is computed exactly by
 shortest-path counting, and tunnel flows are optimized by the classic
 formulations' own program, te.solve_columns, with one column per tunnel.
+Its answer is the FlowSolution of (Tunnel, flow) pairs; SrSolution only
+adds the usable tunnels.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from . import lp as lpmod
 from .errors import MalformedNetwork
 from .network import FWD, REV, EdgeWalk, FlowNetwork, _walk_search
 from .rational import ONE, ZERO
-from .te import solve_columns
+from .te import FlowSolution, solve_columns
 
 
 def shortest_path_data(net: FlowNetwork, source):
@@ -156,22 +157,19 @@ def build_tunnels(net: FlowNetwork, cfg: SrConfig):
     return result, tables
 
 
-@dataclass
-class SrSolution:
-    status: str
-    objective: object = None
-    theta: object = None
-    # (commodity, tunnel middlepoints) -> flow, nonzero only
-    tunnel_flows: dict = field(default_factory=dict)
+@dataclass(slots=True)
+class SrSolution(FlowSolution):
+    """A tunnel program's FlowSolution: flows holds (Tunnel, flow) pairs,
+    and tunnels_per_commodity every usable tunnel the program had."""
+
     tunnels_per_commodity: list = field(default_factory=list)
-    pivots: int = 0
 
     def edge_loads(self, net, tables):
         loads = {e.id: ZERO for e in net.edges}
-        for (i, mids), f in self.tunnel_flows.items():
-            column = _tunnel_column(Tunnel(i, mids), net.commodities[i], tables)
-            for eid, load in column.items():
-                loads[eid] += f * load
+        for i, entries in self.flows.items():
+            for tunnel, f in entries:
+                for eid, load in _tunnel_column(tunnel, net.commodities[i], tables).items():
+                    loads[eid] += f * load
         return loads
 
 
@@ -187,17 +185,11 @@ def _tunnel_column(tunnel, com, tables):
 
 def _sr_lp(net, cfg, minimize_load):
     tunnels_per_com, tables = build_tunnels(net, cfg)
-    columns = [[_tunnel_column(t, com, tables) for t in tunnels]
-               for com, tunnels in zip(net.commodities, tunnels_per_com)]
-    status, values, objective, pivots = solve_columns(net, columns, minimize_load)
-    flows = {}
-    if status == lpmod.OPTIMAL:
-        flows = {(i, t.middlepoints): f
-                 for i, (tunnels, vals) in enumerate(zip(tunnels_per_com, values))
-                 for t, f in zip(tunnels, vals) if f != 0}
-    result = SrSolution(status, objective, objective if minimize_load else None,
-                        flows, tunnels_per_com, pivots)
-    return result, tables
+    sol = solve_columns(net, [[(t, _tunnel_column(t, com, tables)) for t in tunnels]
+                              for com, tunnels in zip(net.commodities, tunnels_per_com)],
+                        minimize_load)
+    return SrSolution(sol.status, sol.objective, sol.flows, sol.theta, sol.pivots,
+                      tunnels_per_com), tables
 
 
 def solve_sr_lu(net: FlowNetwork, cfg: SrConfig):

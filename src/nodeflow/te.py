@@ -18,10 +18,11 @@ Unlike the theta program, every row of this one holds at the origin.
 
 Both are exact, and both are solve_columns with one column per walk; the
 segment-routing tunnel programs in srte are the same program with one
-column per tunnel.  Only minimal columns get an LP variable: a walk or
-tunnel whose load vector is at least another's of the same commodity on
-every edge is never needed, since moving its flow to the smaller one keeps
-every row satisfied at the same objective.
+column per tunnel.  Either way the answer is one FlowSolution whose flows
+list each commodity's (route, flow) pairs.  Only minimal columns get an LP
+variable: a walk or tunnel whose load vector is at least another's of the
+same commodity on every edge is never needed, since moving its flow to the
+smaller one keeps every row satisfied at the same objective.
 
 The other program is solve_arcs, one copy per flow layer of every arc that
 does not enter the layer's origin, and no enumeration: one layer per origin,
@@ -31,7 +32,8 @@ Origins at the commodities' sources give the unconstrained maximum
 (max_flow_arc_lp), and origins at the designated nodes give the undirected
 node-constrained transform in wflow.  On undirected networks it first
 prunes dead ends and merges series and parallel edges, which changes pivots
-but not status or objective.
+but not status or objective.  Its answer is a value with no decomposition,
+so a FlowSolution built from it has flows None.
 """
 
 from __future__ import annotations
@@ -48,22 +50,31 @@ INFEASIBLE = "infeasible"
 
 @dataclass(slots=True)
 class FlowSolution:
+    """A flow program's answer.  flows maps each commodity index to its
+    (route, flow) pairs with nonzero flow, in route order; a route is an
+    EdgeWalk, or a Tunnel in srte.  flows is None when the program gives no
+    decomposition (an arc program), and then the values below raise."""
+
     status: str
     objective: object = None
-    # commodity index -> list of (EdgeWalk, flow), nonzero entries only
     flows: dict = field(default_factory=dict)
     theta: object = None
     pivots: int = 0
 
+    def _entries(self):
+        if self.flows is None:
+            raise ValueError("this solution has no flow decomposition")
+        return self.flows
+
     def commodity_value(self, i):
-        return sum((f for _, f in self.flows.get(i, ())), ZERO)
+        return sum((f for _, f in self._entries().get(i, ())), ZERO)
 
     def total_value(self):
-        return sum((self.commodity_value(i) for i in self.flows), ZERO)
+        return sum((self.commodity_value(i) for i in self._entries()), ZERO)
 
     def edge_loads(self, net: FlowNetwork):
         loads = {e.id: ZERO for e in net.edges}
-        for entries in self.flows.values():
+        for entries in self._entries().values():
             for walk, f in entries:
                 for eid, mult in walk.edge_multiplicity().items():
                     loads[eid] += mult * f
@@ -110,93 +121,88 @@ def _minimal_columns(cols):
     return keep
 
 
-def solve_columns(net: FlowNetwork, columns, minimize_load):
+def solve_columns(net: FlowNetwork, routes, minimize_load) -> FlowSolution:
     """The program shared by the path and tunnel formulations.
 
-    columns[i] lists commodity i's routes, each as {edge id: load per unit
-    of flow}.  Both modes keep each edge's load <= c(e).  Max-flow mode
-    maximizes the total flow within the finite demand ceilings; min-load
-    mode is the concurrent-flow program of the module docstring.
+    routes[i] lists commodity i's (route, column) pairs, each column as
+    {edge id: load per unit of flow}.  Both modes keep each edge's load
+    <= c(e).  Max-flow mode maximizes the total flow within the finite
+    demand ceilings; min-load mode is the concurrent-flow program of the
+    module docstring.
 
-    Only a commodity's minimal columns get a variable; every other column
-    reports 0.  A column is dropped when an earlier equal column (a twin) or
-    another column of the same commodity lies below it on every edge: moving
-    its flow to that column keeps every capacity and demand row satisfied
-    and the objective unchanged, so status, objective and theta are those of
-    the program with one variable per column.  The pivots, and which minimal
-    column carries the flow, may differ from that program's.  Variables are
-    made in column order, so Bland's ties still favour the earliest column.
+    Only a commodity's minimal columns get a variable; every other route
+    carries nothing.  A column is dropped when an earlier equal column (a
+    twin) or another column of the same commodity lies below it on every
+    edge: moving its flow to that column keeps every capacity and demand
+    row satisfied and the objective unchanged, so status, objective and
+    theta are those of the program with one variable per column.  The
+    pivots, and which minimal column carries the flow, may differ from that
+    program's.  Variables are made in route order, so Bland's ties still
+    favour the earliest route.
 
-    Returns (status, values, objective, pivots); values[i][k] is the flow on
-    columns[i][k], or values is None when the program is not optimal.  In
-    min-load mode the objective is theta, INFEASIBLE when none exists.
+    Returns the FlowSolution, whose flows key every commodity, or only
+    status and pivots when the program is not optimal.  In min-load mode
+    the objective is theta, and the status INFEASIBLE when none exists.
     """
     if minimize_load:
         needs = [com.effective_min() for com in net.commodities]
         for i, need in enumerate(needs):
             if need is None:
                 raise InfiniteDemand(f"commodity {i} has no finite required demand")
-        if any(need > 0 and not cols for need, cols in zip(needs, columns)):
-            return INFEASIBLE, None, None, 0
+        if any(need > 0 and not pairs for need, pairs in zip(needs, routes)):
+            return FlowSolution(INFEASIBLE)
     lp = lpmod.LinearProgram()
     if minimize_load:
         lam = lp.add_variable("lambda")
-    names = []  # names[i][k]: columns[i][k]'s variable, None if dropped
+    kept = []  # kept[i]: commodity i's (route, variable) pairs
     cells = [{} for _ in net.edges]  # edge id -> {variable: load}
-    for i, cols in enumerate(columns):
-        keep = _minimal_columns(cols)
+    for i, pairs in enumerate(routes):
+        keep = _minimal_columns([col for _, col in pairs])
         row = []
-        for k, col in enumerate(cols):
-            if k not in keep:
-                row.append(None)
-                continue
-            name = lp.add_variable(f"f_{i}_{k}")
-            row.append(name)
-            for eid, load in col.items():
-                cells[eid][name] = load
-        names.append(row)
-    kept = [[name for name in row if name is not None] for row in names]
+        for k, (route, col) in enumerate(pairs):
+            if k in keep:
+                name = lp.add_variable(f"f_{i}_{k}")
+                row.append((route, name))
+                for eid, load in col.items():
+                    cells[eid][name] = load
+        kept.append(row)
     for e in net.edges:
         if cells[e.id]:
             lp.add_constraint(cells[e.id], lpmod.LE, e.capacity)
     for row, com in zip(kept, net.commodities):
-        if not row:
+        names = dict.fromkeys((name for _, name in row), 1)
+        if not names:
             continue
         if minimize_load:
-            lp.add_constraint({**dict.fromkeys(row, 1), lam: -com.effective_min()},
-                              lpmod.EQ, 0)
+            lp.add_constraint({**names, lam: -com.effective_min()}, lpmod.EQ, 0)
         elif com.max_demand is not None:
-            lp.add_constraint(dict.fromkeys(row, 1), lpmod.LE, com.max_demand)
+            lp.add_constraint(names, lpmod.LE, com.max_demand)
     lp.set_objective({lam: 1} if minimize_load
-                     else {name: 1 for row in kept for name in row})
+                     else {name: 1 for row in kept for _, name in row})
     sol = lpmod.solve(lp)
     if not minimize_load:
         if sol.status != lpmod.OPTIMAL:
-            return sol.status, None, None, sol.pivots
+            return FlowSolution(sol.status, pivots=sol.pivots)
         scale, objective = ONE, sol.objective
     elif sol.status == lpmod.UNBOUNDED:      # every need is 0
         scale, objective = ZERO, ZERO
     elif sol.objective == 0:   # a positive need has only zero-capacity routes
-        return INFEASIBLE, None, None, sol.pivots
+        return FlowSolution(INFEASIBLE, pivots=sol.pivots)
     else:
         scale = objective = ONE / sol.objective
-    values = [[ZERO if name is None else scale * sol.value(name) for name in row]
-              for row in names]
-    return lpmod.OPTIMAL, values, objective, sol.pivots
+    flows = {i: [(route, f) for route, name in row
+                 if (f := scale * sol.value(name)) != 0]
+             for i, row in enumerate(kept)}
+    return FlowSolution(lpmod.OPTIMAL, objective, flows,
+                        objective if minimize_load else None, sol.pivots)
 
 
 def _solve_families(net, families, minimize_load):
     if families is None:
         families = default_families(net)
     _check_families(net, families)
-    columns = [[walk.edge_multiplicity() for walk in fam.paths] for fam in families]
-    status, values, objective, pivots = solve_columns(net, columns, minimize_load)
-    if status != lpmod.OPTIMAL:
-        return FlowSolution(status, pivots=pivots)
-    flows = {i: [(walk, f) for walk, f in zip(fam.paths, vals) if f != 0]
-             for i, (fam, vals) in enumerate(zip(families, values))}
-    return FlowSolution(status, objective, flows,
-                        objective if minimize_load else None, pivots)
+    return solve_columns(net, [[(walk, walk.edge_multiplicity()) for walk in fam.paths]
+                               for fam in families], minimize_load)
 
 
 def solve_te_mf(net: FlowNetwork, families=None) -> FlowSolution:
@@ -357,4 +363,4 @@ def max_flow_arc_lp(net: FlowNetwork) -> FlowSolution:
                            for i, com in enumerate(net.commodities)])
     if sol.status != lpmod.OPTIMAL:
         return FlowSolution(sol.status, pivots=sol.pivots)
-    return FlowSolution(lpmod.OPTIMAL, sol.objective, {}, pivots=sol.pivots)
+    return FlowSolution(lpmod.OPTIMAL, sol.objective, None, pivots=sol.pivots)

@@ -110,13 +110,13 @@ def max_set_flow(net: FlowNetwork, W) -> FlowSolution:
 
     Directed networks go through explicit path families.  Undirected networks
     use the polynomial transform; its solution carries the exact value but no
-    path decomposition.  Either way an empty W raises MissingDesignation and
-    a node of W not in the network UnknownNode.
+    path decomposition (flows is None).  Either way an empty W raises
+    MissingDesignation and a node of W not in the network UnknownNode.
     """
     if net.directed:
         return max_set_flow_paths(net, W)
     sol = solve_transform(net, build_transform(net, W))
-    return FlowSolution(lpmod.OPTIMAL, sol.objective / 2, {}, pivots=sol.pivots)
+    return FlowSolution(lpmod.OPTIMAL, sol.objective / 2, None, pivots=sol.pivots)
 
 
 # -- s-w-t edge cuts ----------------------------------------------------------

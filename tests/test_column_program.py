@@ -47,8 +47,8 @@ def _sr_signature(solve, net, mids, max_segments):
         sol, _ = solve(net, SrConfig(mids, max_segments))
     except InfiniteDemand:
         return "InfiniteDemand"
-    flows = " ".join(f"{i}:{','.join(m) or '-'}={f}"
-                     for (i, m), f in sol.tunnel_flows.items())
+    flows = " ".join(f"{i}:{','.join(t.middlepoints) or '-'}={f}"
+                     for i, entries in sol.flows.items() for t, f in entries)
     return f"{sol.status} {sol.pivots} {sol.objective} {sol.theta} | {flows}"
 
 
@@ -409,8 +409,7 @@ def test_min_load_edge_cases(edges, commodities, expect):
         return
     for i, com in enumerate(net.commodities):
         assert te.commodity_value(i) == com.effective_min()
-        assert sum(f for (j, _), f in sr.tunnel_flows.items()
-                   if j == i) == com.effective_min()
+        assert sr.commodity_value(i) == com.effective_min()
 
 
 def _oracle(net, columns, minimize_load):
@@ -451,7 +450,9 @@ def _assert_pruning_is_exact(net, columns, minimize_load, monkeypatch):
         return _lp_solve(lp)
 
     monkeypatch.setattr(lpmod, "solve", solve)
-    status, values, objective, _ = solve_columns(net, columns, minimize_load)
+    sol = solve_columns(net, [list(enumerate(cols)) for cols in columns],
+                        minimize_load)
+    status, objective = sol.status, sol.objective
     assert (status, objective) == _oracle(net, columns, minimize_load)
     vectors = [[vector(net, c) for c in cols] for cols in columns]
     kept = set()
@@ -471,8 +472,16 @@ def _assert_pruning_is_exact(net, columns, minimize_load, monkeypatch):
         for com, cols in zip(net.commodities, columns))
     assert widths == ([] if routeless else [len(kept) + minimize_load])
     if status != lpmod.OPTIMAL:
-        assert values is None
+        assert sol.flows == {}
         return twins, dominated
+    # Every commodity is keyed, its routes nonzero and in route order.
+    assert list(sol.flows) == list(range(len(columns)))
+    values = [[0] * len(cols) for cols in columns]
+    for i, entries in sol.flows.items():
+        assert [k for k, _ in entries] == sorted({k for k, _ in entries})
+        for k, f in entries:
+            assert f != 0
+            values[i][k] = f
     carrying = {(i, k) for i, vals in enumerate(values)
                 for k, f in enumerate(vals) if f != 0}
     assert carrying <= kept

@@ -79,8 +79,7 @@ def test_sr_lu_is_the_dual_optimum(net, mids, max_segments):
     columns = [[_tunnel_column(t, com, tables) for t in tunnels]
                for com, tunnels in zip(net.commodities, build_tunnels(net, cfg)[0])]
     assert sol.status in (OPTIMAL, INFEASIBLE)
-    routed = [sum((f for (j, _), f in sol.tunnel_flows.items() if j == i),
-                  Fraction(0)) for i in range(len(net.commodities))]
-    assert all(f > 0 for f in sol.tunnel_flows.values())
+    routed = [sol.commodity_value(i) for i in range(len(net.commodities))]
+    assert all(f > 0 for entries in sol.flows.values() for _, f in entries)
     _check(net, columns, sol.status, sol.theta, routed,
            sol.edge_loads(net, tables) if sol.status == OPTIMAL else None)

@@ -195,8 +195,8 @@ def test_cycle_forced_tunnel_doubles_utilization():
     column = Counter()
     for u, v in (("s", "w"), ("w", "t")):
         column.update(ecmp_fractions(net, u, v).fractions)
-    _, _, theta, _ = te.solve_columns(net, [[column]], True)
-    assert theta == 2
+    sol = te.solve_columns(net, [[(Tunnel(0, ("w",)), column)]], True)
+    assert sol.theta == 2
 
 
 def test_cycle_direct_tunnel_keeps_utilization_1(capsys):
@@ -236,14 +236,25 @@ def test_sr_solutions_respect_capacity_and_demand():
         loads = sol.edge_loads(net, tables)
         for e in net.edges:
             assert loads[e.id] <= e.capacity, checked
-        for (i, _), f in sol.tunnel_flows.items():
-            assert f >= 0
+        # flows[i] lists commodity i's own tunnels, in tunnel order, each
+        # carrying flow.
         for i, com in enumerate(net.commodities):
-            routed = sum(f for (j, _), f in sol.tunnel_flows.items()
-                         if j == i)
-            assert routed <= com.max_demand, checked
+            tunnels = sol.tunnels_per_commodity[i]
+            at = [next(k for k, u in enumerate(tunnels) if u is t)
+                  for t, _ in sol.flows[i]]
+            assert at == sorted(set(at)), checked
+            assert all(t.commodity == i and f > 0 for t, f in sol.flows[i])
+            assert sol.commodity_value(i) <= com.max_demand, checked
+        assert sol.total_value() == sol.objective, checked
+        # The te counterpart: a family's own walks, in family order.
+        families = te.default_families(net)
+        te_sol = solve_te_mf(net, families)
+        for i, fam in enumerate(families):
+            at = [next(k for k, p in enumerate(fam.paths) if p is walk)
+                  for walk, _ in te_sol.flows[i]]
+            assert at == sorted(set(at)), checked
         # tunnel routing can never beat the unconstrained optimum
-        assert sol.objective <= solve_te_mf(net).total_value(), checked
+        assert sol.objective <= te_sol.total_value(), checked
         checked += 1
 
 

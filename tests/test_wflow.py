@@ -8,7 +8,8 @@ from nodeflow import (CapExceeded, FlowNetwork, MalformedNetwork, MissingDesigna
                       PathConstraint, UnknownNode, augmenting_w_flow,
                       build_transform, enumerate_paths,
                       enumerate_st_paths, fix_paths,
-                      get_builtin, max_set_flow, max_set_flow_paths,
+                      get_builtin, max_flow_arc_lp, max_set_flow,
+                      max_set_flow_paths,
                       max_w_flow_exact, min_swt_edge_cut, network,
                       rat, solve_te_mf, through_any, validate_walk, verify_cut)
 
@@ -75,6 +76,19 @@ def test_undirected_chain_half():
     net = get_builtin("wst-undirected").network
     assert max_set_flow(net, ("w",)).objective == rat(1, 2)
     assert max_set_flow_paths(net, ("w",), single_use=True).objective == 0
+
+
+def test_arc_program_results_have_no_flows_to_sum():
+    # Both arc programs give a value and no decomposition, so reading one
+    # off their flows must raise rather than answer 0.
+    net = get_builtin("wst-undirected").network
+    for sol, value in ((max_set_flow(net, ("w",)), rat(1, 2)),
+                       (max_flow_arc_lp(net), 1)):
+        assert (sol.status, sol.objective, sol.flows) == ("optimal", value, None)
+        with pytest.raises(ValueError, match="no flow decomposition"):
+            sol.total_value()
+        with pytest.raises(ValueError, match="no flow decomposition"):
+            sol.commodity_value(0)
 
 
 def test_single_use_changes_nothing_on_directed_networks():
