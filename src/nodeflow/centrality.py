@@ -180,11 +180,10 @@ def submodularity_probe(net: FlowNetwork, trials=100, seed=0) -> ProbeReport:
     probe finds witnesses of the second kind.
 
     On undirected networks the probe scores groups over no-repeat paths
-    (each edge at most once per path).  Allowing a path to reuse an edge in
-    opposite directions gives every commodity a cheap detour through any
-    group node, which restores the exchange property and -- as far as random
-    search can tell -- makes the relaxed group value submodular, so the
-    counterexamples disappear under that semantics.
+    (each edge at most once per path).  Group flow is not submodular under
+    the default rule either, where a walk may reuse an edge in opposite
+    directions, but fig8-undirected is a counterexample under no-repeat
+    only: with reuse, s3 gains 1 at both {s1} and {s1,s2}.
     """
     rng = random.Random(seed)
     gf = _GroupFlowCache(net, norepeat=not net.directed)

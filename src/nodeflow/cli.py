@@ -4,13 +4,13 @@ Every solver subcommand loads an instance (from a file or the builtin
 catalog), runs one solver, and prints a result record.  Exit codes: 0 the
 instance was solved (an infeasible program is a result, not an error),
 1 any other solver error (such as an unbounded demand where a finite one is
-required), 2 parse errors, 3 a size guard or the walk-search step cap was
-exceeded, 4 a required designated node/set is missing.
+required), 2 parse errors, 3 the walk-search step cap was exceeded, 4 a
+required designated node/set is missing.
 
-Each subcommand is one row of COMMANDS; main applies the row's size guard,
---max-nodes-exact, once, before the body runs.  The library guards every
-walk search (enumeration, the augmenting heuristic and the directed cut),
-which stops at network.WALK_STEP_CAP arcs (exit 3 as well).
+Each subcommand is one row of COMMANDS.  The one guard of every exponential
+method is the library's: each walk search (enumeration, the augmenting
+heuristic, the directed cut and acyclic segment routing) stops at
+network.WALK_STEP_CAP arcs, whatever the instance's size.
 """
 
 from __future__ import annotations
@@ -380,24 +380,18 @@ _MIDDLEPOINTS = _flag("--middlepoints", type=_nodelist,
 _MAX_SEGMENTS = _flag("--max-segments", type=_count(0), default=1)
 
 
-# Guard rules: whether the solver enumerates walks (see _guard).
-DIRECTED, WALKS = False, True
-
-
 @dataclass(frozen=True)
 class Command:
     """A subcommand: its body, which looks its solver up through its module
-    at run time, help, own flags and guard rule (or a function of the parsed
-    arguments giving it); no rule, no --max-nodes-exact."""
+    at run time, help and own flags."""
     run: object
     help: str
     flags: tuple = ()
-    guard: object = None
 
 
 COMMANDS = {
-    "te-mf": Command(cmd_te, "maximum multicommodity flow", (), WALKS),
-    "te-lu": Command(cmd_te, "minimum worst-edge utilization", (), WALKS),
+    "te-mf": Command(cmd_te, "maximum multicommodity flow"),
+    "te-lu": Command(cmd_te, "minimum worst-edge utilization"),
     "w-flow-augment": Command(cmd_w_flow_augment,
                               "greedy augmenting heuristic (directed)", (_W,)),
     "set-flow": Command(cmd_set_flow, "flow through a designated node set", (
@@ -406,7 +400,7 @@ COMMANDS = {
               help="undirected: forbid edge reuse within a path"),
         _flag("--simple", action="store_true",
               help="forbid node repeats within a path"),
-    ), lambda args: WALKS if args.no_repeat or args.simple else DIRECTED),
+    )),
     "cut": Command(cmd_cut, "minimum s-w-t edge cut", (_W, _S, _T)),
     "sr-lu": Command(cmd_sr, "segment-routing minimum utilization",
                      (_MIDDLEPOINTS, _MAX_SEGMENTS)),
@@ -421,17 +415,16 @@ COMMANDS = {
         _W, _flag("--instance-demands", action="store_true",
                   help="restrict to the instance's commodity pairs, "
                        "weighted by demand"),
-    ), DIRECTED),
+    )),
     "ngroup": Command(cmd_ngroup, "best group of at most N nodes", (
         _flag("-n", type=_count(1), required=True),
         _flag("--method", choices=("brute", "greedy"), default="brute"),
-    ), DIRECTED),
+    )),
     "probe-submodularity": Command(cmd_probe, "sample monotonicity/submodularity", (
         _flag("--trials", type=_count(0), default=100),
         _flag("--seed", type=int, default=0),
-    ), WALKS),
-    "eq25": Command(cmd_eq25, "inclusion-exclusion identity check", (_W, _S, _T),
-                    DIRECTED),
+    )),
+    "eq25": Command(cmd_eq25, "inclusion-exclusion identity check", (_W, _S, _T)),
     "gadget": Command(cmd_gadget, "emit a hardness-reduction gadget", (
         _W, _S, _T,
         _flag("--kind", choices=_GADGETS, required=True),
@@ -440,19 +433,6 @@ COMMANDS = {
         _flag("--sets", type=_setlist, help="max-coverage: sets as a,b|c,d"),
     )),
 }
-
-
-def _guard(net, args, rule):
-    """Refuse more than --max-nodes-exact nodes to an exact method that is
-    exponential: any on a directed network, where node-constrained flow is
-    NP-hard, and one that enumerates walks on either."""
-    limit = args.max_nodes_exact
-    enumerates = rule(args) if callable(rule) else rule
-    if (net.directed or enumerates) and len(net.nodes) > limit:
-        how = "by walk enumeration" if enumerates else "on directed networks"
-        raise CapExceeded(
-            f"exact node-constrained flow {how} is exponential; "
-            f"{len(net.nodes)} nodes exceeds the guard of {limit}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,9 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--instance", help="path to an instance file")
         sub.add_argument("--format", choices=("table", "csv", "structured"),
                          default="table")
-        if command.guard is not None:
-            sub.add_argument("--max-nodes-exact", type=_count(0), default=10,
-                             help="node-count guard for exponential solvers")
         for names, options in command.flags:
             sub.add_argument(*names, **options)
     subs.add_parser("catalog", help="list builtin instances")
@@ -483,8 +460,6 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     try:
         inst, source = _load(args)
-        if command.guard is not None:
-            _guard(inst.network, args, command.guard)
         rec = ResultRecord(args.command, source,
                            fileio.instance_hash(inst))
         command.run(args, inst, rec)

@@ -38,9 +38,8 @@ class ParseError(NodeflowError):
 
 
 class CapExceeded(NodeflowError):
-    """A search passed its step cap, so its result would be unsound, or an
-    instance exceeds the node-count guard of an exact, exponential method.
-    The CLI exits with code 3."""
+    """A walk search passed network.WALK_STEP_CAP, so its result would be
+    unsound.  The CLI exits with code 3."""
 
 
 class InfiniteDemand(NodeflowError):

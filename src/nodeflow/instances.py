@@ -122,9 +122,11 @@ def _fig8(orientation):
     return BuiltinInstance(
         net, designated={"group": ("s1", "s2", "s3")}, name=f"fig8{suffix}",
         description="Three commodities over two capacity-2 bottlenecks: the "
-        "standard non-submodularity counterexample for group flow.  No "
-        "single node intercepts more than 2 of the 3 units the network can "
-        "carry.",
+        "standard non-submodularity counterexample for group flow"
+        + (".  " if net.directed else ", over no-repeat paths only (with "
+           "opposite-direction reuse s3 gains 1 at {s1} and at {s1,s2}).  ")
+        + "No single node intercepts more than 2 of the 3 units the network "
+        "can carry.",
         headline="GF({s1})=2, GF({s1,s2})=2, GF({s1,s2,s3})=3; best single "
         "group 2")
 

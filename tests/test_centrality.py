@@ -105,6 +105,23 @@ def test_probe_margin_pair_both_orientations():
         assert probe_margins(net, ("s1",), ("s1", "s2"), "s3") == (0, 1), name
 
 
+def test_group_flow_is_not_submodular_under_either_undirected_rule():
+    # The undirected path v0-v1 (2), v1-v2 (2), v2-v3 (1), with commodities
+    # v2->v3 and v3->v0 (demand 1 each) and v2->v1 (unbounded): v3 gains
+    # 1/2 at {v0} and 1 at {v0,v1} when a walk may reuse an edge in opposite
+    # directions, and 0 and 1 under no-repeat.
+    net = FlowNetwork.build("undirected", ["v0", "v1", "v2", "v3"],
+                            [("v0", "v1", 2), ("v1", "v2", 2), ("v2", "v3", 1)],
+                            [("v2", "v3", 1), ("v3", "v0", 1), ("v2", "v1", None)])
+    groups = [("v0",), ("v0", "v3"), ("v0", "v1"), ("v0", "v1", "v3")]
+    default = [rat(3, 2), 2, 2, 3]
+    assert [max_set_flow(net, W).objective for W in groups] == default
+    assert [max_set_flow_paths(net, W).objective for W in groups] == default
+    assert [max_set_flow_paths(net, W, single_use=True).objective
+            for W in groups] == [1, 1, 2, 3]
+    assert probe_margins(net, ["v0"], ["v0", "v1"], "v3") == (0, 1)
+
+
 def test_probe_finds_violation_and_stays_monotone():
     for name in ("fig8", "fig8-undirected"):
         report = submodularity_probe(get_builtin(name).network, trials=400)

@@ -90,10 +90,16 @@ def test_step_cap_exit_3(capsys, monkeypatch):
     assert err.startswith("limit exceeded:") and "passed 12 steps" in err
 
 
-def test_node_guard_exit_3(capsys):
-    code, _, _ = run(capsys, "centrality", "--builtin", "fig8", "--w", "v1",
-                     "--max-nodes-exact", "5")
-    assert code == 3
+def test_centrality_step_cap_exit_3(capsys, monkeypatch):
+    # fig8's longest pair search through v1 needs 7 steps; the driver stops
+    # at its first search past the cap.
+    code, out, _ = run(capsys, "centrality", "--builtin", "fig8", "--w", "v1")
+    assert code == 0
+    assert "centrality: 24/67" in out.splitlines()
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 6)
+    code, out, err = run(capsys, "centrality", "--builtin", "fig8", "--w", "v1")
+    assert code == 3 and out == ""
+    assert "passed 6 steps" in err
 
 
 def test_missing_designation_exit_4(capsys):
@@ -370,98 +376,76 @@ def test_solver_error_exit_1(capsys):
     assert err.startswith("error:")
 
 
-def test_node_guard_on_directed_path_solvers_exit_3(tmp_path, capsys):
+def _chain(tmp_path, orientation, **commodity):
+    """The 12-node chain v0 -> ... -> v11, one commodity from end to end:
+    its one s-t walk is 11 arcs, so every walk search ends far inside the
+    default step cap, whatever the node count."""
     nodes = [f"v{i}" for i in range(12)]
-    path = tmp_path / "chain.json"
+    path = tmp_path / f"{orientation}-chain.json"
     path.write_text(json.dumps({
-        "orientation": "directed", "nodes": nodes,
+        "orientation": orientation, "nodes": nodes,
         "edges": [{"tail": a, "head": b, "capacity": 1}
                   for a, b in zip(nodes, nodes[1:])],
-        "commodities": [{"src": "v0", "dst": "v11"}]}))
+        "commodities": [{"src": "v0", "dst": "v11", **commodity}]}))
+    return str(path)
+
+
+def _answers_then_caps(capsys, monkeypatch, path, argv, line=None):
+    """argv answers on path, with line in its output, and exits 3 once the
+    step cap is below the 11 arcs of the chain's one walk."""
+    code, out, err = run(capsys, *argv, "--instance", path)
+    assert code == 0, (argv, err)
+    assert line is None or line in out.splitlines(), argv
+    with monkeypatch.context() as patch:
+        patch.setattr(network, "WALK_STEP_CAP", 5)
+        code, out, err = run(capsys, *argv, "--instance", path)
+    assert code == 3 and out == "", argv
+    assert "passed 5 steps" in err, argv
+
+
+def test_step_cap_on_directed_path_solvers_exit_3(tmp_path, capsys, monkeypatch):
+    path = _chain(tmp_path, "directed")
     for argv, line in ((("set-flow", "--set", "v5", "--simple"), "objective: 1"),
                        (("set-flow", "--set", "v5"), "objective: 1"),
                        (("eq25", "--w", "v5"), "consistent: True"),
                        (("centrality", "--w", "v5", "--instance-demands"),
                         "centrality: 1")):
-        code, _, err = run(capsys, *argv, "--instance", str(path),
-                           "--max-nodes-exact", "5")
-        assert code == 3, argv
-        assert "limit" in err
-        code, out, _ = run(capsys, *argv, "--instance", str(path),
-                           "--max-nodes-exact", "12")
-        assert code == 0, argv
-        assert line in out.splitlines()
+        _answers_then_caps(capsys, monkeypatch, path, argv, line)
 
 
-def test_node_guard_on_undirected_walk_enumerators_exit_3(tmp_path, capsys):
-    nodes = [f"v{i}" for i in range(12)]
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps({
-        "orientation": "undirected", "nodes": nodes,
-        "edges": [{"tail": a, "head": b, "capacity": 1}
-                  for a, b in zip(nodes, nodes[1:])],
-        "commodities": [{"src": "v0", "dst": "v11"}]}))
+def test_step_cap_on_undirected_walk_enumerators_exit_3(tmp_path, capsys,
+                                                        monkeypatch):
+    path = _chain(tmp_path, "undirected")
     for argv in (("set-flow", "--set", "v5", "--simple"),
                  ("set-flow", "--set", "v5", "--no-repeat")):
-        code, _, err = run(capsys, *argv, "--instance", str(path),
-                           "--max-nodes-exact", "5")
-        assert code == 3, argv
-        assert "limit" in err
-        code, out, _ = run(capsys, *argv, "--instance", str(path),
-                           "--max-nodes-exact", "12")
-        assert code == 0, argv
-        assert "objective: 1\n" in out
-    # The polynomial undirected solvers stay unguarded.
+        _answers_then_caps(capsys, monkeypatch, path, argv, "objective: 1")
+    # The polynomial undirected solvers search no walk, so no cap stops them.
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 1)
     for argv in (("set-flow", "--set", "v5"), ("centrality", "--w", "v5")):
-        code, _, _ = run(capsys, *argv, "--instance", str(path),
-                         "--max-nodes-exact", "5")
+        code, _, _ = run(capsys, *argv, "--instance", path)
         assert code == 0, argv
 
 
-def test_node_guard_on_te_walk_enumerators_exit_3(tmp_path, capsys):
+def test_step_cap_on_te_walk_enumerators_exit_3(tmp_path, capsys, monkeypatch):
     # te-mf and te-lu enumerate every s-t walk, on either kind of network.
-    nodes = [f"v{i}" for i in range(12)]
     for orientation in ("directed", "undirected"):
-        path = tmp_path / f"{orientation}.json"
-        path.write_text(json.dumps({
-            "orientation": orientation, "nodes": nodes,
-            "edges": [{"tail": a, "head": b, "capacity": 1}
-                      for a, b in zip(nodes, nodes[1:])],
-            "commodities": [{"src": "v0", "dst": "v11", "demand": 1}]}))
+        path = _chain(tmp_path, orientation, demand=1)
         for command in ("te-mf", "te-lu"):
-            code, _, err = run(capsys, command, "--instance", str(path),
-                               "--max-nodes-exact", "5")
-            assert code == 3, (orientation, command)
-            assert "limit" in err
-            code, out, _ = run(capsys, command, "--instance", str(path),
-                               "--max-nodes-exact", "12")
-            assert code == 0, (orientation, command)
-            assert "objective: 1\n" in out
+            _answers_then_caps(capsys, monkeypatch, path, (command,),
+                               "objective: 1")
 
 
-def test_node_guard_on_group_solvers_exit_3(tmp_path, capsys):
-    nodes = [f"v{i}" for i in range(12)]
+def test_step_cap_on_group_solvers_exit_3(tmp_path, capsys, monkeypatch):
     for orientation in ("directed", "undirected"):
-        path = tmp_path / f"{orientation}.json"
-        path.write_text(json.dumps({
-            "orientation": orientation, "nodes": nodes,
-            "edges": [{"tail": a, "head": b, "capacity": 1}
-                      for a, b in zip(nodes, nodes[1:])],
-            "commodities": [{"src": "v0", "dst": "v11"}]}))
-        guarded = [("probe-submodularity", "--trials", "1")]
+        path = _chain(tmp_path, orientation)
+        searched = [("probe-submodularity", "--trials", "1")]
         if orientation == "directed":
-            guarded.append(("ngroup", "-n", "1"))
-        for argv in guarded:
-            code, _, err = run(capsys, *argv, "--instance", str(path),
-                               "--max-nodes-exact", "5")
-            assert code == 3, (orientation, argv)
-            assert "limit" in err
-            code, _, _ = run(capsys, *argv, "--instance", str(path),
-                             "--max-nodes-exact", "12")
-            assert code == 0, (orientation, argv)
+            searched.append(("ngroup", "-n", "1"))
+        for argv in searched:
+            _answers_then_caps(capsys, monkeypatch, path, argv)
     # Group flow on an undirected network is the polynomial transform.
-    code, _, _ = run(capsys, "ngroup", "-n", "1", "--instance", str(path),
-                     "--max-nodes-exact", "5")
+    monkeypatch.setattr(network, "WALK_STEP_CAP", 1)
+    code, _, _ = run(capsys, "ngroup", "-n", "1", "--instance", path)
     assert code == 0
 
 
@@ -715,23 +699,27 @@ PARSER_REJECTS = {
                         "argument --trials: must be at least 0"),
 }
 
-# Only the guarded solvers take the size guard, and no subcommand takes a
-# path cap: every walk search stops at the library's one step cap.
-UNGUARDED = {
-    "sr-lu": ("--builtin", "cycle-3"),
-    "sr-mf": ("--builtin", "cycle-3"),
-    "cut": ("--builtin", "remarks"),
-    "acyclic-check": ("--builtin", "cycle-3"),
-    "w-flow-augment": ("--builtin", "remarks"),
-    "gadget": ("--builtin", "remarks", "--kind", "node-split",
-               "--output", "gadget.json"),
-}
+# No subcommand takes a size flag or a path cap: every walk search stops at
+# the library's one step cap.
 PARSER_REJECTS.update({
-    f"{command}-{flag[2:]}": ((command, *argv, flag, "0"), "unrecognized arguments")
-    for command, argv in UNGUARDED.items()
+    f"{command}-{flag[2:]}": ((command, *argv, flag, "1"), "unrecognized arguments")
+    for command, argv in {
+        "te-mf": ("--builtin", "remarks"),
+        "te-lu": ("--builtin", "remarks"),
+        "w-flow-augment": ("--builtin", "remarks"),
+        "set-flow": ("--builtin", "remarks"),
+        "cut": ("--builtin", "remarks"),
+        "sr-lu": ("--builtin", "cycle-3"),
+        "sr-mf": ("--builtin", "cycle-3"),
+        "acyclic-check": ("--builtin", "cycle-3"),
+        "centrality": ("--builtin", "fig8", "--w", "v1"),
+        "ngroup": ("--builtin", "fig8", "-n", "1"),
+        "probe-submodularity": ("--builtin", "fig8"),
+        "eq25": ("--builtin", "fig8", "--w", "v1"),
+        "gadget": ("--builtin", "remarks", "--kind", "node-split",
+                   "--output", "gadget.json"),
+    }.items()
     for flag in ("--max-paths", "--max-nodes-exact")})
-PARSER_REJECTS["te-mf-max-paths"] = (
-    ("te-mf", "--builtin", "remarks", "--max-paths", "1"), "unrecognized arguments")
 
 
 @pytest.mark.parametrize("argv, message", PARSER_REJECTS.values(),

@@ -453,6 +453,29 @@ def test_augmenting_with_no_walk_through_w_answers_at_once():
     assert (result.value, result.paths, result.decomposition) == (0, [], [])
 
 
+def test_augmenting_search_cap_keeps_an_answer_under_the_step_cap(monkeypatch):
+    # Trial 7 of random.Random(11) draws of 8-14 nodes, 2n-4n arcs and
+    # capacities 1-3, through v2 from v0 to v1: 8 nodes and 30 arcs.  With
+    # only the first 5,000 walks read each round the heuristic answers 1;
+    # reading them all, a round's search passes the step cap.
+    rng = random.Random(11)
+    for _ in range(8):
+        n = rng.randint(8, 14)
+        m = rng.randint(2 * n, 4 * n)
+        nodes = [f"v{i}" for i in range(n)]
+        pairs = [(a, b) for a in nodes for b in nodes if a != b]
+        rng.shuffle(pairs)
+        edges = [(a, b, rng.randint(1, 3)) for a, b in pairs[:m]]
+    net = FlowNetwork.build("directed", nodes, edges, [("v0", "v1")])
+    assert (len(net.nodes), len(net.edges)) == (8, 30)
+    start = time.perf_counter()
+    assert augmenting_w_flow(net, "v2").value == 1
+    assert time.perf_counter() - start < 1
+    monkeypatch.setattr("nodeflow.wflow.AUGMENT_SEARCH_CAP", None)
+    with pytest.raises(CapExceeded):
+        augmenting_w_flow(net, "v2")
+
+
 def test_walk_step_cap_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr(network, "WALK_STEP_CAP", 1000)
     with pytest.raises(CapExceeded, match="passed 1000 steps"):
