@@ -7,7 +7,15 @@ added.  Minimizing c.x is maximizing -c.x, and a >= row is the <= row with
 coefficients and right-hand side negated; the caller writes them so.
 
 Tableau over exact rationals, Bland's anti-cycling rule throughout, so
-results are deterministic and free of rounding.  Every program starts from
+results are deterministic and free of rounding.  A row's declared
+coefficients whose denominator is 1 and its slack's 1 are stored as Python
+ints, the rest as Fractions; the zero fill, the right-hand sides and the
+costs are Fractions.  Python's int and Fraction operators are exact and
+compare by value, so the pivots and every comparison are the same as on an
+all-Fraction tableau, the right-hand sides and reduced costs that the
+solution is read from stay Fractions, and every value a solve reports is a
+Fraction.  Int arithmetic on the 0/+-1 incidence coefficients costs far
+less than Fraction arithmetic.  Every program starts from
 the origin, where every row holds.  Each <= row starts with its slack
 basic.  An equality row gets no slack: once the tableau is built, each one,
 in row order, is pivoted on its lowest-index nonzero column.  That pivot
@@ -137,7 +145,8 @@ def _pivot(rows, basis, r, c, z=None):
         # Most multipliers are +-1 (incidence rows) and about half the
         # targets are 0.  Multiplier +1 subtracts the pivot row and -1 adds
         # it, with no product; a zero target under -1 takes the pivot-row
-        # entry itself (Fractions are immutable, so sharing it is safe).
+        # entry itself (ints and Fractions are immutable, so sharing it is
+        # safe).
         if f == 1:
             for j, x in nz:
                 v = row[j]
@@ -227,13 +236,13 @@ def solve(lp: LinearProgram) -> LpSolution:
     for coeffs, rel, rhs in specs:
         row = [ZERO] * (ncols + 1)
         for name, c in coeffs.items():
-            row[index[name]] = c
+            row[index[name]] = c.numerator if c.denominator == 1 else c
         row[ncols] = rhs
         if rel == EQ:
             eq_rows.append(len(rows))
             basis.append(-1)
         else:
-            row[scol] = ONE
+            row[scol] = 1
             basis.append(scol)
             scol += 1
         rows.append(row)

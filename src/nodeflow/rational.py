@@ -1,8 +1,9 @@
 """Exact rational arithmetic used everywhere a flow value or capacity lives.
 
 All solver code in this package works over exact rationals, never floats:
-every value is a fractions.Fraction, normalized at the package boundary via
-rat().
+every value the package reports is a fractions.Fraction, normalized at the
+package boundary via rat().  Inside a solve, the simplex tableau holds
+integral constraint coefficients as Python ints (see lp).
 """
 
 from __future__ import annotations

@@ -176,8 +176,11 @@ def _solve_square(a, b):
 def _origin_program_strategy(st):
     """Programs whose rows hold at the origin, as (ncols, rows, upper
     bounds, cost, sense): rows are (relation, coefficient vector, rhs) with
-    <= rows at b >= 0, >= rows at b <= 0 and = rows at b = 0."""
-    small = st.integers(-3, 3).map(Fraction)
+    <= rows at b >= 0, >= rows at b <= 0 and = rows at b = 0.  Coefficients
+    and costs are p/q with |p| <= 6 and q <= 3: units, other integers and
+    proper fractions, so the solver's tableau mixes int and Fraction entries
+    and pivots on elements other than +-1."""
+    small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
     rhs = {LE: st.integers(0, 6), GE: st.integers(-6, 0), EQ: st.just(0)}
 
     @st.composite
@@ -232,6 +235,10 @@ def test_random_lps_match_vertex_enumeration():
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.objective == expect
+        # Every value the solver reports is a Fraction, whatever the
+        # tableau held.
+        assert type(sol.objective) is Fraction
+        assert all(type(v) is Fraction for v in sol.assignment.values())
         x = [sol.assignment[f"x{j}"] for j in range(ncols)]
         assert all(sum(c * xi for c, xi in zip(vec, x)) <= rhs
                    for vec, rhs in le)
@@ -542,6 +549,72 @@ def _zero_rhs_dense_programs(seed, count):
                   rng.choice(["max", "max", "min"]))
         programs.append(lp)
     return programs
+
+
+def _all_fraction_solve(lp):
+    """The solver's own kernel, _pivot_eq_rows then _bland_optimize, run on
+    a tableau built here with every entry a Fraction: the declared rows,
+    then each upper bound as a <= row, one slack column per <= row, in the
+    solver's row and column order.  Returns (status, pivots, objective,
+    assignment)."""
+    from nodeflow import lp as lpmod
+
+    n = len(lp.variables)
+    specs = [(con.coeffs, con.relation, con.rhs) for con in lp.constraints]
+    specs += [({name: 1}, LE, ub) for name, ub in lp.upper_bounds.items()]
+    ncols = n + sum(1 for _, relation, _ in specs if relation == LE)
+    rows, basis, eq_rows = [], [], []
+    scol = n
+    for coeffs, relation, rhs in specs:
+        row = [Fraction(0)] * (ncols + 1)
+        for name, c in coeffs.items():
+            row[lp.index[name]] = Fraction(c)
+        row[ncols] = Fraction(rhs)
+        if relation == EQ:
+            eq_rows.append(len(rows))
+            basis.append(-1)
+        else:
+            row[scol] = Fraction(1)
+            basis.append(scol)
+            scol += 1
+        rows.append(row)
+    pivots = lpmod._pivot_eq_rows(rows, basis, eq_rows)
+    cost = [Fraction(0)] * ncols
+    for name, c in lp.objective.items():
+        cost[lp.index[name]] = Fraction(c)
+    status, more, objective = lpmod._bland_optimize(rows, basis, cost, ncols)
+    # Fraction arithmetic is closed, so the tableau is all Fraction to the end.
+    assert all(type(x) is Fraction for row in rows for x in row)
+    if status != OPTIMAL:
+        return status, pivots + more, None, {}
+    assignment = dict.fromkeys(lp.variables, Fraction(0))
+    for i, b in enumerate(basis):
+        if b < n:
+            assignment[lp.variables[b]] = rows[i][ncols]
+    return status, pivots + more, objective, assignment
+
+
+def test_pivot_path_matches_the_kernel_on_an_all_fraction_tableau():
+    # The solver stores integral coefficients as ints, which must not move
+    # the Bland path: on programs with = rows, upper bounds, non-unit and
+    # fractional coefficients, solve agrees with the same kernel run on an
+    # all-Fraction tableau in status, pivots, objective and assignment.
+    programs = [lp for lp, _ in _origin_programs()]
+    programs += _zero_rhs_dense_programs(6101, 120)
+    programs.append(_beale_program())
+    seen = set()
+    for trial, lp in enumerate(programs):
+        sol = solve_lp(lp)
+        status, pivots, objective, assignment = _all_fraction_solve(lp)
+        got = (sol.status, sol.pivots, sol.objective,
+               sol.assignment if sol.status == OPTIMAL else {})
+        assert got == (status, pivots, objective, assignment), trial
+        if status == OPTIMAL:
+            assert type(sol.objective) is Fraction, trial
+            assert all(type(v) is Fraction
+                       for v in sol.assignment.values()), trial
+        seen.add(status)
+    assert seen == {OPTIMAL, UNBOUNDED}
 
 
 def _highs(lp):
