@@ -7,16 +7,21 @@ added.  Minimizing c.x is maximizing -c.x, and a >= row is the <= row with
 coefficients and right-hand side negated; the caller writes them so.
 
 Tableau over exact rationals, Bland's anti-cycling rule throughout, so
-results are deterministic and free of rounding.  A row's declared
-coefficients whose denominator is 1 and its slack's 1 are stored as Python
-ints, the rest as Fractions; the zero fill, the right-hand sides and the
-costs are Fractions.  Python's int and Fraction operators are exact and
-compare by value, so the pivots and every comparison are the same as on an
-all-Fraction tableau, the right-hand sides and reduced costs that the
-solution is read from stay Fractions, and every value a solve reports is a
-Fraction.  Int arithmetic on the 0/+-1 incidence coefficients costs far
-less than Fraction arithmetic.  Every program starts from
-the origin, where every row holds.  Each <= row starts with its slack
+results are deterministic and free of rounding.  Integral data stays Python
+ints from the build through every pivot: the zero fill, a row's
+declared coefficients and costs whose denominator is 1, and its slack's 1
+start as ints.  Int operators on ints give ints, and _pivot divides by an
+int pivot element exactly, keeping each whole quotient of an int an int, so
+an entry computed from ints alone stays an int while it is whole; the other
+entries are Fractions.  The right-hand sides and the objective's entry in the
+reduced-cost row are Fractions throughout, so the objective and every
+assignment value a solve reports is a Fraction, and the ratio test divides
+a Fraction, never int by int, which Python would evaluate as a float.
+Python's int and Fraction operators are exact and compare by value, so the
+pivots and every comparison are the same as on an all-Fraction tableau.
+Int arithmetic on the 0/+-1 incidence coefficients, and a truth test on an
+int zero, cost far less than their Fraction forms.  Every program starts
+from the origin, where every row holds.  Each <= row starts with its slack
 basic.  An equality row gets no slack: once the tableau is built, each one,
 in row order, is pivoted on its lowest-index nonzero column.  That pivot
 moves no right-hand side, so the basis stays feasible; a row left with no
@@ -42,6 +47,7 @@ Unbounded is a status on the returned solution, never an exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import MalformedProgram
 from .rational import ZERO, ONE, rat
@@ -125,7 +131,13 @@ class LpSolution:
 
 def _pivot(rows, basis, r, c, z=None):
     """Pivot on rows[r][c] in place, eliminating column c from every other
-    row and from the reduced-cost row z when given."""
+    row and from the reduced-cost row z when given.
+
+    The pivot row is scaled first: negated when the pivot element is -1,
+    left when it is 1.  An int pivot element other than +-1 divides each
+    entry exactly: an int entry it divides becomes the int quotient,
+    another int entry Fraction(x, piv), and a Fraction entry x / piv.  A
+    Fraction pivot element multiplies the row by its inverse."""
     prow = rows[r]
     piv = prow[c]
     if piv == -1:
@@ -133,10 +145,21 @@ def _pivot(rows, basis, r, c, z=None):
             if x:
                 prow[j] = -x
     elif piv != 1:
-        inv = ONE / piv
-        for j, x in enumerate(prow):
-            if x:
-                prow[j] = x * inv
+        if type(piv) is int:
+            # x / piv on two ints would be a float, so ints divide apart.
+            for j, x in enumerate(prow):
+                if x:
+                    if type(x) is not int:
+                        prow[j] = x / piv
+                    elif x % piv:
+                        prow[j] = Fraction(x, piv)
+                    else:
+                        prow[j] = x // piv
+        else:
+            inv = ONE / piv
+            for j, x in enumerate(prow):
+                if x:
+                    prow[j] = x * inv
     nz = [(j, x) for j, x in enumerate(prow) if x]
     for row in rows if z is None else (*rows, z):
         f = row[c]
@@ -234,7 +257,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     scol = n
     eq_rows = []      # positions of the EQ rows
     for coeffs, rel, rhs in specs:
-        row = [ZERO] * (ncols + 1)
+        row = [0] * (ncols + 1)
         for name, c in coeffs.items():
             row[index[name]] = c.numerator if c.denominator == 1 else c
         row[ncols] = rhs
@@ -248,9 +271,9 @@ def solve(lp: LinearProgram) -> LpSolution:
         rows.append(row)
 
     pivots = _pivot_eq_rows(rows, basis, eq_rows)
-    cost = [ZERO] * ncols
+    cost = [0] * ncols
     for name, c in lp.objective.items():
-        cost[index[name]] = c
+        cost[index[name]] = c.numerator if c.denominator == 1 else c
     status, piv, val = _bland_optimize(rows, basis, cost, ncols)
     pivots += piv
     if status == UNBOUNDED:

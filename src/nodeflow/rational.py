@@ -3,7 +3,8 @@
 All solver code in this package works over exact rationals, never floats:
 every value the package reports is a fractions.Fraction, normalized at the
 package boundary via rat().  Inside a solve, the simplex tableau holds
-integral constraint coefficients as Python ints (see lp).
+integral entries as Python ints, from its zero fill and costs through every
+pivot, and its right-hand sides as Fractions (see lp).
 """
 
 from __future__ import annotations

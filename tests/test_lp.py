@@ -594,13 +594,57 @@ def _all_fraction_solve(lp):
     return status, pivots + more, objective, assignment
 
 
-def test_pivot_path_matches_the_kernel_on_an_all_fraction_tableau():
-    # The solver stores integral coefficients as ints, which must not move
-    # the Bland path: on programs with = rows, upper bounds, non-unit and
-    # fractional coefficients, solve agrees with the same kernel run on an
-    # all-Fraction tableau in status, pivots, objective and assignment.
+def _non_unit_programs(seed, count):
+    """Programs whose coefficients and costs lie in {+-2, +-3, +-4, +-6}, so
+    that the int tableau pivots on ints other than +-1, which divide some
+    entries of their row and not others: <= rows with b >= 0, = rows with
+    b = 0, upper bounds and both senses, in the max form the solver takes."""
+    rng = random.Random(seed)
+    values = (-6, -4, -3, -2, 2, 3, 4, 6)
+    programs = []
+    for _ in range(count):
+        nvars = rng.randint(2, 5)
+        lp = LinearProgram()
+        for j in range(nvars):
+            lp.add_variable(f"x{j}", upper=rng.choice([None, None, rng.randint(1, 7)]))
+        for _ in range(rng.randint(1, 5)):
+            coeffs = {f"x{j}": rng.choice(values) for j in range(nvars)
+                      if rng.random() < 0.7}
+            relation = rng.choice([LE, LE, LE, EQ])
+            lp.add_constraint(coeffs, relation,
+                              rng.randint(0, 12) if relation == LE else 0)
+        _set_cost(lp, {f"x{j}": rng.choice(values) for j in range(nvars)},
+                  rng.choice(["max", "max", "min"]))
+        programs.append(lp)
+    return programs
+
+
+def test_pivot_path_matches_the_kernel_on_an_all_fraction_tableau(monkeypatch):
+    # The solver keeps integral entries as ints through every pivot, which
+    # must not move the Bland path: on programs with = rows, upper bounds,
+    # non-unit and fractional coefficients, solve agrees with the same
+    # kernel run on an all-Fraction tableau in status, pivots, objective and
+    # assignment.  A spy on _pivot reads off each int pivot row's new
+    # entries which branches of the exact division ran: a whole quotient
+    # kept an int, and Fraction(x, piv).
+    from nodeflow import lp as lpmod
+
+    branches = set()
+    pivot = lpmod._pivot
+
+    def spy(rows, basis, r, c, z=None):
+        before = list(rows[r])
+        pivot(rows, basis, r, c, z)
+        if type(before[c]) is int and before[c] not in (1, -1):
+            for x, q in zip(before, rows[r]):
+                if type(x) is int and x:
+                    assert q == Fraction(x, before[c])
+                    branches.add(type(q).__name__)
+
+    monkeypatch.setattr(lpmod, "_pivot", spy)
     programs = [lp for lp, _ in _origin_programs()]
     programs += _zero_rhs_dense_programs(6101, 120)
+    programs += _non_unit_programs(2713, 80)
     programs.append(_beale_program())
     seen = set()
     for trial, lp in enumerate(programs):
@@ -615,6 +659,58 @@ def test_pivot_path_matches_the_kernel_on_an_all_fraction_tableau():
                        for v in sol.assignment.values()), trial
         seen.add(status)
     assert seen == {OPTIMAL, UNBOUNDED}
+    assert branches == {"int", "Fraction"}
+
+
+# (row, pivot column, row after the pivot); zeros stay as they are on
+# every path.
+PIVOT_ROWS = [
+    # An int pivot element other than +-1 divides exactly: a whole quotient
+    # of an int stays an int, any other is a Fraction, and a Fraction
+    # (the right-hand side here) divides as a Fraction.
+    ([2, 4, 3, -6, 0, Fraction(5)], 0,
+     [1, 2, Fraction(3, 2), -3, 0, Fraction(5, 2)]),
+    ([3, -6, 2, 0, Fraction(1, 2)], 1,
+     [Fraction(-1, 2), 1, Fraction(-1, 3), 0, Fraction(-1, 12)]),
+    ([Fraction(4, 3), 2, Fraction(6)], 1, [Fraction(2, 3), 1, Fraction(3)]),
+    # -1 negates the row, types kept.
+    ([-1, 2, 0, Fraction(3, 2), Fraction(4)], 0,
+     [1, -2, 0, Fraction(-3, 2), Fraction(-4)]),
+    # A Fraction pivot element multiplies by its inverse: every nonzero
+    # becomes a Fraction.
+    ([Fraction(2, 3), 2, 0, 1, Fraction(4)], 0,
+     [Fraction(1), Fraction(3), 0, Fraction(3, 2), Fraction(6)]),
+    # 1 leaves the row as it is.
+    ([1, 2, Fraction(1, 2), Fraction(3)], 0, [1, 2, Fraction(1, 2), Fraction(3)]),
+]
+
+
+@pytest.mark.parametrize("row, c, want", PIVOT_ROWS)
+def test_pivot_scales_the_pivot_row(row, c, want):
+    from nodeflow import lp as lpmod
+
+    rows = [list(row)]
+    lpmod._pivot(rows, [-1], 0, c)
+    assert [(type(x), x) for x in rows[0]] == [(type(x), x) for x in want]
+
+
+def test_no_float_decides_a_pivot():
+    # max x s.t. 3x <= 1 and (3*10**17 + 1)x <= 10**17.  The second bound,
+    # 10**17 / (3*10**17 + 1), is below 1/3 by less than a float resolves:
+    # the two ratios are the same float, and a tie would leave on the first
+    # row and report 1/3.  The ratio test must compare them exactly.
+    big = 3 * 10**17 + 1
+    lp = LinearProgram()
+    lp.add_variable("x")
+    lp.add_constraint({"x": 3}, LE, 1)
+    lp.add_constraint({"x": big}, LE, 10**17)
+    lp.set_objective({"x": 1})
+    assert 1 / 3 == 10**17 / big
+    sol = solve_lp(lp)
+    assert (sol.status, sol.pivots) == (OPTIMAL, 1)
+    assert sol.objective == Fraction(10**17, big)
+    assert type(sol.objective) is Fraction
+    assert sol.assignment == {"x": Fraction(10**17, big)}
 
 
 def _highs(lp):
