@@ -43,8 +43,9 @@ class CentralityReport:
 def flow_centrality(net: FlowNetwork, w) -> CentralityReport:
     """All-pairs flow centrality of w: the numerator sums node-constrained
     flow values over all ordered pairs not involving w, the denominator the
-    corresponding unconstrained maxima.  Unguarded, and exponential on
-    directed networks."""
+    corresponding unconstrained maxima.  Exponential on directed networks:
+    each walk search stops at network.WALK_STEP_CAP, and there is no
+    run-wide budget."""
     net.require(w)
     pairs = [(s, t, forced, free)
              for (s, t), (forced, free) in _pair_values(net, w).items()]
@@ -77,9 +78,9 @@ def _pair_values(net: FlowNetwork, w):
 def commodity_centrality(net: FlowNetwork, w) -> CentralityReport:
     """Centrality against the instance's own commodities and demands: the
     node-constrained multicommodity optimum over the unconstrained one.
-    Unguarded, and exponential on directed networks."""
-    den_sol = max_flow_arc_lp(net)
-    den = den_sol.objective
+    Exponential on directed networks: each walk search stops at
+    network.WALK_STEP_CAP, and there is no run-wide budget."""
+    den = max_flow_arc_lp(net).objective
     num = max_set_flow(net, (w,)).objective
     ratio = None if den == 0 else num / den
     return CentralityReport(w, num, den, ratio)
@@ -273,8 +274,9 @@ def check_pair_sum_identity(net: FlowNetwork, w, s, t) -> Eq25Report:
     worth nu^w(s,t), and (t_hat, s_hat), worth as much there and 0 on a
     directed network, where t_hat reaches nothing.
 
-    Evaluates both sides exactly and reports the residual.  Unguarded, and
-    exponential on directed networks.
+    Evaluates both sides exactly and reports the residual.  Exponential on
+    directed networks: each walk search stops at network.WALK_STEP_CAP, and
+    there is no run-wide budget.
     """
     net.require(w, s, t)
     hats = hat_constructions(net, s, t)

@@ -32,8 +32,8 @@ Origins at the commodities' sources give the unconstrained maximum
 (max_flow_arc_lp), and origins at the designated nodes give the undirected
 node-constrained transform in wflow.  On undirected networks it first
 prunes dead ends and merges series and parallel edges, which changes pivots
-but not status or objective.  Its answer is a value with no decomposition,
-so a FlowSolution built from it has flows None.
+but not status or objective.  Its objective, the sum of the exit variables,
+is the flow, and its FlowSolution has flows None: no decomposition.
 """
 
 from __future__ import annotations
@@ -264,16 +264,16 @@ def solve_arcs(net: FlowNetwork, layers):
     """The arc program shared by the undirected transform and the arc LP.
 
     layers lists (commodity, origin, exits); the program has one flow layer
-    per origin (designated node) and one exit variable per entry.  Each
+    per origin and one exit variable per entry.  Each
     layer has its own copy of every arc (two opposite arcs per undirected
     edge) except the arcs into its origin, and an edge's arcs share its
     capacity across all layers; an edge with no arc left gets no row.  A
     layer's flow enters at its origin, is conserved at every other node, and
     leaves through the exit variables of the entries with that origin: each
     exit node of an entry draws on its exit variable once, so every exit
-    node of an entry passes the same amount.  The objective weighs each exit
-    variable by its entry's number of exits (the sum of the flow leaving at
-    every exit), and a commodity's finite demand caps the sum of its exit
+    node of an entry passes the same amount.  The objective is the sum of
+    the exit variables, each entry's amount counted once however many exit
+    nodes pass it, and a commodity's finite demand caps the sum of its exit
     variables.
 
     Entries that share an origin share its layer, which is exact.  Summing
@@ -299,7 +299,8 @@ def solve_arcs(net: FlowNetwork, layers):
     and objective are therefore those of the unreduced program; the
     pivots may differ.  Directed graphs are not reduced.
 
-    Returns the LpSolution.
+    Returns the FlowSolution, with flows None, or only status and pivots
+    when the program is not optimal.
     """
     if net.directed:
         nodes, edges = net.nodes, [(e.tail, e.head, e.capacity) for e in net.edges]
@@ -348,8 +349,11 @@ def solve_arcs(net: FlowNetwork, layers):
         if com.max_demand is not None:
             mine = [out for (c, _, _), out in zip(layers, outs) if c == i]
             lp.add_constraint(dict.fromkeys(mine, ONE), lpmod.LE, com.max_demand)
-    lp.set_objective({out: len(exits) for (_, _, exits), out in zip(layers, outs)})
-    return lpmod.solve(lp)
+    lp.set_objective(dict.fromkeys(outs, 1))
+    sol = lpmod.solve(lp)
+    if sol.status != lpmod.OPTIMAL:
+        return FlowSolution(sol.status, pivots=sol.pivots)
+    return FlowSolution(lpmod.OPTIMAL, sol.objective, None, pivots=sol.pivots)
 
 
 def max_flow_arc_lp(net: FlowNetwork) -> FlowSolution:
@@ -359,8 +363,5 @@ def max_flow_arc_lp(net: FlowNetwork) -> FlowSolution:
     family would be overkill: solve_arcs with one layer per distinct source
     and one exit variable per commodity, drawn on at its sink.
     """
-    sol = solve_arcs(net, [(i, com.source, (com.sink,))
-                           for i, com in enumerate(net.commodities)])
-    if sol.status != lpmod.OPTIMAL:
-        return FlowSolution(sol.status, pivots=sol.pivots)
-    return FlowSolution(lpmod.OPTIMAL, sol.objective, None, pivots=sol.pivots)
+    return solve_arcs(net, [(i, com.source, (com.sink,))
+                            for i, com in enumerate(net.commodities)])

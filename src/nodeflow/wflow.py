@@ -3,8 +3,8 @@
 All flow must cross a designated node w (or any node of a designated set W).
 Exact values come from path LPs over through-w families (directed; worst case
 exponential) or, for undirected networks, from a polynomial-size arc program
-on a transformed graph whose optimum is exactly twice the node-constrained
-flow.  An augmenting-path heuristic and an s-w-t edge cut bound complete the
+on a transformed graph whose optimum is exactly the node-constrained flow.
+An augmenting-path heuristic and an s-w-t edge cut bound complete the
 toolbox.
 """
 
@@ -64,8 +64,8 @@ def build_transform(net: FlowNetwork, W):
     sharing the original capacity, copies them into one layer per origin
     (designated node), less the arcs into that origin, which no simple path
     out of it uses, and gives each entry an exit variable drawn on at the
-    commodity's two endpoints and weighted 2 in the objective; the
-    program's optimum equals twice the node-constrained flow value.
+    commodity's two endpoints; the program's optimum equals the
+    node-constrained flow value.
     """
     if net.directed:
         raise MalformedNetwork("transform applies to undirected networks")
@@ -75,29 +75,22 @@ def build_transform(net: FlowNetwork, W):
             for i, com in enumerate(net.commodities) for w in W]
 
 
-def solve_transform(net: FlowNetwork, entries):
-    """Arc program on the transformed graph.  Returns the LpSolution; the
-    node-constrained flow value is half its objective.
+def solve_transform(net: FlowNetwork, entries) -> FlowSolution:
+    """solve_arcs on build_transform's entries.  Returns its FlowSolution,
+    whose objective is the node-constrained flow value (flows None); any
+    other status than optimal, which this bounded program, feasible at 0,
+    never has, raises MalformedNetwork.
 
-    One flow layer per origin (designated node w), one exit variable per
-    commodity in each.  Layer w has the edge arcs except those into w, since
-    its flow splits into simple paths out of w that never re-enter it, and,
-    for each commodity i, an exit variable y_iw, drawn on at s_i and at t_i
-    and weighted 2 in the objective.  Flow originates at w, is conserved at
-    every other node, and leaves y_iw at each of s_i and t_i: a walk
-    s_i -> w -> t_i of value f becomes f from w back to s_i and f from w on
-    to t_i, so y_iw = f counts 2f.  The commodities share layer w, since a
-    flow out of one origin splits into paths from it to the exits
-    (solve_arcs), which can be dealt back to the commodities.  Layers with
-    different origins stay apart: a single layer with conservation dropped
-    at every designated node at once would let the program pair a
-    source-side share split at one node with a sink-side share split at
-    another, counting walks that do not exist.  Each y_iw needs at least one
-    exit at a conserved node, and s_i != t_i gives it one, so the exit needs
-    no capacity of its own even when w is an endpoint.
-
-    Finite demand ceilings cap the sum of commodity i's exit variables over
-    the layers.
+    The transform's own step: a walk s_i -> w -> t_i of value f is f from w
+    back to s_i and f from w on to t_i, both drawn from the one exit
+    variable y_iw, so y_iw = f, which the objective counts once.  One
+    variable drawn at both endpoints ties the walk's two halves to the same
+    w; layers with different origins stay apart, as one layer with
+    conservation dropped at every designated node would pair a source-side
+    share split at one node with a sink-side share split at another,
+    counting walks that do not exist.  Each y_iw needs at least one exit at
+    a conserved node, and s_i != t_i gives it one, so the exit needs no
+    capacity of its own even when w is an endpoint.
     """
     sol = solve_arcs(net, entries)
     if sol.status != lpmod.OPTIMAL:
@@ -115,8 +108,7 @@ def max_set_flow(net: FlowNetwork, W) -> FlowSolution:
     """
     if net.directed:
         return max_set_flow_paths(net, W)
-    sol = solve_transform(net, build_transform(net, W))
-    return FlowSolution(lpmod.OPTIMAL, sol.objective / 2, None, pivots=sol.pivots)
+    return solve_transform(net, build_transform(net, W))
 
 
 # -- s-w-t edge cuts ----------------------------------------------------------

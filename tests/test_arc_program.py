@@ -8,8 +8,11 @@ and objectives were recorded from the transform's earlier builder of its
 own, the pivot counts from the program on the reduced graph (dead ends
 pruned, series and parallel edges merged) with one layer per origin and no
 arc into a layer's own origin.
-The arc LP's program changed shape with the move, so it is checked by value
-against the path program instead.
+max_flow_arc_lp's status, pivot count and objective are pinned too, on
+every builtin with commodities and on a seeded random set, directed and
+undirected, recorded from the program that weighed each exit variable by
+its number of exits; its objective is also checked against the path
+program.
 """
 
 import random
@@ -24,8 +27,7 @@ from nodeflow.te import _reduced_graph
 from conftest import random_directed, random_undirected
 
 
-def _set_flow_signature(net, W):
-    sol = max_set_flow(net, W)
+def _signature(sol):
     return f"{sol.status} {sol.pivots} {sol.objective}"
 
 
@@ -41,7 +43,7 @@ def _builtin_signatures():
         if "group" in b.designated:
             sets.append(tuple(b.designated["group"]))
         for W in sets:
-            out[f"{b.name} {','.join(W)}"] = _set_flow_signature(net, W)
+            out[f"{b.name} {','.join(W)}"] = _signature(max_set_flow(net, W))
     return out
 
 
@@ -56,7 +58,7 @@ def _random_signatures():
                                 n_commodities=rng.randint(1, 3),
                                 finite_demands=trial % 2 == 0)
         W = tuple(rng.sample(net.nodes, rng.randint(1, 2)))
-        out[f"{trial} {','.join(W)}"] = _set_flow_signature(net, W)
+        out[f"{trial} {','.join(W)}"] = _signature(max_set_flow(net, W))
     return out
 
 
@@ -126,6 +128,61 @@ PINNED_RANDOM = {
     "39 n0": "optimal 2 3",
 }
 
+PINNED_ARC_LP_BUILTINS = {
+    "augmenting-undirected": "optimal 7 9",
+    "cycle-3": "optimal 5 1",
+    "cycle-4": "optimal 6 1",
+    "fig8": "optimal 30 3",
+    "fig8-undirected": "optimal 30 3",
+    "figadd": "optimal 3 1",
+    "remarks": "optimal 7 4",
+    "remarks-unit": "optimal 7 2",
+    "wst-undirected": "optimal 2 1",
+}
+
+PINNED_ARC_LP_RANDOM = {
+    0: "optimal 4 3",
+    1: "optimal 10 4",
+    2: "optimal 1 0",
+    3: "optimal 6 0",
+    4: "optimal 6 1",
+    5: "optimal 7 0",
+    6: "optimal 8 7",
+    7: "optimal 8 0",
+    8: "optimal 10 2",
+    9: "optimal 16 4",
+    10: "optimal 19 6",
+    11: "optimal 9 0",
+    12: "optimal 17 6",
+    13: "optimal 11 3",
+    14: "optimal 4 5",
+    15: "optimal 14 14",
+    16: "optimal 15 3",
+    17: "optimal 5 2",
+    18: "optimal 10 6",
+    19: "optimal 9 0",
+    20: "optimal 2 2",
+    21: "optimal 7 1",
+    22: "optimal 9 8",
+    23: "optimal 19 2",
+    24: "optimal 2 1",
+    25: "optimal 3 1",
+    26: "optimal 4 2",
+    27: "optimal 4 0",
+    28: "optimal 6 3",
+    29: "optimal 4 1",
+    30: "optimal 3 0",
+    31: "optimal 17 5",
+    32: "optimal 6 1",
+    33: "optimal 4 0",
+    34: "optimal 23 9",
+    35: "optimal 5 0",
+    36: "optimal 13 8",
+    37: "optimal 11 2",
+    38: "optimal 2 2",
+    39: "optimal 4 7",
+}
+
 
 def test_transform_pinned_on_undirected_builtins():
     assert _builtin_signatures() == PINNED_BUILTINS
@@ -190,6 +247,33 @@ def test_transform_layer_has_no_arc_into_its_origin(monkeypatch):
             _, edges = _reduced_graph(net, terminals)
             at_w = sum(w in edge[:2] for edge in edges)
             assert len(arcs) == 2 * len(edges) - at_w, (b.name, w)
+
+
+def _arc_lp_builtin_signatures():
+    return {b.name: _signature(max_flow_arc_lp(b.network))
+            for b in catalog() if b.network.commodities}
+
+
+def _arc_lp_random_signatures():
+    """Directed and undirected in turn, up to three commodities, finite
+    demands on half the draws."""
+    rng = random.Random(5119)
+    out = {}
+    for trial in range(40):
+        gen = random_directed if trial % 2 else random_undirected
+        net = gen(rng, n_nodes=rng.randint(3, 6), n_edges=rng.randint(3, 8),
+                  n_commodities=rng.randint(1, 3),
+                  finite_demands=trial % 4 < 2)
+        out[trial] = _signature(max_flow_arc_lp(net))
+    return out
+
+
+def test_arc_lp_pinned_on_builtins():
+    assert _arc_lp_builtin_signatures() == PINNED_ARC_LP_BUILTINS
+
+
+def test_arc_lp_pinned_on_random_instances():
+    assert _arc_lp_random_signatures() == PINNED_ARC_LP_RANDOM
 
 
 def test_arc_lp_matches_path_lp_on_multicommodity_instances():

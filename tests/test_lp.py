@@ -448,6 +448,23 @@ def test_bland_path_pinned_on_origin_programs():
     assert got == PINNED_ORIGIN
 
 
+@pytest.mark.parametrize("scale", [2, rat(1, 3)])
+def test_bland_path_does_not_depend_on_the_scale_of_the_costs(scale):
+    # Scaling the costs by k > 0 scales the reduced-cost row by k, which
+    # keeps Bland's entering choice, and the ratio test reads no cost: the
+    # same pivots reach the same point, at k times the objective.
+    programs = [lp for lp, _ in _origin_programs()]
+    programs += [lp for lp, _ in _pinned_random_programs().values()]
+    for k, lp in enumerate(programs):
+        base = solve_lp(lp)
+        lp.set_objective({name: scale * c for name, c in lp.objective.items()})
+        scaled = solve_lp(lp)
+        assert (scaled.status, scaled.pivots, scaled.assignment) == \
+            (base.status, base.pivots, base.assignment), k
+        assert scaled.objective == (None if base.objective is None
+                                    else scale * base.objective), k
+
+
 def test_bland_path_pinned_on_transform_program():
     from nodeflow import get_builtin
 
@@ -465,7 +482,7 @@ def test_transform_program_has_only_rows_that_can_bind(monkeypatch):
     # and w, giving s-w of capacity 2.
     from nodeflow import get_builtin
     from nodeflow import lp as lpmod
-    from nodeflow.wflow import build_transform, solve_transform
+    from nodeflow.wflow import build_transform, max_set_flow, solve_transform
 
     built = []
 
@@ -480,7 +497,7 @@ def test_transform_program_has_only_rows_that_can_bind(monkeypatch):
     # 7 arc variables on the 5 edges left, the 10 arcs less the 3 into w,
     # and one exit; 5 edge capacity rows and conservation at s, x and t.
     assert (len(lp.variables), len(lp.constraints)) == (8, 8)
-    assert value == 6
+    assert value == max_set_flow(net, ("w",)).objective == 3
 
 
 # -- equality rows with right-hand side 0 ---------------------------------------

@@ -4,14 +4,16 @@ from itertools import islice
 
 import pytest
 
-from nodeflow import (CapExceeded, FlowNetwork, MalformedNetwork, MissingDesignation,
-                      PathConstraint, UnknownNode, augmenting_w_flow,
+from nodeflow import (CapExceeded, FlowNetwork, FlowSolution, MalformedNetwork,
+                      MissingDesignation, PathConstraint, UnknownNode,
+                      augmenting_w_flow,
                       build_transform, enumerate_paths,
                       enumerate_st_paths, fix_paths,
                       get_builtin, max_flow_arc_lp, max_set_flow,
                       max_set_flow_paths,
                       max_w_flow_exact, min_swt_edge_cut, network,
-                      rat, solve_te_mf, through_any, validate_walk, verify_cut)
+                      rat, solve_te_mf, solve_transform, through_any,
+                      validate_walk, verify_cut)
 
 from nodeflow.network import FWD, REV
 from nodeflow.wflow import AUGMENT_MAX_ROUNDS, AUGMENT_SEARCH_CAP, _decompose
@@ -83,7 +85,9 @@ def test_arc_program_results_have_no_flows_to_sum():
     # off their flows must raise rather than answer 0.
     net = get_builtin("wst-undirected").network
     for sol, value in ((max_set_flow(net, ("w",)), rat(1, 2)),
+                       (solve_transform(net, build_transform(net, ("w",))), rat(1, 2)),
                        (max_flow_arc_lp(net), 1)):
+        assert isinstance(sol, FlowSolution)
         assert (sol.status, sol.objective, sol.flows) == ("optimal", value, None)
         with pytest.raises(ValueError, match="no flow decomposition"):
             sol.total_value()
